@@ -28,8 +28,12 @@ class CriterionResult:
     budget_s: float
     details: str
 
+    @property
+    def within_budget(self):
+        return self.elapsed_s < self.budget_s
+
     def line(self):
-        status = "PASS" if self.passed else "FAIL"
+        status = "FAIL" if not self.passed else "PASS" if self.within_budget else "OVER BUDGET"
         return (
             f"[{status}] criterion {self.number}: {self.name} "
             f"({self.elapsed_s:.2f}s / budget {self.budget_s:.0f}s) - {self.details}"
@@ -40,6 +44,7 @@ class CriterionResult:
             "number": self.number,
             "name": self.name,
             "pass": self.passed,
+            "within_budget": self.within_budget,
             "elapsed_s": round(self.elapsed_s, 3),
             "budget_s": self.budget_s,
             "details": self.details,

@@ -163,12 +163,9 @@ def _cmd_poset_check(args, digest):
 
 def _cmd_poset_report(args, digest):
     data = _read_json(args.input, digest)
-    _digest_args(digest, args.fin_bound)
     poset = _poset_from_json(data)
-    report = order.domain_report(poset, fin_size_bound=args.fin_bound)
+    report = order.domain_report(poset)
     lines = [f"{key}: {value}" for key, value in report.flags().items()]
-    if report.bounded:
-        lines.append("note: fin() enumeration was size-bounded")
     results = {"report": report.to_json_dict(), "lines": lines}
     return results, False
 
@@ -366,7 +363,7 @@ def _cmd_accept(args, digest):
         "criteria": [r.to_json_dict() for r in outcomes],
         "lines": [r.line() for r in outcomes],
     }
-    failed = not all(r.passed for r in outcomes)
+    failed = not all(r.passed and r.within_budget for r in outcomes)
     return results, failed
 
 
@@ -392,7 +389,6 @@ def _build_parser():
     check.add_argument("--input", required=True)
     report = add(poset, "report", _cmd_poset_report, "poset report")
     report.add_argument("--input", required=True)
-    report.add_argument("--fin-bound", type=int, default=None, dest="fin_bound")
     hasse = add(poset, "hasse", _cmd_poset_hasse, "poset hasse")
     hasse.add_argument("--input", required=True)
     hasse.add_argument("--dot", default=None)

@@ -4,15 +4,15 @@ The order relation is kept as per-element bitmasks, which keeps the
 exhaustive routines (directed-subset enumeration, up-set generation,
 way-below oracles) affordable at the poset sizes this library targets.
 
-Every check that has a cheap theorem-backed shortcut on finite posets also
-ships a definitional route that enumerates directed subsets outright; the
-two are cross-validated wherever both run, and reports record which route
-produced each flag.
+Each property flag is computed by one route per run, and reports record
+which.  Way-below and the flags built on it choose, by ``method``, between
+a definitional route that enumerates directed subsets outright and a
+theorem route that uses finiteness; the test suite cross-validates the
+two.  The other flags follow from finiteness alone and have a single route.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -28,8 +28,7 @@ from .errors import (
 # Definitional (directed-subset) oracles run up to this many elements;
 # larger posets are routed to the theorem-backed fast paths.
 ORACLE_MAX = 15
-# Complete fin()/compfin() subset enumeration cap; beyond it the subset
-# size is bounded and reports are marked as bounded.
+# Cap for the order-dense chain search, which scans all 2^n subsets.
 FIN_ENUM_MAX = 12
 # Cap for materializing topologies (lists of up to 2^n subsets).
 TOPOLOGY_MAX = 13
@@ -54,10 +53,6 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask):
-    return bin(mask).count("1")
 
 
 class FinPoset:
@@ -94,6 +89,8 @@ class FinPoset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._directed = None
         self._covers = None
+        self._meets = None
+        self._joins = None
 
     # -- basic queries ------------------------------------------------
 
@@ -161,6 +158,25 @@ class FinPoset:
             if lbs & ~self.dn[c] == 0:
                 return c
         return None
+
+    def meets(self):
+        """Binary meet table: ``meets()[i][j]`` is the meet of i and j, or None."""
+        if self._meets is None:
+            self._meets = self._pair_table(self.glb_mask)
+        return self._meets
+
+    def joins(self):
+        """Binary join table: ``joins()[i][j]`` is the join of i and j, or None."""
+        if self._joins is None:
+            self._joins = self._pair_table(self.lub_mask)
+        return self._joins
+
+    def _pair_table(self, bound):
+        table = [[None] * self.n for _ in range(self.n)]
+        for i in range(self.n):
+            for j in range(i, self.n):
+                table[i][j] = table[j][i] = bound((1 << i) | (1 << j))
+        return tuple(tuple(row) for row in table)
 
     def mask_of(self, subset):
         mask = 0
@@ -243,16 +259,29 @@ class FinPoset:
 def validate_poset(elements, leq, orientation=None, payloads=None):
     """Checked poset constructor.
 
-    ``leq`` is a square boolean table over ``elements``.  Raises the first
-    violation found: NotReflexive(i), NotAntisymmetric(i, j) or
+    ``leq`` is a square boolean table over ``elements``, whose labels must
+    be distinct.  Raises BadParameters for a malformed table or labels, then
+    the first violation found: NotReflexive(i), NotAntisymmetric(i, j) or
     NotTransitive(i, j, k).
     """
+    if not isinstance(elements, (list, tuple)):
+        raise BadParameters("elements must be a list of labels")
     elements = tuple(elements)
     n = len(elements)
     if n == 0:
         raise BadParameters("empty poset is not allowed")
-    if len(leq) != n or any(len(row) != n for row in leq):
+    try:
+        distinct = len(set(elements))
+    except TypeError:
+        raise BadParameters("element labels must be hashable") from None
+    if distinct != n:
+        raise BadParameters("element labels must be distinct")
+    if not isinstance(leq, (list, tuple)) or len(leq) != n or any(
+        not isinstance(row, (list, tuple)) or len(row) != n for row in leq
+    ):
         raise BadParameters("leq must be a square table over the elements")
+    if not all(type(cell) is bool for row in leq for cell in row):
+        raise BadParameters("leq cells must be booleans")
     for i in range(n):
         if not leq[i][i]:
             raise NotReflexive(i)
@@ -467,18 +496,15 @@ def _dot_escape(text, limit=40):
 # order-dense chains
 
 
-def order_dense_chain(poset, method="shortcut"):
+def order_dense_chain(poset):
     """Search for an order-dense chain of at least two elements.
 
     Returns the chain (as a list of indices) or None.  A finite chain with
     two or more elements always contains a pair that is covering inside
-    the chain, so the shortcut route immediately reports None.  The
-    generic route enumerates chains and is kept for cross-checking.
+    the chain, so on a finite poset the search always returns None; it is
+    kept as the reference the property report's covering-pair argument is
+    tested against.
     """
-    if method == "shortcut":
-        return None
-    if method != "search":
-        raise BadParameters(f"unknown method {method!r}")
     if poset.n > FIN_ENUM_MAX:
         raise SizeLimit("poset size for chain search", poset.n, FIN_ENUM_MAX)
     for mask in range(1, poset.full_mask + 1):
@@ -521,8 +547,7 @@ class DomainReport:
     ``None`` flags mean the property is not applicable: meet-continuity on
     a poset that is not a meet-semilattice, atomisticity on a poset with no
     least element.  Every False flag carries a witness under the property's
-    key in ``witnesses``.  ``paths`` records which route computed each flag
-    and ``bounded`` is set when the fin() enumeration was size-limited.
+    key in ``witnesses``.  ``paths`` records which route computed each flag.
     """
 
     algebraic: bool = True
@@ -534,7 +559,6 @@ class DomainReport:
     order_scattered: bool = True
     witnesses: dict = field(default_factory=dict)
     paths: dict = field(default_factory=dict)
-    bounded: bool = False
 
     def flags(self):
         return {key: getattr(self, key) for key in PROPERTY_KEYS}
@@ -546,17 +570,11 @@ class DomainReport:
         data = dict(self.flags())
         data["witnesses"] = self.witnesses
         data["paths"] = self.paths
-        data["bounded"] = self.bounded
         return data
 
 
-def domain_report(poset, method="auto", fin_size_bound=None, require_meets=False):
-    """Run all seven property checks and collect witnesses for failures.
-
-    ``fin_size_bound`` limits the size of subsets enumerated for the
-    quasi-properties; by default the enumeration is complete for posets of
-    at most FIN_ENUM_MAX elements and bounded to pairs above that.
-    """
+def domain_report(poset, method="auto", require_meets=False):
+    """Run all seven property checks and collect witnesses for failures."""
     report = DomainReport()
     wb, wb_method = way_below_matrix(poset, method)
     report.paths["way_below"] = wb_method
@@ -597,24 +615,34 @@ def domain_report(poset, method="auto", fin_size_bound=None, require_meets=False
 
     _meet_continuity(poset, report, method, require_meets)
     _atomistic(poset, report)
-    _quasi(poset, report, wb, fin_size_bound)
+
+    # quasi-continuous and quasi-algebraic: for a compact c, {c} is the least
+    # member of fin(c), so the family is directed and the intersection of
+    # its upsets is up(c) (Gierz et al., Continuous Lattices and Domains,
+    # III-3).  Without compactness {c} is no member; the lowest such c is
+    # the witness.
+    non_compact = poset.full_mask & ~compact_mask
+    for prop in ("quasi_continuous", "quasi_algebraic"):
+        report.paths[prop] = "compact-singletons"
+        if non_compact:
+            setattr(report, prop, False)
+            report.witnesses[prop] = {
+                "element": next(iter_bits(non_compact)),
+                "missing_canonical": True,
+            }
 
     # order-scattered: a finite chain of two or more elements always has a
     # covering pair, so no order-dense chain can exist.
-    chain = order_dense_chain(poset, method="shortcut")
-    report.order_scattered = chain is None
-    if chain is not None:
-        report.witnesses["order_scattered"] = {"chain": chain}
+    report.order_scattered = True
     report.paths["order_scattered"] = "covering-pair-shortcut"
     return report
 
 
 def _meet_continuity(poset, report, method, require_meets):
-    meet = [[None] * poset.n for _ in range(poset.n)]
+    meet = poset.meets()
     for i in range(poset.n):
         for j in range(i, poset.n):
-            m = poset.glb_mask((1 << i) | (1 << j))
-            if m is None:
+            if meet[i][j] is None:
                 if require_meets:
                     raise MeetNotDefined(i, j)
                 report.meet_continuous = None
@@ -624,7 +652,6 @@ def _meet_continuity(poset, report, method, require_meets):
                 }
                 report.paths["meet_continuous"] = "not-a-meet-semilattice"
                 return
-            meet[i][j] = meet[j][i] = m
     mm = _resolve(method, poset.n, ORACLE_MAX)
     report.paths["meet_continuous"] = mm
     if mm == THEOREM:
@@ -680,85 +707,6 @@ def _atomistic(poset, report):
             return
 
 
-def _quasi(poset, report, wb, fin_size_bound):
-    n = poset.n
-    if fin_size_bound is None:
-        fin_size_bound = n if n <= FIN_ENUM_MAX else 2
-    if fin_size_bound < 1:
-        raise BadParameters("fin subset size bound must be at least 1")
-    if fin_size_bound < n:
-        report.bounded = True
-
-    # fin(C) membership: some member of F is way below C.  compfin keeps
-    # the members way below themselves; on a finite poset a directed set
-    # witnessing the upset of F contains its own maximum there, so every
-    # fin member qualifies (cross-checked definitionally in the tests).
-    wb_into = [0] * n
-    for b in range(n):
-        for c in iter_bits(wb[b]):
-            wb_into[c] |= 1 << b
-
-    if fin_size_bound >= n:
-        subsets = list(range(1, poset.full_mask + 1))
-    else:
-        subsets = [
-            sum(1 << i for i in combo)
-            for size in range(1, fin_size_bound + 1)
-            for combo in itertools.combinations(range(n), size)
-        ]
-    up_of = {}
-
-    def upset(mask):
-        got = up_of.get(mask)
-        if got is None:
-            got = _upset_of_mask(poset, mask)
-            up_of[mask] = got
-        return got
-
-    for c in range(n):
-        fin_members = [f for f in subsets if f & wb_into[c]]
-        comp_members = fin_members
-        for prop, members in (
-            ("quasi_continuous", fin_members),
-            ("quasi_algebraic", comp_members),
-        ):
-            ok, witness = _quasi_flag(poset, c, members, upset)
-            if not ok:
-                setattr(report, prop, False)
-                report.witnesses[prop] = witness
-                report.paths[prop] = "fin-enumeration"
-                return
-            report.paths[prop] = "fin-enumeration"
-
-
-def _quasi_flag(poset, c, members, upset):
-    """Directedness of the family plus the separation condition."""
-    canonical = 1 << c
-    up_c = poset.up[c]
-    if canonical not in members:
-        return False, {"element": c, "missing_canonical": True}
-    # directedness: {c} dominates every member, so each pair is bounded
-    for f in members:
-        if up_c & ~upset(f):
-            bound = _find_pair_bound(poset, members, f, canonical, upset)
-            if bound is None:
-                return False, {"element": c, "undominated": sorted(iter_bits(f))}
-    # separation: for d not above c the family member {c} already excludes d
-    for d in range(poset.n):
-        if not up_c >> d & 1:
-            if upset(canonical) >> d & 1:
-                return False, {"element": c, "inseparable": d}
-    return True, None
-
-
-def _find_pair_bound(poset, members, f1, f2, upset):
-    target = upset(f1) & upset(f2)
-    for g in members:
-        if upset(g) & ~target == 0:
-            return g
-    return None
-
-
 def recheck_witness(poset, prop, witness):
     """Confirm that a recorded witness still violates its property."""
     if prop == "algebraic":
@@ -768,14 +716,14 @@ def recheck_witness(poset, prop, witness):
         approx = poset.mask_of(witness["way_below"])
         return poset.lub_mask(approx) != witness["element"]
     if prop == "meet_continuous":
+        meet = poset.meets()
         if "not_applicable" in witness:
             i, j = witness["pair"]
-            return poset.glb_mask((1 << i) | (1 << j)) is None
+            return meet[i][j] is None
         c = witness["element"]
         image = 0
         for d in witness["directed"]:
-            m = poset.glb_mask((1 << c) | (1 << d))
-            image |= 1 << m
+            image |= 1 << meet[c][d]
         return poset.lub_mask(image) != witness["lhs"]
     if prop == "atomistic":
         if "not_applicable" in witness:

@@ -22,12 +22,14 @@ from .errors import (
 )
 from .order import FinPoset, iter_bits, validate_poset
 from .scatter import FinTop
-from .staralg import c_lattice, minimal_projections
+from .staralg import Matrix, c_lattice, minimal_projections
 
 #: enumeration guard for Boolean subalgebras
 OMP_MAX = 32
-#: spectrum guard for the subalgebra/Boolean-subalgebra comparison
-CAF_MAX = 6
+#: spectrum guard for the subalgebra/Boolean-subalgebra comparison: the
+#: projections of a k-point spectrum form a 2^k-element power set, which
+#: must pass the enumeration guard
+CAF_MAX = OMP_MAX.bit_length() - 1
 
 
 class OMP:
@@ -50,10 +52,10 @@ class OMP:
         return self.poset.leq(i, j)
 
     def meet(self, i, j):
-        return self.poset.glb_mask((1 << i) | (1 << j))
+        return self.poset.meets()[i][j]
 
     def join(self, i, j):
-        return self.poset.lub_mask((1 << i) | (1 << j))
+        return self.poset.joins()[i][j]
 
     def __repr__(self):
         return f"OMP({self.n} elements)"
@@ -240,7 +242,7 @@ def boolean_subalgebras(omp, size_limit=OMP_MAX):
                 frontier.append(closed)
             else:
                 rejected.add(closed)
-    masks = sorted(found, key=lambda m: (bin(m).count("1"), m))
+    masks = sorted(found, key=lambda m: (m.bit_count(), m))
     subs = [BoolSub(omp, m) for m in masks]
     table = [[(a.mask & ~b.mask) == 0 for b in subs] for a in subs]
     labels = ["{" + ",".join(str(lbl) for lbl in sub.labels()) + "}" for sub in subs]
@@ -338,8 +340,6 @@ def verify_caf_iso(algebra, size_limit=CAF_MAX):
 
 
 def _sum_of(projections, mask, dim):
-    from .staralg import Matrix
-
     total = Matrix.zero(dim)
     for i in iter_bits(mask):
         total = total + projections[i]
@@ -391,14 +391,9 @@ def stone_space(boolean):
         )
         element_to_clopen[omp.elements[p]] = clopen
         seen.add(clopen)
-    if len(seen) != 1 << len(atom_list) or len(seen) != bin(mask).count("1"):
+    if len(seen) != 1 << len(atom_list) or len(seen) != mask.bit_count():
         raise NotBoolean("clopen sets do not reconstruct the algebra")
     points = tuple(omp.elements[a] for a in atom_list)
-    opens = [frozenset(s) for s in _all_subsets(len(atom_list))]
+    opens = [frozenset(iter_bits(m)) for m in range(1 << len(atom_list))]
     topology = FinTop(points, opens)
     return StoneSpace(points=points, topology=topology, element_to_clopen=element_to_clopen)
-
-
-def _all_subsets(n):
-    for mask in range(1 << n):
-        yield set(iter_bits(mask))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, ParseError, SizeLimit
+from .order import iter_bits
 from .partitions import collapse
 
 #: ordinal exponents stay below this (desk scale)
@@ -73,10 +74,11 @@ class FinTop:
         return frozenset(i for i in range(self.n) if self.is_open({i}))
 
     def subspace(self, subset):
-        subset = sorted(frozenset(subset))
-        position = {p: i for i, p in enumerate(subset)}
-        points = [self.points[p] for p in subset]
-        opens = {frozenset(position[p] for p in (o & set(subset))) for o in self.opens}
+        # FinTop reads the members of an open as labels first, so the opens
+        # are passed as labels; positions would be misread as integer labels
+        keep = frozenset(subset)
+        points = [self.points[p] for p in sorted(keep)]
+        opens = {frozenset(self.points[p] for p in o & keep) for o in self.opens}
         return FinTop(points, opens)
 
     def closed_sets(self):
@@ -90,17 +92,12 @@ class FinTop:
 def discrete_topology(points):
     points = tuple(points)
     n = len(points)
-    return FinTop(points, [frozenset(c) for c in _subsets(n)])
+    return FinTop(points, [frozenset(iter_bits(m)) for m in range(1 << n)])
 
 
 def indiscrete_topology(points):
     points = tuple(points)
     return FinTop(points, [frozenset(), frozenset(range(len(points)))])
-
-
-def _subsets(n):
-    for mask in range(1 << n):
-        yield {i for i in range(n) if mask >> i & 1}
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +400,8 @@ def ordinal_interval_topology(value):
         for hi in range(lo + 1, value + 2):
             basis.add(frozenset(p for p in points if lo < p < hi))
     opens = []
-    for candidate in _subsets(value + 1):
-        candidate = frozenset(candidate)
+    for mask in range(1 << (value + 1)):
+        candidate = frozenset(iter_bits(mask))
         if all(any(p in b and b <= candidate for b in basis) for p in candidate):
             opens.append(candidate)
     return FinTop(points, opens)
@@ -457,7 +454,7 @@ def kq_chain_witness(m, n, rationals=None):
     labels = [Fraction(i, m + 1) for i in range(1, m + 1)]
     points = tuple(str(q) for q in labels) + ("limit",)
     limit = m  # index of the limit point
-    opens = {frozenset(s) for s in _subsets(m)}
+    opens = {frozenset(iter_bits(mask)) for mask in range(1 << m)}
     opens.add(frozenset(range(m + 1)))
     space = FinTop(points, opens)
 

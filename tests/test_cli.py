@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cstardom import acceptance
 from cstardom.cli import main
 
 
@@ -88,6 +89,35 @@ class TestExitCodes:
     def test_depth_out_of_range(self, files, capsys):
         code, _ = run_json(["cantor", "verify", "--depth", "99"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"elements": ["a"], "leq": "x"},
+            {"elements": ["a", "a"], "leq": [[True, False], [False, True]]},
+            {"elements": ["a"], "leq": [[1]]},
+            {"elements": [["a"]], "leq": [[True]]},
+            {"elements": "ab", "leq": [[True, False], [False, True]]},
+        ],
+        ids=["leq-string", "duplicate-labels", "int-cell", "unhashable-label", "elements-string"],
+    )
+    def test_malformed_poset_is_a_usage_error(self, payload, tmp_path, capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        code, report = run_json(["poset", "check", "--input", str(path)], capsys)
+        assert code == 2
+        assert report["results"]["error"]["type"] == "BadParameters"
+
+    def test_budget_overrun_fails_accept(self, capsys, monkeypatch):
+        criteria = tuple(
+            (num, name, func, 1e-9 if num == 7 else budget, fast)
+            for num, name, func, budget, fast in acceptance.CRITERIA
+        )
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+        code, report = run_json(["accept", "fast"], capsys)
+        assert code == 1
+        (seventh,) = [c for c in report["results"]["criteria"] if c["number"] == 7]
+        assert seventh["pass"] is True and seventh["within_budget"] is False
 
 
 class TestPoset:

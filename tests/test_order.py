@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cstardom import order
 from cstardom.errors import (
@@ -119,6 +119,21 @@ class TestBounds:
     def test_glb_dual(self):
         assert glb(chain(3), [1, 2]) == 1
         assert glb(antichain(2), [0, 1]) is None
+
+    def test_meet_join_tables_match_pairwise_bounds(self):
+        from cstardom.ortho import power_set_omp
+
+        rng = random.Random(5)
+        cases = [random_poset(rng, rng.randint(1, 9), p) for p in (0.1, 0.35, 0.6) * 4]
+        cases.append(power_set_omp(3).poset)
+        for poset in cases:
+            meets, joins = poset.meets(), poset.joins()
+            for i in range(poset.n):
+                for j in range(poset.n):
+                    pair = (1 << i) | (1 << j)
+                    assert meets[i][j] == poset.glb_mask(pair)
+                    assert joins[i][j] == poset.lub_mask(pair)
+            assert poset.meets() is meets and poset.joins() is joins
 
 
 class TestWayBelow:
@@ -312,13 +327,13 @@ class TestDomainReport:
             if value is False:
                 assert recheck_witness(poset, key, report.witnesses[key])
 
-    def test_bounded_flag_set_above_enumeration_cap(self):
-        small = partition_lattice(3, ORIENT_SUBALGEBRA)
-        assert domain_report(small).bounded is False
-        assert domain_report(small, fin_size_bound=2).bounded is True
-        # fifteen elements exceed the complete-enumeration cap
-        big = partition_lattice(4, ORIENT_SUBALGEBRA)
-        assert domain_report(big).bounded is True
+    @pytest.mark.parametrize("method", [DEFINITIONAL, THEOREM])
+    def test_quasi_flags_read_compactness(self, method):
+        report = domain_report(partition_lattice(4, ORIENT_SUBALGEBRA), method=method)
+        assert report.quasi_continuous is True and report.quasi_algebraic is True
+        assert report.paths["quasi_continuous"] == "compact-singletons"
+        assert report.paths["quasi_algebraic"] == "compact-singletons"
+        assert "bounded" not in report.to_json_dict()
 
     def test_json_keys(self):
         data = domain_report(chain(2)).to_json_dict()
@@ -327,13 +342,17 @@ class TestDomainReport:
 
 
 class TestOrderDenseChains:
-    def test_shortcut_reports_none(self):
-        assert order_dense_chain(chain(5)) is None
-
     @settings(max_examples=25, deadline=None)
     @given(posets(max_size=7))
+    @example(chain(5))
     def test_search_agrees_with_shortcut(self, poset):
-        assert order_dense_chain(poset, method="search") is None
+        # the search is the reference for the report's covering-pair route
+        assert order_dense_chain(poset) is None
+        assert domain_report(poset).paths["order_scattered"] == "covering-pair-shortcut"
+
+    def test_search_size_guard(self):
+        with pytest.raises(SizeLimit):
+            order_dense_chain(antichain(order.FIN_ENUM_MAX + 1))
 
 
 class TestSerialization:

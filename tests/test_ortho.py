@@ -216,7 +216,7 @@ class TestCafIso:
         gens = [Matrix.diag([1] * (j + 1) + [0] * (k - j - 1)) for j in range(k - 1)]
         return generated_algebra(gens, dim=k)
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_diagonal_iso(self, k):
         report = verify_caf_iso(self.diagonal(k))
         assert report.size == bell_number(k)
@@ -237,6 +237,13 @@ class TestCafIso:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             verify_caf_iso(self.diagonal(4), size_limit=3)
+
+    def test_default_guard_is_the_spectrum_guard(self):
+        # a 6-point spectrum would give a 64-element power set, beyond OMP_MAX
+        with pytest.raises(SizeLimit) as info:
+            verify_caf_iso(self.diagonal(6))
+        assert info.value.what == "spectrum size"
+        assert (info.value.value, info.value.limit) == (6, 5)
 
 
 class TestStoneSpace:

@@ -67,6 +67,13 @@ class TestFinTop:
         sub = sierpinski().subspace({1})
         assert sub.n == 1 and sub.points == ("b",)
 
+    def test_subspace_with_integer_labels(self):
+        # positions of the parent space must not be read as the subspace's labels
+        assert scattered_by_closed_sets(ordinal_interval_topology(8)) is True
+        ints = FinTop([1, 2, 0], [[], [0], [2, 0], [1, 2, 0]])
+        strings = FinTop(["1", "2", "0"], [[], ["0"], ["2", "0"], ["1", "2", "0"]])
+        assert cb_rank_fin(ints) == cb_rank_fin(strings) == (3, frozenset())
+
 
 class TestDerivatives:
     def test_discrete_derivative_empty(self):
