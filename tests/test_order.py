@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cstardom import order
 from cstardom.errors import (
@@ -342,9 +342,12 @@ class TestDomainReport:
 
 
 class TestOrderDenseChains:
+    def test_shortcut_reports_none(self):
+        assert order_dense_chain(chain(5)) is None
+        assert domain_report(chain(5)).paths["order_scattered"] == "covering-pair-shortcut"
+
     @settings(max_examples=25, deadline=None)
     @given(posets(max_size=7))
-    @example(chain(5))
     def test_search_agrees_with_shortcut(self, poset):
         # the search is the reference for the report's covering-pair route
         assert order_dense_chain(poset) is None
