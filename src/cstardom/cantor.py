@@ -3,7 +3,15 @@
 A relation here is the diagonal plus the squares of finitely many disjoint
 closed blocks.  Endpoints are triadic rationals, and joins hinge on exact
 endpoint equality (blocks that merely touch must merge), so everything runs
-on ``fractions.Fraction`` - never floats.
+on ``fractions.Fraction`` - never floats.  Blocks keep ``Fraction``
+endpoints, not integers over one power of three, because the dense-chain
+witnesses have endpoints i/(n+1) and their midpoints halve them again.
+
+A relation keeps the sorted lower endpoints of its blocks; since blocks are
+disjoint and do not touch, the only block that can hold a point is the one
+with the largest lower endpoint at or below it, found by bisection.  The
+stages of one level are made by a single walk down from the root on integer
+numerators (``_stage_level``), not string by string.
 
 The module builds the middle-thirds relation and the shrinking
 first-and-last-thirds family, and verifies at a chosen truncation depth
@@ -14,6 +22,7 @@ law that meet-continuity would demand.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +45,7 @@ class TriRel:
     merged, since transitivity through the shared point would glue them).
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "_lows")
 
     def __init__(self, blocks):
         blocks = tuple(sorted((Fraction(l), Fraction(u)) for l, u in blocks))
@@ -47,23 +56,27 @@ class TriRel:
             if l2 <= u1:
                 raise BadParameters(f"blocks touching at {l2} must be merged")
         self.blocks = blocks
+        self._lows = [l for l, _ in blocks]
 
     def relates(self, x, y):
         if x == y:
             return True
-        return any(l <= x <= u and l <= y <= u for l, u in self.blocks)
+        block = self.block_containing(x)
+        return block is not None and block[0] <= y <= block[1]
 
     def block_containing(self, x):
-        for l, u in self.blocks:
-            if l <= x <= u:
-                return (l, u)
+        i = bisect_right(self._lows, x) - 1
+        if i >= 0 and x <= self.blocks[i][1]:
+            return self.blocks[i]
         return None
 
     def contains(self, other):
         """Relation containment: every block of other inside a block of self."""
-        return all(
-            any(l <= ol and ou <= u for l, u in self.blocks) for ol, ou in other.blocks
-        )
+        for ol, ou in other.blocks:
+            block = self.block_containing(ol)
+            if block is None or ou > block[1]:
+                return False
+        return True
 
     def __le__(self, other):
         return other.contains(self)
@@ -113,6 +126,31 @@ def _stages(length):
         yield sigma + "1"
 
 
+def _stage_level(length):
+    """``stage_intervals`` of every binary string of a length, in ``_stages`` order.
+
+    One walk down from the root on integer numerators: at level k a stage
+    [a, d] has numerators over 3^k, and its children are (3a, 2a+d) and
+    (a+2d, 3d) over 3^(k+1).  Child j of entry i is entry 2i+j of the next
+    level.
+    """
+    ends = [(0, 1)]
+    for _ in range(length):
+        ends = [
+            child for a, d in ends for child in ((3 * a, 2 * a + d), (a + 2 * d, 3 * d))
+        ]
+    den = 3 ** (length + 1)
+    return [
+        (
+            Fraction(3 * a, den),
+            Fraction(2 * a + d, den),
+            Fraction(a + 2 * d, den),
+            Fraction(3 * d, den),
+        )
+        for a, d in ends
+    ]
+
+
 def relation_R(depth, max_depth=MAX_DEPTH):
     """Middle-thirds relation truncated at the given depth.
 
@@ -122,23 +160,16 @@ def relation_R(depth, max_depth=MAX_DEPTH):
     """
     if not 0 <= depth <= max_depth:
         raise DepthLimit(depth, max_depth)
-    blocks = []
-    for length in range(depth + 1):
-        for sigma in _stages(length):
-            _, b, c, _ = stage_intervals(sigma)
-            blocks.append((b, c))
-    return TriRel(blocks)
+    return TriRel(
+        (b, c) for length in range(depth + 1) for _, b, c, _ in _stage_level(length)
+    )
 
 
 def relation_S(n, max_depth=MAX_DEPTH):
     """First-and-last-thirds relation: one block [a, d] per string of length n."""
     if not 0 <= n <= max_depth:
         raise DepthLimit(n, max_depth)
-    blocks = []
-    for sigma in _stages(n):
-        a, _, _, d = stage_intervals(sigma)
-        blocks.append((a, d))
-    return TriRel(blocks)
+    return TriRel((a, d) for a, _, _, d in _stage_level(n))
 
 
 def tri_join(x, y):
@@ -277,11 +308,10 @@ def _chain_level(r, length, max_depth):
     """
     s_next = relation_S(length + 1, max_depth)
     joined = tri_join(r, s_next)
-    for sigma in _stages(length):
-        a, b, c, d = stage_intervals(sigma)
+    children = _stage_level(length + 1)
+    for i, (sigma, (a, b, c, d)) in enumerate(zip(_stages(length), _stage_level(length))):
         steps = []
-        for child in (sigma + "0", sigma + "1"):
-            ca, cb, cc, cd = stage_intervals(child)
+        for ca, cb, cc, cd in children[2 * i : 2 * i + 2]:
             steps.append((ca, cb, s_next))
             steps.append((cb, cc, r))
             steps.append((cc, cd, s_next))
@@ -310,17 +340,23 @@ def sample_to_grid(x, m, max_resolution=8):
     """
     if not 0 <= m <= max_resolution:
         raise DepthLimit(m, max_resolution)
-    step = Fraction(1, 3**m)
+    scale = 3**m
+    spans = []
     for l, u in x.blocks:
         for endpoint in (l, u):
-            if (endpoint / step).denominator != 1:
+            if (endpoint * scale).denominator != 1:
                 raise GridTooCoarse(endpoint, m)
-    points = [k * step for k in range(3**m + 1)]
-    pairs = []
-    for l, u in x.blocks:
-        inside = [p for p in points if l <= p <= u]
-        pairs.extend(zip(inside, inside[1:]))
-    return EqRel.from_pairs(points, pairs)
+        spans.append((int(l * scale), int(u * scale)))
+    points = [Fraction(k, scale) for k in range(scale + 1)]
+    # block [l, u] is the run of grid indices l*3^m .. u*3^m; the rest are singletons
+    classes = []
+    start = 0
+    for lo, hi in spans:
+        classes.extend([p] for p in points[start:lo])
+        classes.append(points[lo : hi + 1])
+        start = hi + 1
+    classes.extend([p] for p in points[start:])
+    return EqRel(points, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import (
     BadParameters,
     CheckFailed,
     CstardomError,
+    DimMismatch,
     IsoFailure,
     ParseError,
 )
@@ -116,24 +117,51 @@ def _poset_from_json(data):
     )
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of_lists(value):
+    return isinstance(value, list) and all(isinstance(item, list) for item in value)
+
+
 def _eqrel_from_json(data):
     if not isinstance(data, dict) or "n" not in data or "classes" not in data:
         raise ParseError("relation JSON needs 'n' and 'classes'")
-    return partitions.EqRel(range(1, data["n"] + 1), data["classes"])
+    n, classes = data["n"], data["classes"]
+    if not _is_int(n) or n < 0:
+        raise ParseError(f"relation 'n' must be a non-negative integer, not {n!r}")
+    if not _is_list_of_lists(classes) or not all(_is_int(x) for cls in classes for x in cls):
+        raise ParseError("relation 'classes' must be a list of lists of integers")
+    return partitions.EqRel(range(1, n + 1), classes)
+
+
+def _matrices_from_json(data, key):
+    entries = data.get(key, [])
+    if not isinstance(entries, list) or not all(_is_list_of_lists(m) for m in entries):
+        raise ParseError(f"algebra '{key}' must be a list of matrices (lists of rows)")
+    return [staralg.Matrix.from_json_list(m) for m in entries]
 
 
 def _algebra_from_json(data):
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError("algebra JSON needs 'dim' plus 'generators' or 'basis'")
     dim = data["dim"]
-    generators = [staralg.Matrix.from_json_list(m) for m in data.get("generators", [])]
+    if not _is_int(dim) or dim < 1:
+        raise ParseError(f"algebra 'dim' must be a positive integer, not {dim!r}")
+    generators = _matrices_from_json(data, "generators")
     if "basis" in data:
-        basis = [staralg.Matrix.from_json_list(m) for m in data["basis"]]
+        basis = _matrices_from_json(data, "basis")
+        for m in basis + generators:
+            if m.dim != dim:
+                raise DimMismatch(f"matrix of size {m.dim} in ambient size {dim}")
         return staralg.StarAlgebra(dim, basis, generators=generators)
     return staralg.generated_algebra(generators, dim=dim)
 
 
 def _omp_from_json(data):
+    if not isinstance(data, dict):
+        raise ParseError("orthomodular poset JSON must be an object")
     for key in ("elements", "leq", "ortho"):
         if key not in data:
             raise ParseError("orthomodular poset JSON needs 'elements', 'leq' and 'ortho'")

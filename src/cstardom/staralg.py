@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (
     AmbientNotCommutative,
+    AssertionFailed,
     BadParameters,
     DimMismatch,
     GeneratorNotProjection,
@@ -453,15 +454,15 @@ def minimal_projections(algebra):
     total = Matrix.zero(algebra.dim)
     for q in pieces:
         if not q.is_projection():
-            raise AssertionError("refinement produced a non-projection")
+            raise AssertionFailed("refinement produced a non-projection")
         total = total + q
     if total != identity:
-        raise AssertionError("minimal projections do not sum to the identity")
+        raise AssertionFailed("minimal projections do not sum to the identity")
     for a, b in itertools.combinations(pieces, 2):
         if not (a * b).is_zero():
-            raise AssertionError("minimal projections are not orthogonal")
+            raise AssertionFailed("minimal projections are not orthogonal")
     if len(pieces) != algebra.dimension:
-        raise AssertionError("projection count does not match the algebra dimension")
+        raise AssertionFailed("projection count does not match the algebra dimension")
     return pieces
 
 
@@ -503,7 +504,7 @@ def spectrum(algebra):
         for i, q in enumerate(projections):
             total = total + q * table[i][j]
         if total != b:
-            raise AssertionError("character table fails to reconstruct the basis")
+            raise AssertionFailed("character table fails to reconstruct the basis")
     points = tuple(f"x{i}" for i in range(len(projections)))
     return Spectrum(points=points, projections=tuple(projections), table=tuple(table))
 
@@ -552,7 +553,7 @@ def c_lattice(algebra, size_limit=SPECTRUM_MAX):
             by_containment = b.contains_algebra(a)
             by_refinement = partitions[j].refines(partitions[i])
             if by_containment != by_refinement:
-                raise AssertionError(
+                raise AssertionFailed(
                     f"containment and refinement disagree on nodes {i}, {j}"
                 )
             row.append(by_containment)
@@ -594,7 +595,7 @@ def csa_join(c, d, ambient):
             raise NotSubalgebra("operand is not contained in the ambient algebra")
     joined = generated_algebra(list(c.basis) + list(d.basis), ambient.dim)
     if not ambient.contains_algebra(joined):
-        raise AssertionError("join escaped the ambient algebra")
+        raise AssertionFailed("join escaped the ambient algebra")
     return joined
 
 

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from cstardom.cantor import (
     DIAGONAL,
     FULL,
+    MAX_DEPTH,
     TriRel,
+    _stage_level,
+    _stages,
     dense_chain_witness,
     is_full,
     max_offdiag_width,
@@ -21,7 +24,7 @@ from cstardom.cantor import (
     verify_counterexample,
 )
 from cstardom.errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse
-from cstardom.partitions import join as eqrel_join
+from cstardom.partitions import EqRel, join as eqrel_join
 
 
 def F(a, b=1):
@@ -41,6 +44,65 @@ def triadic_relations(draw, resolution=3):
         if a < b:
             blocks.append((F(a, grid), F(b, grid)))
     return TriRel(blocks)
+
+
+def scan_block_containing(rel, x):
+    """Reference: the linear scan over all blocks."""
+    for l, u in rel.blocks:
+        if l <= x <= u:
+            return (l, u)
+    return None
+
+
+def scan_relates(rel, x, y):
+    return x == y or any(l <= x <= u and l <= y <= u for l, u in rel.blocks)
+
+
+def scan_contains(rel, other):
+    return all(
+        any(l <= ol and ou <= u for l, u in rel.blocks) for ol, ou in other.blocks
+    )
+
+
+def probe_points(rel):
+    """Endpoints, gap midpoints, 0, 1, and points outside [0, 1]."""
+    points = {F(0), F(1), F(-1), F(2), F(1, 2)}
+    ends = sorted({p for block in rel.blocks for p in block} | {F(0), F(1)})
+    points.update(ends)
+    points.update((p + q) / 2 for p, q in zip(ends, ends[1:]))
+    return sorted(points)
+
+
+relations_for_lookup = st.one_of(
+    triadic_relations(),
+    triadic_relations(1),
+    st.integers(2, 12).flatmap(lambda n: st.sampled_from(dense_chain_witness(n))),
+)
+
+
+class TestBisectLookup:
+    @settings(max_examples=80, deadline=None)
+    @given(relations_for_lookup, relations_for_lookup)
+    def test_lookups_match_linear_scans(self, rel, other):
+        points = probe_points(rel) + probe_points(other)
+        for x in points:
+            assert rel.block_containing(x) == scan_block_containing(rel, x)
+            for y in points:
+                assert rel.relates(x, y) == scan_relates(rel, x, y)
+        assert rel.contains(other) == scan_contains(rel, other)
+        assert other.contains(rel) == scan_contains(other, rel)
+
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_stage_relations_match_linear_scans(self, depth):
+        r, s = relation_R(depth), relation_S(depth)
+        points = probe_points(r) + probe_points(s)
+        for rel in (r, s, tri_join(r, s), DIAGONAL, FULL):
+            for x in points:
+                assert rel.block_containing(x) == scan_block_containing(rel, x)
+                for y in points:
+                    assert rel.relates(x, y) == scan_relates(rel, x, y)
+            for other in (r, s, DIAGONAL, FULL):
+                assert rel.contains(other) == scan_contains(rel, other)
 
 
 class TestStageIntervals:
@@ -63,6 +125,11 @@ class TestStageIntervals:
             a, b, c, d = stage_intervals("".join(bits))
             assert F(0) <= a < b < c < d <= F(1)
             assert d - a == F(1, 3**depth)
+
+
+    @pytest.mark.parametrize("length", range(9))
+    def test_stage_level_matches_stage_intervals(self, length):
+        assert _stage_level(length) == [stage_intervals(s) for s in _stages(length)]
 
 
 class TestRelationConstruction:
@@ -185,6 +252,11 @@ class TestCounterexample:
         with pytest.raises(DepthLimit):
             verify_counterexample(11)
 
+    def test_at_the_depth_limit(self):
+        report = verify_counterexample(MAX_DEPTH)
+        assert report.passed and report.r_blocks == 2 ** (MAX_DEPTH + 1) - 1
+        assert len(report.checks) == 3 * MAX_DEPTH + 1
+
     def test_broken_family_aborts_with_the_offending_stage(self, monkeypatch):
         import cstardom.cantor as cantor_module
 
@@ -223,6 +295,16 @@ class TestGrid:
         sampled = sample_to_grid(tri_join(r, s), 2)
         assert sampled == eqrel_join(sample_to_grid(r, 2), sample_to_grid(s, 2))
         assert len(sampled.classes) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(triadic_relations(2), st.integers(2, 4))
+    def test_matches_union_find_over_grid_neighbours(self, x, m):
+        points = [F(k, 3**m) for k in range(3**m + 1)]
+        pairs = []
+        for l, u in x.blocks:
+            inside = [p for p in points if l <= p <= u]
+            pairs.extend(zip(inside, inside[1:]))
+        assert sample_to_grid(x, m) == EqRel.from_pairs(points, pairs)
 
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):

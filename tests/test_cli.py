@@ -64,6 +64,12 @@ def run_json(argv, capsys):
     return code, json.loads(out)
 
 
+def write_payload(tmp_path, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 class TestExitCodes:
     def test_valid_poset(self, files, capsys):
         code, report = run_json(["poset", "check", "--input", files["chain3"]], capsys)
@@ -180,6 +186,26 @@ class TestEqrel:
         assert code2 == 0
 
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": "x", "classes": [[1]]},
+            {"n": True, "classes": [[1]]},
+            {"n": -1, "classes": []},
+            {"n": 3, "classes": 5},
+            {"n": 2, "classes": [5]},
+            {"n": 2, "classes": [[[1]], [2]]},
+        ],
+        ids=["n-string", "n-bool", "n-negative", "classes-int", "class-int", "member-list"],
+    )
+    @pytest.mark.parametrize("op", ["join", "meet"])
+    def test_bad_relation_is_a_usage_error(self, files, payload, op, tmp_path, capsys):
+        bad = write_payload(tmp_path, payload)
+        code, report = run_json(["eqrel", op, "--a", bad, "--b", files["s"]], capsys)
+        assert code == 2
+        assert report["results"]["error"]["type"] == "ParseError"
+
+
 class TestCantor:
     def test_verify(self, files, capsys):
         code, report = run_json(["cantor", "verify", "--depth", "3"], capsys)
@@ -240,6 +266,49 @@ class TestCalg:
             assert report["results"]["iso"]["size"] == 5
 
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": "x"},
+            {"dim": True, "generators": []},
+            {"dim": 0, "generators": []},
+            {"dim": 1.5, "generators": []},
+            {"dim": 3, "generators": [5]},
+            {"dim": 3, "generators": 5},
+            {"dim": 3, "basis": [5]},
+            {"dim": 3, "basis": [[5]]},
+        ],
+        ids=["dim-string", "dim-bool", "dim-zero", "dim-float", "generator-int",
+             "generators-int", "basis-int", "basis-row-int"],
+    )
+    @pytest.mark.parametrize("action", ["generate", "lattice"])
+    def test_bad_algebra_is_a_usage_error(self, payload, action, tmp_path, capsys):
+        code, report = run_json(
+            ["calg", action, "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert code == 2
+        assert report["results"]["error"]["type"] == "ParseError"
+
+    def test_basis_of_the_wrong_size_is_a_usage_error(self, tmp_path, capsys):
+        identity2 = [["1", "0"], ["0", "1"]]
+        payload = {"dim": 3, "basis": [identity2]}
+        code, report = run_json(
+            ["calg", "generate", "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert code == 2
+        assert report["results"]["error"]["type"] == "DimMismatch"
+
+    def test_basis_only_lattice_fails_a_check_without_traceback(self, tmp_path, capsys):
+        units = [
+            [["1" if (r, c) == (i, i) else "0" for c in range(3)] for r in range(3)]
+            for i in range(3)
+        ]
+        path = write_payload(tmp_path, {"dim": 3, "basis": units})
+        code, report = run_json(["calg", "lattice", "--input", path], capsys)
+        assert code == 1
+        assert report["results"]["error"]["type"] == "AssertionFailed"
+
+
 class TestOmp:
     def test_validate(self, files, capsys):
         code, report = run_json(["omp", "validate", "--input", files["mo1"]], capsys)
@@ -259,6 +328,16 @@ class TestOmp:
         code, report = run_json(["omp", "validate", "--input", str(bad)], capsys)
         assert code == 2
         assert report["results"]["error"]["type"] == "AxiomViolated"
+
+
+    @pytest.mark.parametrize("payload", [5, None, True, 1.5], ids=["int", "null", "bool", "float"])
+    @pytest.mark.parametrize("action", ["validate", "boolsub"])
+    def test_non_object_is_a_usage_error(self, payload, action, tmp_path, capsys):
+        code, report = run_json(
+            ["omp", action, "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert code == 2
+        assert report["results"]["error"]["type"] == "ParseError"
 
 
 class TestScatterCommands:
