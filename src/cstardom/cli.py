@@ -171,7 +171,9 @@ def _omp_from_json(data):
 def _topology_from_json(data):
     if not isinstance(data, dict) or "points" not in data or "opens" not in data:
         raise ParseError("topology JSON needs 'points' and 'opens'")
-    return scatter.FinTop(data["points"], [set(o) for o in data["opens"]])
+    if not isinstance(data["points"], list) or not _is_list_of_lists(data["opens"]):
+        raise ParseError("topology 'points' must be a list and 'opens' a list of lists")
+    return scatter.FinTop(data["points"], data["opens"])
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def verify_caf_iso(algebra, size_limit=CAF_MAX):
 
     proj_omp = power_set_omp(k)
     bool_poset = boolean_subalgebras(proj_omp)
-    sub_poset = c_lattice(algebra, size_limit=max(k, 1))
+    sub_poset = c_lattice(algebra)
 
     # each subalgebra's projections: sums over unions of blocks of its partition
     bool_index = {sub.mask: i for i, sub in enumerate(bool_poset.payloads)}
@@ -394,6 +394,6 @@ def stone_space(boolean):
     if len(seen) != 1 << len(atom_list) or len(seen) != mask.bit_count():
         raise NotBoolean("clopen sets do not reconstruct the algebra")
     points = tuple(omp.elements[a] for a in atom_list)
-    opens = [frozenset(iter_bits(m)) for m in range(1 << len(atom_list))]
+    opens = [frozenset(points[i] for i in iter_bits(m)) for m in range(1 << len(points))]
     topology = FinTop(points, opens)
     return StoneSpace(points=points, topology=topology, element_to_clopen=element_to_clopen)

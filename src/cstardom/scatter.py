@@ -27,23 +27,26 @@ ORACLE_EXPONENT_MAX = 2
 class FinTop:
     """Finite topological space: points plus the family of open sets.
 
-    Opens are stored as frozensets of point indices; the constructor
-    checks that the family contains the empty set and the full set and is
-    closed under union and intersection.
+    Opens are given as sets of point labels and stored as frozensets of
+    point indices; the constructor checks that the family contains the
+    empty set and the full set and is closed under union and intersection.
     """
 
     def __init__(self, points, opens):
         self.points = tuple(points)
         self.n = len(self.points)
-        index = {p: i for i, p in enumerate(self.points)}
+        try:
+            index = {p: i for i, p in enumerate(self.points)}
+        except TypeError:
+            raise BadParameters("points must be hashable") from None
         if len(index) != self.n:
             raise BadParameters("duplicate points")
         normalized = set()
         for o in opens:
-            o = frozenset(index[p] if p in index else p for p in o)
-            if not all(isinstance(i, int) and 0 <= i < self.n for i in o):
-                raise BadParameters(f"open set {o!r} uses unknown points")
-            normalized.add(o)
+            try:
+                normalized.add(frozenset(index[p] for p in o))
+            except (KeyError, TypeError):
+                raise BadParameters(f"open set {o!r} uses unknown points") from None
         full = frozenset(range(self.n))
         if frozenset() not in normalized or full not in normalized:
             raise BadParameters("opens must include the empty set and the full set")
@@ -74,8 +77,6 @@ class FinTop:
         return frozenset(i for i in range(self.n) if self.is_open({i}))
 
     def subspace(self, subset):
-        # FinTop reads the members of an open as labels first, so the opens
-        # are passed as labels; positions would be misread as integer labels
         keep = frozenset(subset)
         points = [self.points[p] for p in sorted(keep)]
         opens = {frozenset(self.points[p] for p in o & keep) for o in self.opens}
@@ -92,12 +93,12 @@ class FinTop:
 def discrete_topology(points):
     points = tuple(points)
     n = len(points)
-    return FinTop(points, [frozenset(iter_bits(m)) for m in range(1 << n)])
+    return FinTop(points, [frozenset(points[i] for i in iter_bits(m)) for m in range(1 << n)])
 
 
 def indiscrete_topology(points):
     points = tuple(points)
-    return FinTop(points, [frozenset(), frozenset(range(len(points)))])
+    return FinTop(points, [frozenset(), frozenset(points)])
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +455,8 @@ def kq_chain_witness(m, n, rationals=None):
     labels = [Fraction(i, m + 1) for i in range(1, m + 1)]
     points = tuple(str(q) for q in labels) + ("limit",)
     limit = m  # index of the limit point
-    opens = {frozenset(iter_bits(mask)) for mask in range(1 << m)}
-    opens.add(frozenset(range(m + 1)))
+    opens = {frozenset(points[i] for i in iter_bits(mask)) for mask in range(1 << m)}
+    opens.add(frozenset(points))
     space = FinTop(points, opens)
 
     if rationals is None:

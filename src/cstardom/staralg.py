@@ -26,13 +26,12 @@ from .errors import (
     ParseError,
     SizeLimit,
 )
-from .order import validate_poset
-from .partitions import EqRel, all_partitions, label_of
+from .order import FinPoset
+from .partitions import LATTICE_MAX, ORIENT_SUBALGEBRA, EqRel, partition_lattice
 
-#: ambient matrix size / algebra dimension / spectrum size guards
+#: ambient matrix size / algebra dimension guards
 AMBIENT_MAX = 16
 ALGEBRA_DIM_MAX = 64
-SPECTRUM_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -331,16 +330,11 @@ class StarAlgebra:
 
     __slots__ = ("dim", "basis", "generators", "_pivots")
 
-    def __init__(self, dim, basis_matrices, generators=(), validate=True):
+    def __init__(self, dim, basis_matrices, generators=()):
         self.dim = dim
         self.basis = tuple(_unvec(v, dim) for v in rref([_vec(m) for m in basis_matrices]))
         self.generators = tuple(generators)
-        self._pivots = _basis_with_pivots([_vec(m) for m in self.basis])
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        pivots = self._pivots
+        self._pivots = pivots = _basis_with_pivots([_vec(m) for m in self.basis])
         identity = Matrix.identity(self.dim)
         if any(not x.is_zero() for x in _reduce_against(_vec(identity), pivots)):
             raise BadParameters("algebra does not contain the identity")
@@ -520,9 +514,9 @@ def _nonzero_coordinate(matrix):
 def block_sum_algebra(projections, partition, dim):
     """Span of the block sums of minimal projections over a partition.
 
-    The block sums are orthogonal projections summing to the identity, so
-    their span is already product- and adjoint-closed; the constructor
-    re-validates that.
+    The block sums are nonzero orthogonal projections summing to the
+    identity, hence linearly independent: one dimension per block.  The
+    constructor still validates identity, adjoint and product closure.
     """
     sums = []
     for cls in partition.classes:
@@ -533,37 +527,37 @@ def block_sum_algebra(projections, partition, dim):
     return StarAlgebra(dim, sums, generators=tuple(sums))
 
 
-def c_lattice(algebra, size_limit=SPECTRUM_MAX):
+def c_lattice(algebra, size_limit=LATTICE_MAX):
     """Lattice of the subalgebras of a commutative projection-generated algebra.
 
-    Nodes are labeled by partitions of the spectrum and carry the actual
-    block-sum subalgebras; the order is computed twice, once by basis
-    containment and once by partition refinement, and the two must agree.
+    Nodes, labels and order are the spectrum's partition lattice in the
+    subalgebra orientation; each node carries its block-sum subalgebra.
+    The matrices certify the order (else AssertionFailed): each Hasse cover
+    is a containment, each algebra has one dimension per block, and no two
+    are equal.  An injective order-preserving self-map of a finite poset is
+    an automorphism, so this is as strong as checking all pairs.
     """
     projections = minimal_projections(algebra)
     k = len(projections)
     if k > size_limit:
         raise SizeLimit("spectrum size", k, size_limit)
-    partitions = all_partitions(range(1, k + 1))
-    algebras = [block_sum_algebra(projections, rel, algebra.dim) for rel in partitions]
-    table = []
-    for i, a in enumerate(algebras):
-        row = []
-        for j, b in enumerate(algebras):
-            by_containment = b.contains_algebra(a)
-            by_refinement = partitions[j].refines(partitions[i])
-            if by_containment != by_refinement:
-                raise AssertionFailed(
-                    f"containment and refinement disagree on nodes {i}, {j}"
-                )
-            row.append(by_containment)
-        table.append(row)
-    return validate_poset(
-        [label_of(rel) for rel in partitions],
-        table,
-        orientation="subalgebra",
-        payloads=algebras,
-    )
+    lattice = partition_lattice(k, ORIENT_SUBALGEBRA, size_limit=size_limit)
+    labels = lattice.elements
+    algebras = [block_sum_algebra(projections, rel, algebra.dim) for rel in lattice.payloads]
+    table = [[bool(mask >> j & 1) for j in range(lattice.n)] for mask in lattice.up]
+    poset = FinPoset(labels, table, orientation=ORIENT_SUBALGEBRA, payloads=algebras)
+    for i, j in poset.covers():
+        if not algebras[j].contains_algebra(algebras[i]):
+            raise AssertionFailed(f"subalgebra {labels[j]} does not contain {labels[i]}")
+    seen = {}
+    for label, rel, sub in zip(labels, lattice.payloads, algebras):
+        if sub.dimension != len(rel.classes):
+            raise AssertionFailed(
+                f"subalgebra {label} has dimension {sub.dimension}, not {len(rel.classes)}"
+            )
+        if seen.setdefault(sub, label) != label:
+            raise AssertionFailed(f"nodes {seen[sub]} and {label} have the same subalgebra")
+    return poset
 
 
 def atoms(algebra):

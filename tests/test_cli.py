@@ -359,6 +359,26 @@ class TestScatterCommands:
         assert results["stonean"] is True
         assert results["hausdorff"] is False
 
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            ({"points": [[1]], "opens": [[], [[1]]]}, "BadParameters"),
+            ({"points": "ab", "opens": [[], ["a", "b"]]}, "ParseError"),
+            ({"points": ["a"], "opens": 5}, "ParseError"),
+            ({"points": ["a"], "opens": [[], ["a"], 5]}, "ParseError"),
+            ({"points": ["a"], "opens": [[], [["z"]], ["a"]]}, "BadParameters"),
+            ({"points": ["a"], "opens": [[], ["z"], ["a"]]}, "BadParameters"),
+        ],
+        ids=["point-list", "points-string", "opens-int", "open-int", "member-list",
+             "member-unknown"],
+    )
+    def test_bad_topology_is_a_usage_error(self, payload, error, tmp_path, capsys):
+        code, report = run_json(
+            ["topo", "check", "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert code == 2
+        assert report["results"]["error"]["type"] == error
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_wall_time(self, files, capsys):

@@ -244,7 +244,8 @@ class TestTopologies:
         rng = random.Random(21)
         for _ in range(5):
             poset = random_poset(rng, rng.randint(1, 6))
-            space = FinTop(poset.elements, [frozenset(o) for o in lawson_opens(poset)])
+            labels = poset.elements
+            space = FinTop(labels, [{labels[i] for i in o} for o in lawson_opens(poset)])
             assert is_scattered_fin(space)
 
 

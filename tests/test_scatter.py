@@ -46,7 +46,8 @@ def random_topology(rng, n):
                 if candidate not in opens:
                     opens.add(candidate)
                     changed = True
-    return FinTop([str(i) for i in range(n)], opens)
+    labels = [str(i) for i in range(n)]
+    return FinTop(labels, [{labels[i] for i in o} for o in opens])
 
 
 class TestFinTop:
@@ -73,6 +74,14 @@ class TestFinTop:
         ints = FinTop([1, 2, 0], [[], [0], [2, 0], [1, 2, 0]])
         strings = FinTop(["1", "2", "0"], [[], ["0"], ["2", "0"], ["1", "2", "0"]])
         assert cb_rank_fin(ints) == cb_rank_fin(strings) == (3, frozenset())
+
+    def test_opens_are_read_as_labels(self):
+        top = FinTop([1, 2], [[], [1], [1, 2]])
+        assert top.isolated_points() == frozenset({0})
+        with pytest.raises(BadParameters):
+            FinTop([1, 2], [[], [0], [0, 1]])
+        with pytest.raises(BadParameters):
+            FinTop(["a", "b"], [[], [0], [0, 1]])
 
 
 class TestDerivatives:

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cstardom import staralg
 from cstardom.errors import (
     AmbientNotCommutative,
+    AssertionFailed,
     BadParameters,
     DimMismatch,
     GeneratorNotProjection,
@@ -47,6 +49,18 @@ def diag(*values):
 
 def diagonal_algebra(k):
     gens = [diag(*([1] * (j + 1) + [0] * (k - j - 1))) for j in range(k - 1)]
+    return generated_algebra(gens, dim=k)
+
+
+def rotated_algebra(k):
+    """The k-point diagonal algebra conjugated by 3-4-5 rotations of axes 0-1 and 1-2."""
+    rotation = Matrix.identity(k)
+    for a in (0, 1):
+        rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        rows[a][a], rows[a][a + 1] = Fraction(3, 5), Fraction(-4, 5)
+        rows[a + 1][a], rows[a + 1][a + 1] = Fraction(4, 5), Fraction(3, 5)
+        rotation = rotation * Matrix(rows)
+    gens = [rotation * g * rotation.adjoint() for g in diagonal_algebra(k).generators]
     return generated_algebra(gens, dim=k)
 
 
@@ -297,6 +311,65 @@ class TestCLattice:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             c_lattice(diagonal_algebra(4), size_limit=3)
+
+
+class TestCLatticeCertificate:
+    @pytest.mark.parametrize("make", [diagonal_algebra, rotated_algebra])
+    def test_containment_is_the_order(self, make):
+        # the all-pairs containment route, kept as the oracle
+        lattice = c_lattice(make(4))
+        for i, j in itertools.product(range(lattice.n), repeat=2):
+            contains = lattice.payloads[j].contains_algebra(lattice.payloads[i])
+            assert contains == lattice.leq(i, j)
+
+    def test_rotation_leaves_the_lattice_unchanged(self):
+        plain, rotated = c_lattice(diagonal_algebra(4)), c_lattice(rotated_algebra(4))
+        assert rotated.elements == plain.elements
+        assert rotated.up == plain.up
+        assert rotated.payloads[rotated.top()] != plain.payloads[plain.top()]
+
+    @pytest.mark.parametrize("k,covers", [(4, 31), (5, 160)])
+    def test_containment_tests_are_the_covers(self, k, covers, monkeypatch):
+        algebra = diagonal_algebra(k)
+        original = StarAlgebra.contains_algebra
+        calls = []
+
+        def counted(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(StarAlgebra, "contains_algebra", counted)
+        lattice = c_lattice(algebra)
+        assert len(calls) == len(lattice.covers()) == covers
+
+    def _break_block_sums(self, monkeypatch, swap):
+        original = staralg.block_sum_algebra
+
+        def broken(projections, partition, dim):
+            return original(projections, swap(partition), dim)
+
+        monkeypatch.setattr(staralg, "block_sum_algebra", broken)
+
+    def test_scalar_two_block_nodes_are_caught(self, monkeypatch):
+        # passes the cover check; the dimension and distinctness checks see it
+        def scalar(rel):
+            return EqRel(rel.ground, [rel.ground]) if len(rel.classes) == 2 else rel
+
+        self._break_block_sums(monkeypatch, scalar)
+        with pytest.raises(AssertionFailed):
+            c_lattice(diagonal_algebra(4))
+
+    def test_swapped_nodes_are_caught(self, monkeypatch):
+        # same dimensions, still distinct: only the cover check sees it
+        a = EqRel(range(1, 5), [[1, 2], [3, 4]])
+        b = EqRel(range(1, 5), [[1], [2, 3, 4]])
+
+        def swap(rel):
+            return {a: b, b: a}.get(rel, rel)
+
+        self._break_block_sums(monkeypatch, swap)
+        with pytest.raises(AssertionFailed, match="does not contain"):
+            c_lattice(diagonal_algebra(4))
 
 
 class TestAtoms:
