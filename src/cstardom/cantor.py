@@ -256,6 +256,7 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
     if not 0 <= depth <= max_depth:
         raise DepthLimit(depth, max_depth)
     r = relation_R(depth, max_depth)
+    family = {n: relation_S(n, max_depth) for n in range(1, depth + 1)}
     checks = []
 
     def record(name, passed, witness):
@@ -264,7 +265,7 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
             raise AssertionFailed(f"{name}: {witness}")
 
     for n in range(1, depth + 1):
-        joined = tri_join(r, relation_S(n, max_depth))
+        joined = tri_join(r, family[n])
         first = "empty" if not joined.blocks else "[{}, {}]".format(*joined.blocks[0])
         record(
             f"join_full:n={n}",
@@ -280,7 +281,7 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
     )
 
     for n in range(1, depth + 1):
-        width = max_offdiag_width(relation_S(n, max_depth))
+        width = max_offdiag_width(family[n])
         record(
             f"width_exact:n={n}",
             width == Fraction(1, 3**n),
@@ -288,7 +289,7 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
         )
 
     for length in range(depth):
-        ok, sigma = _chain_level(r, length, max_depth)
+        ok, sigma = _chain_level(r, length, family[length + 1])
         record(
             f"chain_level:{length}",
             ok,
@@ -298,15 +299,14 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
     return CounterexampleReport(depth=depth, r_blocks=len(r.blocks), checks=checks)
 
 
-def _chain_level(r, length, max_depth):
+def _chain_level(r, length, s_next):
     """Transitivity chain from a to d across every stage of a given length.
 
     The chain steps a -> b (first-third block of the next stage), b -> c
     (middle block), c -> d (last-third block), once per child stage, and
-    lands on (a, d) related inside the join of R with the next family
-    member.
+    lands on (a, d) related inside the join of R with ``s_next``, the next
+    family member.
     """
-    s_next = relation_S(length + 1, max_depth)
     joined = tri_join(r, s_next)
     children = _stage_level(length + 1)
     for i, (sigma, (a, b, c, d)) in enumerate(zip(_stages(length), _stage_level(length))):

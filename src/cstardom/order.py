@@ -1,14 +1,16 @@
 """Finite partially ordered sets and domain-style property checks.
 
 The order relation is kept as per-element bitmasks, which keeps the
-exhaustive routines (directed-subset enumeration, up-set generation,
-way-below oracles) affordable at the poset sizes this library targets.
+exhaustive routines (up-set generation, topologies, the directed-subset
+reference oracle) affordable at the poset sizes this library targets.
 
-Each property flag is computed by one route per run, and reports record
-which.  Way-below and the flags built on it choose, by ``method``, between
-a definitional route that enumerates directed subsets outright and a
-theorem route that uses finiteness; the test suite cross-validates the
-two.  The other flags follow from finiteness alone and have a single route.
+Each property flag is computed by one route, and reports record which.  On
+a finite poset every directed set contains its supremum, so way-below is
+the order itself and the flags built on it follow from finiteness
+(Gierz et al., Continuous Lattices and Domains, 2003).  The one exception
+is :func:`directed_way_below`, which enumerates directed subsets outright;
+it is the reference that acceptance criterion 3 and the tests compare the
+order-based route with.
 """
 
 from __future__ import annotations
@@ -25,16 +27,12 @@ from .errors import (
     SizeLimit,
 )
 
-# Definitional (directed-subset) oracles run up to this many elements;
-# larger posets are routed to the theorem-backed fast paths.
+# Cap for directed-subset enumeration, which scans all 2^n subsets.
 ORACLE_MAX = 15
 # Cap for the order-dense chain search, which scans all 2^n subsets.
 FIN_ENUM_MAX = 12
 # Cap for materializing topologies (lists of up to 2^n subsets).
 TOPOLOGY_MAX = 13
-
-DEFINITIONAL = "definitional"
-THEOREM = "theorem"
 
 PROPERTY_KEYS = (
     "algebraic",
@@ -312,34 +310,27 @@ def glb(poset, subset):
 # way-below
 
 
-def way_below(poset, b, c, method="auto"):
+def way_below(poset, b, c):
     """Whether ``b`` is way below ``c``.
 
-    ``method``: "definitional" enumerates every directed subset and checks
-    the defining implication; "theorem" uses the fact that on a finite
-    poset every directed set attains its supremum, collapsing way-below to
-    the order itself; "auto" picks the definitional route within the oracle
-    cap.  Both routes agree wherever both run.
+    On a finite poset every directed set attains its supremum, so
+    way-below collapses to the order itself.
     """
-    poset.check_element(b)
-    poset.check_element(c)
-    method = _resolve(method, poset.n, ORACLE_MAX)
-    if method == THEOREM:
-        return poset.leq(b, c)
-    above_b = poset.up[b]
-    for mask, sup in poset.directed_masks():
-        if sup is None:
-            continue
-        if poset.leq(c, sup) and mask & above_b == 0:
-            return False
-    return True
+    return poset.leq(b, c)
 
 
-def way_below_matrix(poset, method="auto"):
-    """Bitmask rows wb[b] = {c : b way below c}, batch version."""
-    method = _resolve(method, poset.n, ORACLE_MAX)
-    if method == THEOREM:
-        return list(poset.up), method
+def way_below_matrix(poset):
+    """Bitmask rows wb[b] = {c : b way below c}: the principal filters."""
+    return list(poset.up)
+
+
+def directed_way_below(poset):
+    """Way-below rows by the definition, over every directed subset.
+
+    ``b`` is way below ``c`` unless some directed set whose supremum lies
+    above ``c`` misses the up-set of ``b``.  The reference for
+    :func:`way_below_matrix`; SizeLimit above ``ORACLE_MAX`` elements.
+    """
     not_wb = [0] * poset.n
     for mask, sup in poset.directed_masks():
         if sup is None:
@@ -348,32 +339,20 @@ def way_below_matrix(poset, method="auto"):
         for b in range(poset.n):
             if poset.up[b] & mask == 0:
                 not_wb[b] |= served
-    full = poset.full_mask
-    return [full & ~not_wb[b] for b in range(poset.n)], method
+    return [poset.full_mask & ~row for row in not_wb]
 
 
-def subset_way_below(poset, g_subset, h_subset, method="auto"):
+def subset_way_below(poset, g_subset, h_subset):
     """Way-below on nonempty subsets.
 
-    Definitional route: for every directed D whose supremum lies above some
-    member of H, some member of D must lie above a member of G.  Theorem
-    route (finite posets): the upset of H is contained in the upset of G.
+    On a finite poset, G is way below H exactly when the up-set of H is
+    contained in the up-set of G.
     """
     g_mask = poset.mask_of(g_subset)
     h_mask = poset.mask_of(h_subset)
     if g_mask == 0 or h_mask == 0:
         raise BadParameters("subset way-below needs nonempty subsets")
-    up_g = _upset_of_mask(poset, g_mask)
-    up_h = _upset_of_mask(poset, h_mask)
-    method = _resolve(method, poset.n, ORACLE_MAX)
-    if method == THEOREM:
-        return up_h & ~up_g == 0
-    for mask, sup in poset.directed_masks():
-        if sup is None:
-            continue
-        if up_h >> sup & 1 and mask & up_g == 0:
-            return False
-    return True
+    return _upset_of_mask(poset, h_mask) & ~_upset_of_mask(poset, g_mask) == 0
 
 
 def _upset_of_mask(poset, mask):
@@ -383,20 +362,10 @@ def _upset_of_mask(poset, mask):
     return out
 
 
-def compact_elements(poset, method="auto"):
+def compact_elements(poset):
     """Elements way below themselves.  On a finite poset this is everything."""
-    wb, _ = way_below_matrix(poset, method)
+    wb = way_below_matrix(poset)
     return [c for c in range(poset.n) if wb[c] >> c & 1]
-
-
-def _resolve(method, n, cap):
-    if method == "auto":
-        return DEFINITIONAL if n <= cap else THEOREM
-    if method in (DEFINITIONAL, THEOREM):
-        if method == DEFINITIONAL and n > cap:
-            raise SizeLimit("poset size for definitional route", n, cap)
-        return method
-    raise BadParameters(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,43 +397,16 @@ def _is_upset(poset, mask):
     return True
 
 
-def lawson_opens(poset, method="auto"):
+def lawson_opens(poset):
     """All Lawson-open subsets.
 
     Basic opens are Scott opens minus upsets of finite sets; on a finite
     poset every singleton is such a difference, so the topology is
-    discrete.  The definitional route generates the basis and closes it
-    under union and intersection; the theorem route returns all subsets.
+    discrete and every subset is open.
     """
     if poset.n > TOPOLOGY_MAX:
         raise SizeLimit("poset size for topology enumeration", poset.n, TOPOLOGY_MAX)
-    method = _resolve(method, poset.n, 8)
-    if method == THEOREM:
-        masks = range(poset.full_mask + 1)
-        return [frozenset(iter_bits(m)) for m in masks]
-    scott_masks = [0]
-    for mask in range(1, poset.full_mask + 1):
-        if _is_upset(poset, mask):
-            scott_masks.append(mask)
-    basis = set()
-    for u in scott_masks:
-        for f in range(poset.full_mask + 1):
-            basis.add(u & ~_upset_of_mask(poset, f))
-    opens = set(basis)
-    opens.add(0)
-    opens.add(poset.full_mask)
-    frontier = list(opens)
-    while frontier:
-        m = frontier.pop()
-        new = []
-        for o in list(opens):
-            for candidate in (m | o, m & o):
-                if candidate not in opens:
-                    new.append(candidate)
-        for c in new:
-            opens.add(c)
-            frontier.append(c)
-    return [frozenset(iter_bits(m)) for m in sorted(opens)]
+    return [frozenset(iter_bits(m)) for m in range(poset.full_mask + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +515,11 @@ class DomainReport:
         return data
 
 
-def domain_report(poset, method="auto", require_meets=False):
+def domain_report(poset, require_meets=False):
     """Run all seven property checks and collect witnesses for failures."""
     report = DomainReport()
-    wb, wb_method = way_below_matrix(poset, method)
-    report.paths["way_below"] = wb_method
+    wb = way_below_matrix(poset)
+    report.paths["way_below"] = "theorem"
 
     compact_mask = 0
     for c in range(poset.n):
@@ -595,7 +537,7 @@ def domain_report(poset, method="auto", require_meets=False):
                 "sup": poset.lub_mask(approx),
             }
             break
-    report.paths["algebraic"] = wb_method
+    report.paths["algebraic"] = "theorem"
 
     # continuous: every element is the sup of the elements way below it
     for c in range(poset.n):
@@ -611,9 +553,9 @@ def domain_report(poset, method="auto", require_meets=False):
                 "sup": poset.lub_mask(approx),
             }
             break
-    report.paths["continuous"] = wb_method
+    report.paths["continuous"] = "theorem"
 
-    _meet_continuity(poset, report, method, require_meets)
+    _meet_continuity(poset, report, require_meets)
     _atomistic(poset, report)
 
     # quasi-continuous and quasi-algebraic: for a compact c, {c} is the least
@@ -638,7 +580,7 @@ def domain_report(poset, method="auto", require_meets=False):
     return report
 
 
-def _meet_continuity(poset, report, method, require_meets):
+def _meet_continuity(poset, report, require_meets):
     meet = poset.meets()
     for i in range(poset.n):
         for j in range(i, poset.n):
@@ -652,35 +594,9 @@ def _meet_continuity(poset, report, method, require_meets):
                 }
                 report.paths["meet_continuous"] = "not-a-meet-semilattice"
                 return
-    mm = _resolve(method, poset.n, ORACLE_MAX)
-    report.paths["meet_continuous"] = mm
-    if mm == THEOREM:
-        # finite directed sets attain their suprema, and meeting with a
-        # fixed element is monotone, so the distributivity law holds
-        return
-    lub_cache = {}
-    for mask, sup in poset.directed_masks():
-        if sup is None:
-            continue
-        for c in range(poset.n):
-            row = meet[c]
-            image = 0
-            for d in iter_bits(mask):
-                image |= 1 << row[d]
-            key = (c, image)
-            got = lub_cache.get(key)
-            if got is None:
-                got = poset.lub_mask(image)
-                lub_cache[key] = got
-            if got != row[sup]:
-                report.meet_continuous = False
-                report.witnesses["meet_continuous"] = {
-                    "element": c,
-                    "directed": sorted(iter_bits(mask)),
-                    "lhs": row[sup],
-                    "rhs": got,
-                }
-                return
+    # finite directed sets attain their suprema, and meeting with a fixed
+    # element is monotone, so the distributivity law holds
+    report.paths["meet_continuous"] = "theorem"
 
 
 def _atomistic(poset, report):
@@ -694,7 +610,7 @@ def _atomistic(poset, report):
     for i, j in poset.covers():
         if i == bottom:
             atoms_mask |= 1 << j
-    report.paths["atomistic"] = DEFINITIONAL
+    report.paths["atomistic"] = "definitional"
     for c in range(poset.n):
         approx = atoms_mask & poset.dn[c]
         if poset.lub_mask(approx) != c:

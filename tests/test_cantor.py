@@ -269,6 +269,19 @@ class TestCounterexample:
             cantor_module.verify_counterexample(1)
         assert "join_full:n=1" in str(info.value.detail)
 
+    def test_builds_each_family_member_once(self, monkeypatch):
+        import cstardom.cantor as cantor_module
+
+        built = []
+
+        def counted(n, max_depth=10):
+            built.append(n)
+            return relation_S(n, max_depth)
+
+        monkeypatch.setattr(cantor_module, "relation_S", counted)
+        assert cantor_module.verify_counterexample(4).passed
+        assert built == [1, 2, 3, 4]
+
     def test_json_schema(self):
         data = verify_counterexample(2).to_json_dict()
         assert set(data) == {"depth", "r_blocks", "checks"}

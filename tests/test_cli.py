@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cstardom import acceptance
+from cstardom import acceptance, order
 from cstardom.cli import main
 
 
@@ -133,6 +133,24 @@ class TestPoset:
         flags = report["results"]["report"]
         assert flags["order_scattered"] is True
         assert flags["atomistic"] is False
+
+    def test_report_enumerates_no_directed_subsets(self, tmp_path, monkeypatch, capsys):
+        # on a chain every subset is directed: 16,383 of them at 14 elements
+        n = 14
+        chain = {"elements": [f"c{i}" for i in range(n)],
+                 "leq": [[i <= j for j in range(n)] for i in range(n)]}
+
+        def refuse(poset):
+            raise AssertionError("directed subsets enumerated")
+
+        monkeypatch.setattr(order.FinPoset, "directed_masks", refuse)
+        poset = order.validate_poset(chain["elements"], chain["leq"])
+        assert order.domain_report(poset).flags()["continuous"] is True
+        code, report = run_json(
+            ["poset", "report", "--input", write_payload(tmp_path, chain)], capsys
+        )
+        assert code == 0
+        assert report["results"]["report"]["algebraic"] is True
 
     def test_hasse_dot_file(self, files, capsys):
         out = str(files["tmp"] / "chain.dot")

@@ -13,10 +13,9 @@ from cstardom.errors import (
     SizeLimit,
 )
 from cstardom.order import (
-    DEFINITIONAL,
-    THEOREM,
     FinPoset,
     compact_elements,
+    directed_way_below,
     domain_report,
     hasse,
     hasse_dot,
@@ -54,6 +53,61 @@ def posets(draw, max_size=8):
     n = draw(st.integers(min_value=1, max_value=max_size))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_poset(random.Random(seed), n)
+
+
+# Reference implementations by the definitions, over every directed subset
+# or every basic open; the library answers these from finiteness alone.
+
+
+def upset(poset, mask):
+    out = 0
+    for i in order.iter_bits(mask):
+        out |= poset.up[i]
+    return out
+
+
+def directed_subset_way_below(poset, g, h):
+    """G way below H: every directed D with a sup above some member of H
+    has a member above some member of G."""
+    up_g, up_h = upset(poset, poset.mask_of(g)), upset(poset, poset.mask_of(h))
+    return all(
+        sup is None or not up_h >> sup & 1 or mask & up_g
+        for mask, sup in poset.directed_masks()
+    )
+
+
+def lawson_by_basis(poset):
+    """Close the basic opens (Scott opens minus up-sets of finite sets)
+    under union and intersection."""
+    full = poset.full_mask
+    scott = [
+        m for m in range(full + 1) if all(not poset.up[i] & ~m for i in order.iter_bits(m))
+    ]
+    opens = {u & ~upset(poset, f) for u in scott for f in range(full + 1)} | {0, full}
+    frontier = list(opens)
+    while frontier:
+        m = frontier.pop()
+        for o in list(opens):
+            for candidate in (m | o, m & o):
+                if candidate not in opens:
+                    opens.add(candidate)
+                    frontier.append(candidate)
+    return [frozenset(order.iter_bits(m)) for m in sorted(opens)]
+
+
+def meet_distributivity_failure(poset, meet):
+    """First (c, D) where c meet sup D differs from the sup of c meet D,
+    over every directed D, or None."""
+    for mask, sup in poset.directed_masks():
+        if sup is None:
+            continue
+        for c in range(poset.n):
+            image = 0
+            for d in order.iter_bits(mask):
+                image |= 1 << meet[c][d]
+            if poset.lub_mask(image) != meet[c][sup]:
+                return c, mask
+    return None
 
 
 class TestValidation:
@@ -145,25 +199,29 @@ class TestWayBelow:
     def test_partition_lattice_all_leq_pairs(self):
         poset = partition_lattice(4, ORIENT_SUBALGEBRA)
         assert poset.n == 15
+        oracle = directed_way_below(poset)
         for b in range(poset.n):
             for c in range(poset.n):
                 expected = poset.leq(b, c)
-                assert way_below(poset, b, c, method="definitional") is expected
+                assert bool(oracle[b] >> c & 1) is expected
+                assert way_below(poset, b, c) is expected
 
     def test_methods_agree_on_random_posets(self):
         rng = random.Random(99)
         for _ in range(40):
             poset = random_poset(rng, rng.randint(1, 10))
-            oracle, m1 = way_below_matrix(poset, method="definitional")
-            fast, m2 = way_below_matrix(poset, method="theorem")
-            assert (m1, m2) == (DEFINITIONAL, THEOREM)
-            assert oracle == fast == list(poset.up)
+            assert directed_way_below(poset) == way_below_matrix(poset) == list(poset.up)
 
     def test_definitional_refuses_large_posets(self):
-        big = antichain(16)
+        limit = antichain(order.ORACLE_MAX)
+        assert len(limit.directed_masks()) == limit.n
+        assert directed_way_below(limit) == list(limit.up)
+        big = antichain(order.ORACLE_MAX + 1)
         with pytest.raises(SizeLimit):
-            way_below(big, 0, 0, method="definitional")
-        assert way_below(big, 0, 0) is True  # auto falls back to the theorem route
+            big.directed_masks()
+        with pytest.raises(SizeLimit):
+            directed_way_below(big)
+        assert way_below(big, 0, 0) is True
 
     @settings(max_examples=40, deadline=None)
     @given(posets(max_size=8))
@@ -172,9 +230,7 @@ class TestWayBelow:
         for _ in range(12):
             g = rng.sample(range(poset.n), rng.randint(1, poset.n))
             h = rng.sample(range(poset.n), rng.randint(1, poset.n))
-            assert subset_way_below(poset, g, h, method="definitional") == subset_way_below(
-                poset, g, h, method="theorem"
-            )
+            assert subset_way_below(poset, g, h) == directed_subset_way_below(poset, g, h)
 
 
 class TestCompact:
@@ -183,7 +239,9 @@ class TestCompact:
 
     def test_partition_lattice(self):
         poset = partition_lattice(3, ORIENT_SUBALGEBRA)
-        assert compact_elements(poset, method="definitional") == list(range(5))
+        oracle = directed_way_below(poset)
+        assert [c for c in range(poset.n) if oracle[c] >> c & 1] == list(range(5))
+        assert compact_elements(poset) == list(range(5))
 
     def test_singleton(self):
         assert compact_elements(chain(1)) == [0]
@@ -226,15 +284,22 @@ class TestTopologies:
                     assert a & b in opens
 
     def test_lawson_two_chain_definitional(self):
-        assert len(lawson_opens(chain(2), method="definitional")) == 4
+        assert len(lawson_by_basis(chain(2))) == 4
+        assert lawson_opens(chain(2)) == lawson_by_basis(chain(2))
 
     def test_lawson_is_discrete(self):
         rng = random.Random(11)
         for _ in range(8):
             poset = random_poset(rng, rng.randint(1, 7))
-            opens = lawson_opens(poset, method="definitional")
+            opens = lawson_by_basis(poset)
             assert len(opens) == 2**poset.n
-            assert opens == lawson_opens(poset, method="theorem")
+            assert opens == lawson_opens(poset)
+
+    @pytest.mark.parametrize("opens", [scott_opens, lawson_opens])
+    def test_size_guard(self, opens):
+        assert len(opens(antichain(order.TOPOLOGY_MAX))) == 2**order.TOPOLOGY_MAX
+        with pytest.raises(SizeLimit):
+            opens(antichain(order.TOPOLOGY_MAX + 1))
 
     def test_lawson_spaces_are_scattered(self):
         # discreteness makes the order topology scattered, the finite shadow
@@ -328,13 +393,48 @@ class TestDomainReport:
             if value is False:
                 assert recheck_witness(poset, key, report.witnesses[key])
 
-    @pytest.mark.parametrize("method", [DEFINITIONAL, THEOREM])
-    def test_quasi_flags_read_compactness(self, method):
-        report = domain_report(partition_lattice(4, ORIENT_SUBALGEBRA), method=method)
+    @pytest.mark.parametrize("route", ["definitional", "theorem"])
+    def test_quasi_flags_read_compactness(self, route):
+        # compactness read off the directed-subset oracle or the order
+        poset = partition_lattice(4, ORIENT_SUBALGEBRA)
+        wb = directed_way_below(poset) if route == "definitional" else way_below_matrix(poset)
+        assert all(wb[c] >> c & 1 for c in range(poset.n))
+        report = domain_report(poset)
         assert report.quasi_continuous is True and report.quasi_algebraic is True
         assert report.paths["quasi_continuous"] == "compact-singletons"
         assert report.paths["quasi_algebraic"] == "compact-singletons"
         assert "bounded" not in report.to_json_dict()
+
+    def test_way_below_flags_take_the_theorem_route(self):
+        report = domain_report(partition_lattice(3, ORIENT_SUBALGEBRA))
+        for key in ("way_below", "algebraic", "continuous", "meet_continuous"):
+            assert report.paths[key] == "theorem"
+        assert domain_report(antichain(2)).paths["meet_continuous"] == "not-a-meet-semilattice"
+
+    def test_meet_continuity_matches_directed_reference(self):
+        from cstardom.ortho import power_set_omp
+
+        cases = [chain(4), power_set_omp(3).poset]
+        for k in (2, 3, 4):
+            cases += [partition_lattice(k, o) for o in (ORIENT_REFINEMENT, ORIENT_SUBALGEBRA)]
+        rng = random.Random(3)
+        cases += [random_poset(rng, rng.randint(1, 8), 0.6) for _ in range(30)]
+        checked = 0
+        for poset in cases:
+            report = domain_report(poset)
+            if report.meet_continuous is None:
+                continue
+            assert report.meet_continuous is True
+            assert meet_distributivity_failure(poset, poset.meets()) is None
+            checked += 1
+        assert checked >= 8
+
+    def test_meet_reference_can_fail(self):
+        # a meet table that is not monotone breaks the law on a chain
+        poset = chain(3)
+        broken = [list(row) for row in poset.meets()]
+        broken[0][1] = broken[1][0] = 2
+        assert meet_distributivity_failure(poset, broken) is not None
 
     def test_json_keys(self):
         data = domain_report(chain(2)).to_json_dict()
@@ -355,6 +455,7 @@ class TestOrderDenseChains:
         assert domain_report(poset).paths["order_scattered"] == "covering-pair-shortcut"
 
     def test_search_size_guard(self):
+        assert order_dense_chain(antichain(order.FIN_ENUM_MAX)) is None
         with pytest.raises(SizeLimit):
             order_dense_chain(antichain(order.FIN_ENUM_MAX + 1))
 
