@@ -264,8 +264,9 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
         if not passed:
             raise AssertionFailed(f"{name}: {witness}")
 
+    joins = {}
     for n in range(1, depth + 1):
-        joined = tri_join(r, family[n])
+        joined = joins[n] = tri_join(r, family[n])
         first = "empty" if not joined.blocks else "[{}, {}]".format(*joined.blocks[0])
         record(
             f"join_full:n={n}",
@@ -289,7 +290,7 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
         )
 
     for length in range(depth):
-        ok, sigma = _chain_level(r, length, family[length + 1])
+        ok, sigma = _chain_level(r, length, family[length + 1], joins[length + 1])
         record(
             f"chain_level:{length}",
             ok,
@@ -299,15 +300,14 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
     return CounterexampleReport(depth=depth, r_blocks=len(r.blocks), checks=checks)
 
 
-def _chain_level(r, length, s_next):
+def _chain_level(r, length, s_next, joined):
     """Transitivity chain from a to d across every stage of a given length.
 
     The chain steps a -> b (first-third block of the next stage), b -> c
     (middle block), c -> d (last-third block), once per child stage, and
-    lands on (a, d) related inside the join of R with ``s_next``, the next
-    family member.
+    lands on (a, d) related inside ``joined``, the join of R with
+    ``s_next``, the next family member.
     """
-    joined = tri_join(r, s_next)
     children = _stage_level(length + 1)
     for i, (sigma, (a, b, c, d)) in enumerate(zip(_stages(length), _stage_level(length))):
         steps = []

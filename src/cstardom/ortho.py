@@ -21,7 +21,7 @@ from .errors import (
     SizeLimit,
 )
 from .order import FinPoset, iter_bits, validate_poset
-from .scatter import FinTop
+from .scatter import FinTop, discrete_topology
 from .staralg import Matrix, c_lattice, minimal_projections
 
 #: enumeration guard for Boolean subalgebras
@@ -394,6 +394,5 @@ def stone_space(boolean):
     if len(seen) != 1 << len(atom_list) or len(seen) != mask.bit_count():
         raise NotBoolean("clopen sets do not reconstruct the algebra")
     points = tuple(omp.elements[a] for a in atom_list)
-    opens = [frozenset(points[i] for i in iter_bits(m)) for m in range(1 << len(points))]
-    topology = FinTop(points, opens)
+    topology = discrete_topology(points)
     return StoneSpace(points=points, topology=topology, element_to_clopen=element_to_clopen)

@@ -1,22 +1,22 @@
 """Finite topologies, iterated isolated-point removal, and ordinal spaces.
 
-Finite topologies are stored as explicit open families with a validator.
-Scatteredness is decided by iterating the derivative that removes isolated
-points; ordinal intervals [0, a] are handled symbolically through their
-normal forms, with an independent layer-counting oracle for the small
-range where it applies.
+A finite topology is the family of up-sets of its specialization preorder
+(Alexandrov, 1937), so it is stored as one bitmask per point: the smallest
+open containing that point.  Scatteredness is decided by iterating the
+derivative that removes isolated points; ordinal intervals [0, a] are
+handled symbolically through their normal forms, with an independent
+layer-counting oracle for the small range where it applies.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, ParseError, SizeLimit
-from .order import iter_bits
-from .partitions import collapse
+from .order import iter_bits, upsets
+from .partitions import EqRel, collapse
 
 #: ordinal exponents stay below this (desk scale)
 EXPONENT_MAX = 9
@@ -25,80 +25,119 @@ ORACLE_EXPONENT_MAX = 2
 
 
 class FinTop:
-    """Finite topological space: points plus the family of open sets.
+    """Finite topological space: points plus each point's minimal open.
 
-    Opens are given as sets of point labels and stored as frozensets of
-    point indices; the constructor checks that the family contains the
-    empty set and the full set and is closed under union and intersection.
+    ``up[x]`` is the bitmask of the smallest open set containing point x;
+    the opens are exactly the unions of these masks.  The constructor takes
+    the open family, as sets of point labels, and checks that it contains
+    the empty set and the full set and is closed under union and
+    intersection.
     """
 
     def __init__(self, points, opens):
         self.points = tuple(points)
-        self.n = len(self.points)
+        n = len(self.points)
         try:
             index = {p: i for i, p in enumerate(self.points)}
         except TypeError:
             raise BadParameters("points must be hashable") from None
-        if len(index) != self.n:
+        if len(index) != n:
             raise BadParameters("duplicate points")
-        normalized = set()
+        family = set()
         for o in opens:
+            mask = 0
             try:
-                normalized.add(frozenset(index[p] for p in o))
+                for p in o:
+                    mask |= 1 << index[p]
             except (KeyError, TypeError):
                 raise BadParameters(f"open set {o!r} uses unknown points") from None
-        full = frozenset(range(self.n))
-        if frozenset() not in normalized or full not in normalized:
+            family.add(mask)
+        full = (1 << n) - 1
+        if 0 not in family or full not in family:
             raise BadParameters("opens must include the empty set and the full set")
-        for a, b in itertools.combinations(normalized, 2):
-            if a | b not in normalized:
-                raise BadParameters(f"opens not closed under union: {sorted(a)} | {sorted(b)}")
-            if a & b not in normalized:
-                raise BadParameters(
-                    f"opens not closed under intersection: {sorted(a)} & {sorted(b)}"
-                )
-        self.opens = frozenset(normalized)
+        up = [full] * n
+        for mask in family:
+            for x in iter_bits(mask):
+                up[x] &= mask
+        self.up = tuple(up)
+        # every given open is the union of the up[x] inside it, so the family
+        # is closed under union and intersection iff nothing else is a union
+        generated = upsets(self.up, limit=len(family))
+        if generated != family:
+            missing = [self.points[x] for x in iter_bits(min(generated ^ family))]
+            raise BadParameters(
+                f"opens not closed under union and intersection: {missing} is missing"
+            )
+
+    @classmethod
+    def _from_masks(cls, points, up):
+        """Unchecked constructor from minimal-open masks.
+
+        Only for masks known to be a preorder's neighbourhoods: x lies in
+        up[x], and y in up[x] implies up[y] within up[x].
+        """
+        space = cls.__new__(cls)
+        space.points = tuple(points)
+        space.up = tuple(up)
+        return space
 
     # -- basic notions --------------------------------------------------
 
+    @property
+    def n(self):
+        return len(self.points)
+
+    @property
+    def opens(self):
+        """Every open set, as a frozenset of point indices."""
+        return frozenset(frozenset(iter_bits(m)) for m in upsets(self.up))
+
     def is_open(self, subset):
-        return frozenset(subset) in self.opens
+        mask = self._mask(subset)
+        return all(self.up[x] & ~mask == 0 for x in iter_bits(mask))
 
     def is_closed(self, subset):
-        return frozenset(range(self.n)) - frozenset(subset) in self.opens
+        subset = frozenset(subset)
+        return self.closure(subset) == subset
 
     def closure(self, subset):
-        """Smallest closed superset."""
-        subset = frozenset(subset)
-        avoid = frozenset().union(*(o for o in self.opens if not o & subset))
-        return frozenset(range(self.n)) - avoid
+        """Smallest closed superset: the points whose every open meets it."""
+        mask = self._mask(subset)
+        return frozenset(x for x in range(self.n) if self.up[x] & mask)
 
     def isolated_points(self):
-        return frozenset(i for i in range(self.n) if self.is_open({i}))
+        return frozenset(x for x in range(self.n) if self.up[x] == 1 << x)
 
     def subspace(self, subset):
-        keep = frozenset(subset)
-        points = [self.points[p] for p in sorted(keep)]
-        opens = {frozenset(self.points[p] for p in o & keep) for o in self.opens}
-        return FinTop(points, opens)
+        kept = sorted(set(subset))
+        position = {x: i for i, x in enumerate(kept)}
+        up = [sum(1 << position[y] for y in iter_bits(self.up[x]) if y in position) for x in kept]
+        return FinTop._from_masks([self.points[x] for x in kept], up)
 
     def closed_sets(self):
         full = frozenset(range(self.n))
         return [full - o for o in self.opens]
 
+    def _mask(self, subset):
+        mask = 0
+        for i in subset:
+            if not (isinstance(i, int) and 0 <= i < self.n):
+                raise BadParameters(f"no point at index {i!r}")
+            mask |= 1 << i
+        return mask
+
     def __repr__(self):
-        return f"FinTop({self.n} points, {len(self.opens)} opens)"
+        return f"FinTop({self.n} points, {len(upsets(self.up))} opens)"
 
 
 def discrete_topology(points):
     points = tuple(points)
-    n = len(points)
-    return FinTop(points, [frozenset(points[i] for i in iter_bits(m)) for m in range(1 << n)])
+    return FinTop._from_masks(points, [1 << i for i in range(len(points))])
 
 
 def indiscrete_topology(points):
     points = tuple(points)
-    return FinTop(points, [frozenset(), frozenset(points)])
+    return FinTop._from_masks(points, [(1 << len(points)) - 1] * len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -153,43 +192,36 @@ def scattered_by_closed_sets(topology):
 
 
 def is_hausdorff_fin(topology):
-    for x, y in itertools.combinations(range(topology.n), 2):
-        if not any(
-            x in u and y in v and not u & v
-            for u in topology.opens
-            for v in topology.opens
-        ):
-            return False
-    return True
+    """The minimal opens are pairwise disjoint.
+
+    Each up[x] holds x and they cover the space, so they are pairwise
+    disjoint exactly when their sizes add up to the number of points.
+    """
+    return sum(mask.bit_count() for mask in topology.up) == topology.n
 
 
 def is_stonean_fin(topology):
-    """Closures of open sets are open."""
-    return all(topology.is_open(topology.closure(o)) for o in topology.opens)
+    """Closures of open sets are open.
+
+    Every open is a union of minimal opens and closure commutes with finite
+    unions, so checking the minimal opens suffices.
+    """
+    return all(topology.is_open(topology.closure(iter_bits(mask))) for mask in topology.up)
 
 
 def is_totally_disconnected_fin(topology):
-    """Connected components (computed through clopen separation) are singletons.
-
-    Finite spaces are locally connected, so components are clopen and the
-    clopen-separation classes are exactly the components.
-    """
+    """Connected components are singletons."""
     return all(len(c) == 1 for c in connected_components(topology))
 
 
 def connected_components(topology):
-    clopens = [o for o in topology.opens if topology.is_closed(o)]
-    components = []
-    seen = set()
-    for x in range(topology.n):
-        if x in seen:
-            continue
-        component = frozenset(range(topology.n)).intersection(
-            *(c for c in clopens if x in c)
-        )
-        components.append(component)
-        seen |= component
-    return components
+    """Components, ordered by least point.
+
+    In a finite space the component of x is its class under the
+    equivalence generated by "y lies in the minimal open of x".
+    """
+    pairs = [(x, y) for x in range(topology.n) for y in iter_bits(topology.up[x])]
+    return [frozenset(c) for c in EqRel.from_pairs(range(topology.n), pairs).classes]
 
 
 @dataclass
@@ -388,24 +420,22 @@ def cb_derivative_ord_oracle(alpha, coefficient_limit=3):
 def ordinal_interval_topology(value):
     """Explicit order topology on the finite interval [0, value].
 
-    A set is open when every one of its points sits inside an open order
-    interval contained in the set (the interval basis is intersection
-    closed, so this is the generated topology).  On a finite chain every
-    singleton is itself a basis interval, making the space discrete.
+    The open order intervals form a basis closed under intersection, so a
+    point's minimal open is the intersection of the intervals containing
+    it.  On a finite chain every singleton is itself a basis interval,
+    making the space discrete.
     """
     if value < 0 or value > 10:
         raise BadParameters("explicit interval needs 0 <= value <= 10")
-    points = list(range(value + 1))
-    basis = set()
+    full = (1 << (value + 1)) - 1
+    up = [full] * (value + 1)
     for lo in range(-1, value + 1):
         for hi in range(lo + 1, value + 2):
-            basis.add(frozenset(p for p in points if lo < p < hi))
-    opens = []
-    for mask in range(1 << (value + 1)):
-        candidate = frozenset(iter_bits(mask))
-        if all(any(p in b and b <= candidate for b in basis) for p in candidate):
-            opens.append(candidate)
-    return FinTop(points, opens)
+            # the points p with lo < p < hi
+            interval = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
+            for p in iter_bits(interval):
+                up[p] &= interval
+    return FinTop._from_masks(range(value + 1), up)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +485,7 @@ def kq_chain_witness(m, n, rationals=None):
     labels = [Fraction(i, m + 1) for i in range(1, m + 1)]
     points = tuple(str(q) for q in labels) + ("limit",)
     limit = m  # index of the limit point
-    opens = {frozenset(points[i] for i in iter_bits(mask)) for mask in range(1 << m)}
-    opens.add(frozenset(points))
-    space = FinTop(points, opens)
+    space = FinTop._from_masks(points, [1 << i for i in range(m)] + [(1 << (m + 1)) - 1])
 
     if rationals is None:
         rationals = [Fraction(j, n + 1) for j in range(1, n + 1)]

@@ -282,6 +282,20 @@ class TestCounterexample:
         assert cantor_module.verify_counterexample(4).passed
         assert built == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_joins_r_with_each_family_member_once(self, monkeypatch, depth):
+        import cstardom.cantor as cantor_module
+
+        joined = []
+
+        def counted(x, y):
+            joined.append(y)
+            return tri_join(x, y)
+
+        monkeypatch.setattr(cantor_module, "tri_join", counted)
+        assert cantor_module.verify_counterexample(depth).passed
+        assert len(joined) == depth + 1
+
     def test_json_schema(self):
         data = verify_counterexample(2).to_json_dict()
         assert set(data) == {"depth", "r_blocks", "checks"}

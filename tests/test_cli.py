@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstardom import acceptance, order
 from cstardom.cli import main
@@ -396,6 +399,42 @@ class TestScatterCommands:
         )
         assert code == 2
         assert report["results"]["error"]["type"] == error
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+point_labels = st.sampled_from(["a", "b", "c", 0, 1, None, True, [1]])
+topology_payloads = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"points": json_values, "opens": json_values}),
+    st.fixed_dictionaries({
+        "points": st.lists(point_labels, max_size=4),
+        "opens": st.lists(st.lists(point_labels, max_size=4), max_size=8),
+    }),
+    st.fixed_dictionaries({
+        "points": st.just(["a", "b", "c"]),
+        "opens": st.lists(st.lists(st.sampled_from("abc"), max_size=3), max_size=9)
+        .map(lambda opens: opens + [[], ["a", "b", "c"]]),
+    }),
+)
+
+
+class TestTopoCheckFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(payload=topology_payloads)
+    def test_exit_code_contract(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "topo-fuzz.json"
+        path.write_text(json.dumps(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["topo", "check", "--input", str(path), "--json"])
+        report = json.loads(out.getvalue())
+        assert code in (0, 2) and report["exit_code"] == code
+        assert ("error" in report["results"]) == (code == 2)
 
 
 class TestDeterminism:

@@ -76,13 +76,20 @@ def directed_subset_way_below(poset, g, h):
     )
 
 
+def upsets_by_scan(poset):
+    """Every up-closed subset, by scanning all 2^n masks in order."""
+    return [
+        m
+        for m in range(poset.full_mask + 1)
+        if all(not poset.up[i] & ~m for i in order.iter_bits(m))
+    ]
+
+
 def lawson_by_basis(poset):
     """Close the basic opens (Scott opens minus up-sets of finite sets)
     under union and intersection."""
     full = poset.full_mask
-    scott = [
-        m for m in range(full + 1) if all(not poset.up[i] & ~m for i in order.iter_bits(m))
-    ]
+    scott = upsets_by_scan(poset)
     opens = {u & ~upset(poset, f) for u in scott for f in range(full + 1)} | {0, full}
     frontier = list(opens)
     while frontier:
@@ -282,6 +289,26 @@ class TestTopologies:
                 for b in opens:
                     assert a | b in opens
                     assert a & b in opens
+
+    @settings(max_examples=40, deadline=None)
+    @given(posets())
+    def test_scott_opens_match_upset_scan(self, poset):
+        expected = [frozenset(order.iter_bits(m)) for m in upsets_by_scan(poset)]
+        assert scott_opens(poset) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 63), max_size=6), st.integers(1, 70))
+    def test_upsets_are_all_unions_up_to_the_limit(self, masks, limit):
+        unions = set()
+        for chosen in range(1 << len(masks)):
+            union = 0
+            for i in order.iter_bits(chosen):
+                union |= masks[i]
+            unions.add(union)
+        assert order.upsets(masks) == unions
+        found = order.upsets(masks, limit=limit)
+        assert found <= unions
+        assert len(found) == min(len(unions), limit + 1)
 
     def test_lawson_two_chain_definitional(self):
         assert len(lawson_by_basis(chain(2))) == 4

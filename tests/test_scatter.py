@@ -32,22 +32,115 @@ def sierpinski():
     return FinTop(["a", "b"], [set(), {"a"}, {"a", "b"}])
 
 
+def closed_under_union_and_intersection(family):
+    family = set(family)
+    while True:
+        closed = {a | b for a in family for b in family} | {a & b for a in family for b in family}
+        if closed <= family:
+            return family
+        family |= closed
+
+
 def random_topology(rng, n):
     """Random open family: random basis closed under union/intersection."""
     subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
     opens = {frozenset(), frozenset(range(n))}
     for _ in range(rng.randint(0, n + 2)):
         opens.add(rng.choice(subsets))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(opens), 2):
-            for candidate in (a | b, a & b):
-                if candidate not in opens:
-                    opens.add(candidate)
-                    changed = True
+    opens = closed_under_union_and_intersection(opens)
     labels = [str(i) for i in range(n)]
     return FinTop(labels, [{labels[i] for i in o} for o in opens])
+
+
+# Reference routes over the explicit open family, by the definitions; the
+# library answers these from each point's minimal open.
+
+
+def family_validator(n, family):
+    """Bounds present, then closure under every pairwise union and intersection."""
+    if frozenset() not in family or frozenset(range(n)) not in family:
+        raise BadParameters("opens must include the empty set and the full set")
+    for a, b in itertools.combinations(family, 2):
+        if a | b not in family or a & b not in family:
+            raise BadParameters(f"opens not closed: {sorted(a)}, {sorted(b)}")
+
+
+def hausdorff_by_open_pairs(n, family):
+    return all(
+        any(x in u and y in v and not u & v for u in family for v in family)
+        for x, y in itertools.combinations(range(n), 2)
+    )
+
+
+def closure_by_avoided_opens(n, family, subset):
+    avoid = frozenset().union(*(o for o in family if not o & subset))
+    return frozenset(range(n)) - avoid
+
+
+def stonean_over_all_opens(n, family):
+    return all(closure_by_avoided_opens(n, family, o) in family for o in family)
+
+
+def components_by_clopens(n, family):
+    full = frozenset(range(n))
+    clopens = [o for o in family if full - o in family]
+    components = []
+    seen = set()
+    for x in range(n):
+        if x not in seen:
+            component = full.intersection(*(c for c in clopens if x in c))
+            components.append(component)
+            seen |= component
+    return components
+
+
+@st.composite
+def open_families(draw):
+    """Random families on at most 5 points, valid or not, T0 or not."""
+    n = draw(st.integers(0, 5))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    family = {frozenset(i for i in range(n) if m >> i & 1) for m in masks}
+    if draw(st.booleans()):
+        family |= {frozenset(), frozenset(range(n))}
+    if draw(st.booleans()):
+        family = closed_under_union_and_intersection(family)
+    return n, family
+
+
+class TestMaskRouteMatchesOpenFamilies:
+    @settings(max_examples=300, deadline=None)
+    @given(open_families())
+    def test_same_decision_and_answers(self, case):
+        n, family = case
+        labels = [f"p{i}" for i in range(n)]
+        try:
+            family_validator(n, family)
+        except BadParameters:
+            with pytest.raises(BadParameters):
+                FinTop(labels, [{labels[i] for i in o} for o in family])
+            return
+        top = FinTop(labels, [{labels[i] for i in o} for o in family])
+        assert top.opens == family
+        assert is_hausdorff_fin(top) == hausdorff_by_open_pairs(n, family)
+        assert is_stonean_fin(top) == stonean_over_all_opens(n, family)
+        assert connected_components(top) == components_by_clopens(n, family)
+        for size in range(n + 1):
+            for subset in itertools.combinations(range(n), size):
+                subset = frozenset(subset)
+                assert top.is_open(subset) == (subset in family)
+                assert top.closure(subset) == closure_by_avoided_opens(n, family, subset)
+
+    def test_references_can_fail(self):
+        # the Sierpinski space, and a 3-point space whose open {0} has the
+        # closure {0, 2}, which is not open
+        n, family = 2, {frozenset(), frozenset({0}), frozenset({0, 1})}
+        assert not hausdorff_by_open_pairs(n, family)
+        assert components_by_clopens(n, family) == [frozenset({0, 1})]
+        assert closure_by_avoided_opens(n, family, frozenset({0})) == frozenset({0, 1})
+        opens = [(), (0,), (1,), (0, 1), (0, 1, 2)]
+        assert not stonean_over_all_opens(3, {frozenset(o) for o in opens})
+        with pytest.raises(BadParameters):
+            family_validator(3, {frozenset(o) for o in opens if o != (0, 1)})
 
 
 class TestFinTop:
@@ -74,6 +167,12 @@ class TestFinTop:
         ints = FinTop([1, 2, 0], [[], [0], [2, 0], [1, 2, 0]])
         strings = FinTop(["1", "2", "0"], [[], ["0"], ["2", "0"], ["1", "2", "0"]])
         assert cb_rank_fin(ints) == cb_rank_fin(strings) == (3, frozenset())
+
+    @pytest.mark.parametrize("index", [2, -1, "a"])
+    def test_queries_reject_unknown_indices(self, index):
+        for query in (sierpinski().is_open, sierpinski().is_closed, sierpinski().closure):
+            with pytest.raises(BadParameters):
+                query({0, index})
 
     def test_opens_are_read_as_labels(self):
         top = FinTop([1, 2], [[], [1], [1, 2]])
