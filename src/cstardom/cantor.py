@@ -43,18 +43,29 @@ class TriRel:
     Invariants enforced on construction: blocks sorted, each l < u, and no
     two blocks share even an endpoint (touching blocks must have been
     merged, since transitivity through the shared point would glue them).
+    Blocks that already satisfy all three in the given order are kept as
+    given; any others are sorted first and then checked.
     """
 
     __slots__ = ("blocks", "_lows")
 
     def __init__(self, blocks):
-        blocks = tuple(sorted((Fraction(l), Fraction(u)) for l, u in blocks))
-        for l, u in blocks:
-            if not (ZERO <= l < u <= ONE):
-                raise BadParameters(f"block [{l}, {u}] is not a proper subinterval of [0,1]")
-        for (_, u1), (l2, _) in zip(blocks, blocks[1:]):
-            if l2 <= u1:
-                raise BadParameters(f"blocks touching at {l2} must be merged")
+        blocks = tuple(
+            (l if type(l) is Fraction else Fraction(l), u if type(u) is Fraction else Fraction(u))
+            for l, u in blocks
+        )
+        # proper, strictly separated blocks in the given order are sorted
+        if not (
+            all(ZERO <= l < u <= ONE for l, u in blocks)
+            and all(u1 < l2 for (_, u1), (l2, _) in zip(blocks, blocks[1:]))
+        ):
+            blocks = tuple(sorted(blocks))
+            for l, u in blocks:
+                if not (ZERO <= l < u <= ONE):
+                    raise BadParameters(f"block [{l}, {u}] is not a proper subinterval of [0,1]")
+            for (_, u1), (l2, _) in zip(blocks, blocks[1:]):
+                if l2 <= u1:
+                    raise BadParameters(f"blocks touching at {l2} must be merged")
         self.blocks = blocks
         self._lows = [l for l, _ in blocks]
 
@@ -179,11 +190,21 @@ def tri_join(x, y):
     sorted sweep realizes the transitive closure because blocks are
     intervals.
     """
-    blocks = sorted(x.blocks + y.blocks)
+    xs, ys = x.blocks, y.blocks
+    nx, ny = len(xs), len(ys)
+    i = j = 0
     merged = []
-    for l, u in blocks:
+    # merge the two sorted block lists by lower end, sweeping as we go
+    while i < nx or j < ny:
+        if j == ny or (i < nx and xs[i][0] <= ys[j][0]):
+            l, u = xs[i]
+            i += 1
+        else:
+            l, u = ys[j]
+            j += 1
         if merged and l <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], u)
+            if u > merged[-1][1]:
+                merged[-1][1] = u
         else:
             merged.append([l, u])
     return TriRel(tuple((l, u) for l, u in merged))

@@ -364,11 +364,11 @@ def _cmd_topo_check(args, digest):
     results = {
         "valid": True,
         "points": [str(p) for p in topology.points],
-        "scattered": scatter.is_scattered_fin(topology),
+        "scattered": not residue,
         "rank": rank,
         "residue": sorted(str(p) for p in residue),
         "hausdorff": scatter.is_hausdorff_fin(topology),
-        "stonean": scatter.is_stonean_fin(topology),
+        "stonean": stone.stonean,
         "totally_disconnected": scatter.is_totally_disconnected_fin(topology),
         "stone_scattered": stone.to_json_dict(),
     }

@@ -58,6 +58,17 @@ class EqRel:
             raise BadParameters("classes do not cover the ground set")
         self.classes = tuple(sorted(canon, key=lambda cls: cls[0]))
         self._class_of = {x: i for i, cls in enumerate(self.classes) for x in cls}
+        # related pairs (x, y) as bit n*pos(x) + pos(y) over ground positions
+        n = len(self.ground)
+        position = {x: i for i, x in enumerate(self.ground)}
+        pairs = 0
+        for cls in canon:
+            row = 0
+            for x in cls:
+                row |= 1 << position[x]
+            for x in cls:
+                pairs |= row << (n * position[x])
+        self._pairs = pairs
 
     # -- constructors ---------------------------------------------------
 
@@ -101,9 +112,7 @@ class EqRel:
         """True when every class of self sits inside a class of other."""
         if self.ground != other.ground:
             raise GroundMismatch("relations live on different ground sets")
-        return all(
-            other.relates(cls[0], x) for cls in self.classes for x in cls[1:]
-        )
+        return not self._pairs & ~other._pairs
 
     def __eq__(self, other):
         return isinstance(other, EqRel) and self.ground == other.ground and self.classes == other.classes

@@ -1,11 +1,15 @@
 """Matrix *-algebras over exact Gaussian rationals.
 
-Algebras are spans of square matrices, closed under product and conjugate
-transpose and containing the identity.  Bases are kept in reduced echelon
-form over the rational complex field, so two algebras are equal exactly
-when their basis tuples are.  Spectral operations (minimal projections,
-characters, the subalgebra lattice) require the generators to be
-projections, which keeps every computation inside the rationals.
+Each matrix entry is a Gaussian rational (a + b i)/d stored as three
+Python ints in lowest terms (d > 0, gcd(a, b, d) = 1), so the kernels
+below (products, elimination, containment) do integer arithmetic only and
+equal entries have equal fields.  Algebras are spans of square matrices,
+closed under product and conjugate transpose and containing the identity.
+Bases are kept in reduced echelon form over the rational complex field, so
+two algebras are equal exactly when their basis tuples are.  Spectral
+operations (minimal projections, characters, the subalgebra lattice)
+require the generators to be projections, which keeps every computation
+inside the rationals.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     AmbientNotCommutative,
@@ -34,62 +39,117 @@ AMBIENT_MAX = 16
 ALGEBRA_DIM_MAX = 64
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with rational real and imaginary parts."""
+def _ratio(value):
+    """Numerator and positive denominator of an int, Fraction or other
+    value that ``Fraction`` accepts."""
+    if isinstance(value, int):
+        return int(value), 1
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+
+class GaussianRational:
+    """Complex number with rational real and imaginary parts.
+
+    Stored as (a + b i)/d with d > 0 and gcd(a, b, d) = 1, so zero is
+    (0, 0, 1) and equality and hashing read the integer fields.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re=0, im=0):
+        p, q = _ratio(re)
+        r, s = _ratio(im)
+        # p/q and r/s are in lowest terms, so over the lcm of q and s no
+        # prime divides both numerators and the denominator
+        d = q * s // gcd(q, s)
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @staticmethod
+    def _make(a, b, d):
+        """Normalising constructor from ints, d != 0."""
+        if not (a or b):
+            return GR_ZERO
+        g = gcd(a, b, d)
+        if d < 0:
+            g = -g
+        x = _new(GaussianRational)
+        if g == 1:
+            x.a, x.b, x.d = a, b, d
+        else:
+            x.a, x.b, x.d = a // g, b // g, d // g
+        return x
+
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        if other.re == 0 and other.im == 0:
+        a, b, d = other.a, other.b, other.d
+        if not (a or b):
             return self
-        if self.re == 0 and self.im == 0:
+        sa, sb, sd = self.a, self.b, self.d
+        if not (sa or sb):
             return other
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if sd == d:
+            return _make(sa + a, sb + b, d)
+        return _make(sa * d + a * sd, sb * d + b * sd, sd * d)
 
     def __sub__(self, other):
-        if other.re == 0 and other.im == 0:
+        a, b, d = other.a, other.b, other.d
+        if not (a or b):
             return self
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        sa, sb, sd = self.a, self.b, self.d
+        if sd == d:
+            return _make(sa - a, sb - b, d)
+        return _make(sa * d - a * sd, sb * d - b * sd, sd * d)
 
     def __mul__(self, other):
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        if (a == 0 and b == 0) or (c == 0 and d == 0):
+        a, b = self.a, self.b
+        c, e = other.a, other.b
+        if not (a or b) or not (c or e):
             return GR_ZERO
-        if b == 0 and d == 0:
-            return GaussianRational(a * c)
-        if b == 0:
-            return GaussianRational(a * c, a * d)
-        if d == 0:
-            return GaussianRational(a * c, b * c)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other):
-        norm = other.re * other.re + other.im * other.im
+        c, e = other.a, other.b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        a, b, f = self.a, self.b, other.d
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self.d * norm)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _exact(-self.a, -self.b, self.d)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _exact(self.a, -self.b, self.d)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
+        if not self.b:
             return str(self.re)
-        if self.re == 0:
+        if not self.a:
             return f"{self.im} i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)} i"
 
     @classmethod
@@ -121,23 +181,53 @@ class GaussianRational:
         return cls(re_part, im_part)
 
 
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
+_new = object.__new__
+_make = GaussianRational._make
+
+
+def _exact(a, b, d):
+    """Constructor from fields already in normal form."""
+    x = _new(GaussianRational)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+GR_ZERO = _exact(0, 0, 1)
+GR_ONE = _exact(1, 0, 1)
 
 
 def gr(value):
     """Coerce ints / Fractions / strings to GaussianRational."""
+    kind = type(value)
+    if kind is int:
+        return _exact(value, 0, 1) if value else GR_ZERO
+    if kind is Fraction:
+        return _exact(value.numerator, 0, value.denominator) if value else GR_ZERO
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
+        return GaussianRational(value)
     if isinstance(value, str):
         return GaussianRational.from_string(value)
     raise ParseError(f"cannot coerce {value!r} to a Gaussian rational")
 
 
+def _sub_mul(r, f, p):
+    """r - f*p in one normalisation, on the integer fields."""
+    fa, fb, pa, pb = f.a, f.b, p.a, p.b
+    ta, tb, td = fa * pa - fb * pb, fa * pb + fb * pa, f.d * p.d
+    rd = r.d
+    if rd == td:
+        return _make(r.a - ta, r.b - tb, td)
+    return _make(r.a * td - ta * rd, r.b * td - tb * rd, rd * td)
+
+
 class Matrix:
-    """Square matrix of Gaussian rationals."""
+    """Square matrix of Gaussian rationals.
+
+    ``Matrix(rows)`` coerces and checks outside input; kernel outputs are
+    built by the unchecked ``Matrix._from_rows``.
+    """
 
     __slots__ = ("rows", "dim")
 
@@ -150,12 +240,23 @@ class Matrix:
         self.dim = dim
 
     @classmethod
+    def _from_rows(cls, rows):
+        """Unchecked constructor: a nonempty square tuple of tuples of
+        GaussianRational, as the kernels below produce."""
+        matrix = _new(cls)
+        matrix.rows = rows
+        matrix.dim = len(rows)
+        return matrix
+
+    @classmethod
     def identity(cls, dim):
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return cls._from_rows(
+            tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(dim)) for i in range(dim))
+        )
 
     @classmethod
     def zero(cls, dim):
-        return cls([[0] * dim for _ in range(dim)])
+        return cls._from_rows(((GR_ZERO,) * dim,) * dim)
 
     @classmethod
     def diag(cls, values):
@@ -170,56 +271,61 @@ class Matrix:
 
     def __add__(self, other):
         self._match(other)
-        return Matrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
+        return Matrix._from_rows(
+            tuple(tuple(x + y for x, y in zip(left, right))
+                  for left, right in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other):
         self._match(other)
-        return Matrix(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
+        return Matrix._from_rows(
+            tuple(tuple(x - y for x, y in zip(left, right))
+                  for left, right in zip(self.rows, other.rows))
         )
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._match(other)
-            dim = self.dim
+            columns = [
+                [(k, y.a, y.b, y.d) for k, y in enumerate(column) if y.a or y.b]
+                for column in zip(*other.rows)
+            ]
             out = []
-            for i in range(dim):
-                left = self.rows[i]
+            for left in self.rows:
                 row = []
-                for j in range(dim):
-                    acc = GR_ZERO
-                    for k in range(dim):
+                for column in columns:
+                    # accumulate over a running denominator; reduce once
+                    num_a = num_b = 0
+                    den = 1
+                    for k, c, e, f in column:
                         x = left[k]
-                        if x.re == 0 and x.im == 0:
+                        a, b = x.a, x.b
+                        if not (a or b):
                             continue
-                        y = other.rows[k][j]
-                        if y.re == 0 and y.im == 0:
-                            continue
-                        acc = acc + x * y
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
+                        ta, tb, td = a * c - b * e, a * e + b * c, x.d * f
+                        if td == den:
+                            num_a += ta
+                            num_b += tb
+                        else:
+                            num_a = num_a * td + ta * den
+                            num_b = num_b * td + tb * den
+                            den *= td
+                    row.append(_make(num_a, num_b, den))
+                out.append(tuple(row))
+            return Matrix._from_rows(tuple(out))
         scalar = gr(other)
-        return Matrix([[x * scalar for x in row] for row in self.rows])
+        return Matrix._from_rows(tuple(tuple(x * scalar for x in row) for row in self.rows))
 
     __rmul__ = __mul__
 
     def adjoint(self):
         """Conjugate transpose."""
-        return Matrix(
-            [[self.rows[j][i].conjugate() for j in range(self.dim)] for i in range(self.dim)]
+        return Matrix._from_rows(
+            tuple(tuple(x.conjugate() for x in column) for column in zip(*self.rows))
         )
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.rows for x in row)
+        return not any(x.a or x.b for row in self.rows for x in row)
 
     def is_projection(self):
         return self == self.adjoint() and self * self == self
@@ -253,12 +359,11 @@ class Matrix:
 
 
 def _vec(matrix):
-    return tuple(x for row in matrix.rows for x in row)
+    return tuple(itertools.chain.from_iterable(matrix.rows))
 
 
 def _unvec(vector, dim):
-    it = iter(vector)
-    return Matrix([[next(it) for _ in range(dim)] for _ in range(dim)])
+    return Matrix._from_rows(tuple(tuple(vector[i : i + dim]) for i in range(0, dim * dim, dim)))
 
 
 def rref(vectors):
@@ -267,7 +372,7 @@ def rref(vectors):
     Rows are fully reduced with unit pivots and sorted by pivot column, so
     the result is a canonical basis of the span.
     """
-    rows = [list(v) for v in vectors if any(not x.is_zero() for x in v)]
+    rows = [list(v) for v in vectors if any(x.a or x.b for x in v)]
     if not rows:
         return ()
     width = len(rows[0])
@@ -275,23 +380,23 @@ def rref(vectors):
     for row in rows:
         for pivot_col, pivot_row in basis:
             factor = row[pivot_col]
-            if not factor.is_zero():
+            if factor.a or factor.b:
                 for k in range(width):
                     prk = pivot_row[k]
-                    if not (prk.re == 0 and prk.im == 0):
-                        row[k] = row[k] - factor * prk
-        lead = next((k for k in range(width) if not row[k].is_zero()), None)
+                    if prk.a or prk.b:
+                        row[k] = _sub_mul(row[k], factor, prk)
+        lead = next((k for k in range(width) if row[k].a or row[k].b), None)
         if lead is None:
             continue
         inv = row[lead]
-        row = [x / inv for x in row]
+        row = [x / inv if x.a or x.b else x for x in row]
         for pivot_col, pivot_row in basis:
             factor = pivot_row[lead]
-            if not factor.is_zero():
+            if factor.a or factor.b:
                 for k in range(width):
                     rk = row[k]
-                    if not (rk.re == 0 and rk.im == 0):
-                        pivot_row[k] = pivot_row[k] - factor * rk
+                    if rk.a or rk.b:
+                        pivot_row[k] = _sub_mul(pivot_row[k], factor, rk)
         basis.append((lead, row))
         basis.sort(key=lambda item: item[0])
     return tuple(tuple(row) for _, row in basis)
@@ -302,18 +407,17 @@ def _reduce_against(vector, basis):
     vector = list(vector)
     for pivot_col, row, support in basis:
         factor = vector[pivot_col]
-        if not factor.is_zero():
+        if factor.a or factor.b:
             for k in support:
-                vector[k] = vector[k] - factor * row[k]
+                vector[k] = _sub_mul(vector[k], factor, row[k])
     return vector
 
 
 def _basis_with_pivots(rref_rows):
     out = []
     for row in rref_rows:
-        lead = next(k for k in range(len(row)) if not row[k].is_zero())
-        support = tuple(k for k in range(len(row)) if not row[k].is_zero())
-        out.append((lead, row, support))
+        support = tuple(k for k, x in enumerate(row) if x.a or x.b)
+        out.append((support[0], row, support))
     return out
 
 
@@ -331,18 +435,22 @@ class StarAlgebra:
     __slots__ = ("dim", "basis", "generators", "_pivots")
 
     def __init__(self, dim, basis_matrices, generators=()):
+        basis_matrices = list(basis_matrices)
+        for m in basis_matrices:
+            if m.dim != dim:
+                raise DimMismatch(f"basis matrix of size {m.dim} in ambient size {dim}")
         self.dim = dim
         self.basis = tuple(_unvec(v, dim) for v in rref([_vec(m) for m in basis_matrices]))
         self.generators = tuple(generators)
         self._pivots = pivots = _basis_with_pivots([_vec(m) for m in self.basis])
         identity = Matrix.identity(self.dim)
-        if any(not x.is_zero() for x in _reduce_against(_vec(identity), pivots)):
+        if not self.contains(identity):
             raise BadParameters("algebra does not contain the identity")
         for a in self.basis:
-            if any(not x.is_zero() for x in _reduce_against(_vec(a.adjoint()), pivots)):
+            if not self.contains(a.adjoint()):
                 raise BadParameters("basis span is not closed under adjoints")
         for a, b in itertools.product(self.basis, repeat=2):
-            if any(not x.is_zero() for x in _reduce_against(_vec(a * b), pivots)):
+            if not self.contains(a * b):
                 raise BadParameters("basis span is not closed under products")
 
     @property
@@ -352,7 +460,7 @@ class StarAlgebra:
     def contains(self, matrix):
         if matrix.dim != self.dim:
             raise DimMismatch(f"ambient dimension mismatch: {matrix.dim} vs {self.dim}")
-        return all(x.is_zero() for x in _reduce_against(_vec(matrix), self._pivots))
+        return not any(x.a or x.b for x in _reduce_against(_vec(matrix), self._pivots))
 
     def contains_algebra(self, other):
         return self.dim == other.dim and all(self.contains(m) for m in other.basis)
@@ -506,7 +614,7 @@ def spectrum(algebra):
 def _nonzero_coordinate(matrix):
     for i, row in enumerate(matrix.rows):
         for j, x in enumerate(row):
-            if not x.is_zero():
+            if x.a or x.b:
                 return (i, j)
     raise BadParameters("zero matrix has no nonzero coordinate")
 

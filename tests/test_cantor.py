@@ -174,6 +174,21 @@ class TestRelationConstruction:
         with pytest.raises(BadParameters):
             TriRel([(F(1, 2), F(1, 2))])
 
+    def test_unsorted_blocks_are_sorted(self):
+        rel = TriRel([(F(2, 3), 1), (0, F(1, 3))])
+        assert rel.blocks == ((F(0), F(1, 3)), (F(2, 3), F(1)))
+        assert all(type(end) is Fraction for block in rel.blocks for end in block)
+
+    def test_unsorted_touching_blocks_rejected(self):
+        with pytest.raises(BadParameters, match="touching at 1/3"):
+            TriRel([(F(1, 3), F(1, 2)), (F(0), F(1, 3))])
+
+    def test_sorted_fraction_blocks_are_kept(self):
+        blocks = ((F(0), F(1, 9)), (F(2, 9), F(1, 3)))
+        rel = TriRel(blocks)
+        assert rel.blocks == blocks
+        assert all(a is b for old, new in zip(blocks, rel.blocks) for a, b in zip(old, new))
+
 
 class TestJoinMeet:
     def test_join_r1_s1_is_full(self):
@@ -214,6 +229,18 @@ class TestJoinMeet:
         assert tri_join(tri_join(x, y), z) == tri_join(x, tri_join(y, z))
         if y.contains(x):
             assert tri_join(y, z).contains(tri_join(x, z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(triadic_relations(), triadic_relations())
+    def test_join_matches_the_sorted_sweep(self, x, y):
+        # reference: sort all blocks, then merge overlapping or touching ones
+        merged = []
+        for l, u in sorted(x.blocks + y.blocks):
+            if merged and l <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], u)
+            else:
+                merged.append([l, u])
+        assert tri_join(x, y).blocks == tuple((l, u) for l, u in merged)
 
     @settings(max_examples=50, deadline=None)
     @given(triadic_relations(2), triadic_relations(2))

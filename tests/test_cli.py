@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cstardom import acceptance, order
 from cstardom.cli import main
+from cstardom.scatter import FinTop, is_scattered_fin, is_stonean_fin
 
 
 @pytest.fixture
@@ -435,6 +436,11 @@ class TestTopoCheckFuzz:
         report = json.loads(out.getvalue())
         assert code in (0, 2) and report["exit_code"] == code
         assert ("error" in report["results"]) == (code == 2)
+        if code == 0:
+            # the flags read off the shared walks agree with the library's
+            topology = FinTop(payload["points"], payload["opens"])
+            assert report["results"]["scattered"] == is_scattered_fin(topology)
+            assert report["results"]["stonean"] == is_stonean_fin(topology)
 
 
 class TestDeterminism:

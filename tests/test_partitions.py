@@ -60,6 +60,18 @@ class TestEqRel:
         with pytest.raises(GroundMismatch):
             finer.refines(rel(3, [1, 2], [3]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(eqrels(), eqrels())
+    def test_refines_matches_the_class_definition(self, r, s):
+        # reference: every class of r lies inside one class of s
+        expected = all(s.relates(cls[0], x) for cls in r.classes for x in cls)
+        assert r.refines(s) == expected
+
+    def test_refines_on_a_ground_set_that_is_not_1_to_n(self):
+        finer = EqRel("dcba", [["a", "c"], ["b"], ["d"]])
+        coarser = EqRel("abcd", [["a", "c", "d"], ["b"]])
+        assert finer.refines(coarser) and not coarser.refines(finer)
+
 
 class TestJoinMeet:
     def test_join_collapses(self):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -113,6 +115,203 @@ class TestGaussianRational:
             gr(1) / gr(0)
 
 
+@dataclass(frozen=True)
+class RefGaussian:
+    """Reference scalar: real and imaginary parts as two Fractions."""
+
+    re: Fraction
+    im: Fraction
+
+    def __add__(self, other):
+        return RefGaussian(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefGaussian(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return RefGaussian(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    def __truediv__(self, other):
+        norm = other.re * other.re + other.im * other.im
+        return RefGaussian(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def conjugate(self):
+        return RefGaussian(self.re, -self.im)
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im} i"
+        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)} i"
+
+
+def ref(x):
+    return RefGaussian(x.re, x.im)
+
+
+def assert_normal(x):
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == (Fraction(x.a, x.d), Fraction(x.b, x.d))
+
+
+def ref_rref(vectors):
+    """Reference elimination over RefGaussian rows, as in the Fraction-pair kernel."""
+    rows = [[ref(x) for x in v] for v in vectors]
+    rows = [row for row in rows if not all(x.is_zero() for x in row)]
+    basis = []
+    for row in rows:
+        for pivot_col, pivot_row in basis:
+            factor = row[pivot_col]
+            row = [x - factor * p for x, p in zip(row, pivot_row)]
+        lead = next((k for k, x in enumerate(row) if not x.is_zero()), None)
+        if lead is None:
+            continue
+        inv = row[lead]
+        row = [x / inv for x in row]
+        basis = [
+            (pivot_col, [x - pivot_row[lead] * r for x, r in zip(pivot_row, row)])
+            for pivot_col, pivot_row in basis
+        ]
+        basis.append((lead, row))
+        basis.sort(key=lambda item: item[0])
+    return [row for _, row in basis]
+
+
+class TestIntegerScalar:
+    @settings(max_examples=150, deadline=None)
+    @given(gaussians(), gaussians())
+    def test_operations_match_the_fraction_pair_reference(self, x, y):
+        rx, ry = ref(x), ref(y)
+        for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                          (x.conjugate(), rx.conjugate()), (-x, RefGaussian(-rx.re, -rx.im))):
+            assert ref(got) == want and str(got) == str(want)
+            assert_normal(got)
+        if not ry.is_zero():
+            assert ref(x / y) == rx / ry and str(x / y) == str(rx / ry)
+            assert_normal(x / y)
+        assert (x == y) == (rx == ry)
+        assert str(x) == str(rx)
+        if x == y:
+            assert hash(x) == hash(y)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fractions_st, fractions_st)
+    def test_equal_values_from_ints_fractions_and_strings(self, re, im):
+        from_fractions = GaussianRational(re, im)
+        from_string = GaussianRational.from_string(str(from_fractions))
+        scaled = GaussianRational(Fraction(re.numerator * 6, re.denominator * 6), im)
+        assert from_fractions == from_string == scaled
+        assert hash(from_fractions) == hash(from_string) == hash(scaled)
+        assert_normal(from_fractions)
+        if im == 0:
+            assert gr(re) == from_fractions and hash(gr(re)) == hash(from_fractions)
+            if re.denominator == 1:
+                as_int = gr(re.numerator)
+                assert as_int == from_fractions and hash(as_int) == hash(from_fractions)
+
+    def test_zero_is_the_unit_triple(self):
+        for zero in (GaussianRational(), gr(0), gr(Fraction(0, 5)), gr("0"), gr("0 i"),
+                     gr(3) - gr(3), gr("1/2+1/3 i") * gr(0)):
+            assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+            assert zero.is_zero()
+
+    def test_fields_are_in_lowest_terms(self):
+        x = GaussianRational(Fraction(1, 6), Fraction(-1, 4))
+        assert (x.a, x.b, x.d) == (2, -3, 12)
+        assert (x.re, x.im) == (Fraction(1, 6), Fraction(-1, 4))
+        half = gr("1/2")
+        assert ((half + half).a, (half + half).d) == (1, 1)
+
+    def test_parts_are_read_only(self):
+        x = gr("1/2+3/4 i")
+        with pytest.raises(AttributeError):
+            x.re = Fraction(1)
+        assert repr(x) == "GaussianRational(re=Fraction(1, 2), im=Fraction(3, 4))"
+
+
+def rational_rows(rng, dim, rows, spread=2):
+    return [
+        [
+            GaussianRational(Fraction(rng.randint(-spread, spread), rng.randint(1, 3)),
+                             Fraction(rng.randint(-spread, spread), rng.randint(1, 3)))
+            if rng.random() < 0.7 else 0
+            for _ in range(dim)
+        ]
+        for _ in range(rows)
+    ]
+
+
+class TestIntegerKernels:
+    def test_from_rows_equals_the_checked_constructor(self):
+        rng = random.Random(3)
+        for dim in (1, 2, 3, 4):
+            checked = Matrix(rational_rows(rng, dim, dim))
+            unchecked = Matrix._from_rows(checked.rows)
+            assert unchecked == checked and hash(unchecked) == hash(checked)
+            assert unchecked.dim == checked.dim == dim
+        for dim in (1, 3):
+            assert Matrix.identity(dim) == Matrix([[int(i == j) for j in range(dim)] for i in range(dim)])
+            assert Matrix.zero(dim) == Matrix([[0] * dim for _ in range(dim)])
+
+    def test_kernel_outputs_match_entrywise_reference(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            a, b = Matrix(rational_rows(rng, 3, 3)), Matrix(rational_rows(rng, 3, 3))
+            ra = [[ref(x) for x in row] for row in a.rows]
+            rb = [[ref(x) for x in row] for row in b.rows]
+            product = [
+                [sum((ra[i][k] * rb[k][j] for k in range(3)), RefGaussian(Fraction(0), Fraction(0)))
+                 for j in range(3)]
+                for i in range(3)
+            ]
+            assert [[ref(x) for x in row] for row in (a * b).rows] == product
+            assert [[ref(x) for x in row] for row in (a + b).rows] == [
+                [x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+            assert [[ref(x) for x in row] for row in (a - b).rows] == [
+                [x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+            assert [[ref(x) for x in row] for row in a.adjoint().rows] == [
+                [ra[j][i].conjugate() for j in range(3)] for i in range(3)]
+            for m in (a * b, a + b, a - b, a.adjoint()):
+                for x in itertools.chain.from_iterable(m.rows):
+                    assert_normal(x)
+
+    def test_rref_matches_the_reference_elimination(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            rows = rational_rows(rng, 3, 3)
+            if rng.random() < 0.3:  # force a dependent row
+                rows[2] = [gr(x) + gr(y) for x, y in zip(rows[0], rows[1])]
+            vectors = [tuple(gr(x) for x in row) for row in rows]
+            got = staralg.rref(vectors)
+            assert [[ref(x) for x in row] for row in got] == ref_rref(vectors)
+            for x in itertools.chain.from_iterable(got):
+                assert_normal(x)
+
+    def test_c_lattice_builds_no_checked_matrix(self, monkeypatch):
+        # every matrix c_lattice makes is a kernel output: no entry is coerced
+        algebra = rotated_algebra(4)
+        calls = []
+        original = staralg.gr
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(staralg, "gr", counted)
+        lattice = c_lattice(algebra)
+        assert lattice.n == 15
+        assert len(calls) == 0
+
+
 class TestMatrix:
     def test_adjoint_is_conjugate_transpose(self):
         m = Matrix([["1+1 i", "2"], ["0", "3 i"]])
@@ -176,6 +375,8 @@ class TestGeneratedAlgebra:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             generated_algebra([diag(1, 0), diag(1, 0, 0)])
+        with pytest.raises(DimMismatch):
+            StarAlgebra(3, [Matrix.identity(2)])
 
     def test_needs_dimension_hint(self):
         with pytest.raises(BadParameters):
