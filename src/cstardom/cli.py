@@ -21,7 +21,6 @@ from .errors import (
     BadParameters,
     CheckFailed,
     CstardomError,
-    DimMismatch,
     IsoFailure,
     ParseError,
 )
@@ -152,9 +151,6 @@ def _algebra_from_json(data):
     generators = _matrices_from_json(data, "generators")
     if "basis" in data:
         basis = _matrices_from_json(data, "basis")
-        for m in basis + generators:
-            if m.dim != dim:
-                raise DimMismatch(f"matrix of size {m.dim} in ambient size {dim}")
         return staralg.StarAlgebra(dim, basis, generators=generators)
     return staralg.generated_algebra(generators, dim=dim)
 

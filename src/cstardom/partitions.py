@@ -8,6 +8,8 @@ to pick one.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import BadParameters, GroundMismatch, OutOfRange, SizeLimit
 from .order import validate_poset
 
@@ -58,17 +60,15 @@ class EqRel:
             raise BadParameters("classes do not cover the ground set")
         self.classes = tuple(sorted(canon, key=lambda cls: cls[0]))
         self._class_of = {x: i for i, cls in enumerate(self.classes) for x in cls}
-        # related pairs (x, y) as bit n*pos(x) + pos(y) over ground positions
-        n = len(self.ground)
+        # class index of each ground position, and a gather that reads a
+        # labelling at the least member of each position's class: self
+        # refines other when gathering other's labels leaves them unchanged
         position = {x: i for i, x in enumerate(self.ground)}
-        pairs = 0
-        for cls in canon:
-            row = 0
-            for x in cls:
-                row |= 1 << position[x]
-            for x in cls:
-                pairs |= row << (n * position[x])
-        self._pairs = pairs
+        self._labels = tuple(self._class_of[x] for x in self.ground)
+        leads = tuple(position[self.classes[k][0]] for k in self._labels)
+        # itemgetter returns a bare item for one index; a ground of one
+        # point or none has a single relation, so nothing is gathered there
+        self._gather = itemgetter(*leads) if len(leads) > 1 else tuple
 
     # -- constructors ---------------------------------------------------
 
@@ -112,7 +112,7 @@ class EqRel:
         """True when every class of self sits inside a class of other."""
         if self.ground != other.ground:
             raise GroundMismatch("relations live on different ground sets")
-        return not self._pairs & ~other._pairs
+        return self._gather(other._labels) == other._labels
 
     def __eq__(self, other):
         return isinstance(other, EqRel) and self.ground == other.ground and self.classes == other.classes

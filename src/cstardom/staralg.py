@@ -53,7 +53,9 @@ class GaussianRational:
     """Complex number with rational real and imaginary parts.
 
     Stored as (a + b i)/d with d > 0 and gcd(a, b, d) = 1, so zero is
-    (0, 0, 1) and equality and hashing read the integer fields.
+    (0, 0, 1) and equality and hashing read the integer fields.  Instances
+    are immutable: the kernels share entries such as ``GR_ZERO`` between
+    matrices, so the fields are set only by the constructors.
     """
 
     __slots__ = ("a", "b", "d")
@@ -64,7 +66,9 @@ class GaussianRational:
         # p/q and r/s are in lowest terms, so over the lcm of q and s no
         # prime divides both numerators and the denominator
         d = q * s // gcd(q, s)
-        self.a, self.b, self.d = p * (d // q), r * (d // s), d
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
 
     @staticmethod
     def _make(a, b, d):
@@ -74,12 +78,19 @@ class GaussianRational:
         g = gcd(a, b, d)
         if d < 0:
             g = -g
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
         x = _new(GaussianRational)
-        if g == 1:
-            x.a, x.b, x.d = a, b, d
-        else:
-            x.a, x.b, x.d = a // g, b // g, d // g
+        _set_a(x, a)
+        _set_b(x, b)
+        _set_d(x, d)
         return x
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable: cannot delete {name!r}")
 
     @property
     def re(self):
@@ -183,12 +194,18 @@ class GaussianRational:
 
 _new = object.__new__
 _make = GaussianRational._make
+# slot setters, the one way past the immutability guard
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
 
 
 def _exact(a, b, d):
     """Constructor from fields already in normal form."""
     x = _new(GaussianRational)
-    x.a, x.b, x.d = a, b, d
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
     return x
 
 
@@ -198,11 +215,6 @@ GR_ONE = _exact(1, 0, 1)
 
 def gr(value):
     """Coerce ints / Fractions / strings to GaussianRational."""
-    kind = type(value)
-    if kind is int:
-        return _exact(value, 0, 1) if value else GR_ZERO
-    if kind is Fraction:
-        return _exact(value.numerator, 0, value.denominator) if value else GR_ZERO
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
@@ -220,6 +232,11 @@ def _sub_mul(r, f, p):
     if rd == td:
         return _make(r.a - ta, r.b - tb, td)
     return _make(r.a * td - ta * rd, r.b * td - tb * rd, rd * td)
+
+
+def _check_size(dim):
+    if dim < 1:
+        raise DimMismatch("matrix must be square and nonempty")
 
 
 class Matrix:
@@ -250,12 +267,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, dim):
+        _check_size(dim)
         return cls._from_rows(
             tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(dim)) for i in range(dim))
         )
 
     @classmethod
     def zero(cls, dim):
+        _check_size(dim)
         return cls._from_rows(((GR_ZERO,) * dim,) * dim)
 
     @classmethod
@@ -436,12 +455,13 @@ class StarAlgebra:
 
     def __init__(self, dim, basis_matrices, generators=()):
         basis_matrices = list(basis_matrices)
-        for m in basis_matrices:
+        generators = tuple(generators)
+        for m in basis_matrices + list(generators):
             if m.dim != dim:
-                raise DimMismatch(f"basis matrix of size {m.dim} in ambient size {dim}")
+                raise DimMismatch(f"matrix of size {m.dim} in ambient size {dim}")
         self.dim = dim
         self.basis = tuple(_unvec(v, dim) for v in rref([_vec(m) for m in basis_matrices]))
-        self.generators = tuple(generators)
+        self.generators = generators
         self._pivots = pivots = _basis_with_pivots([_vec(m) for m in self.basis])
         identity = Matrix.identity(self.dim)
         if not self.contains(identity):

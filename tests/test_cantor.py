@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -363,6 +364,14 @@ class TestGrid:
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             sample_to_grid(relation_S(2), 1)
+
+    def test_finest_grid_stays_fast(self):
+        # 3^8 + 1 = 6562 grid points in one class
+        start = time.perf_counter()
+        sampled = sample_to_grid(TriRel([(0, 1)]), 8)
+        assert len(sampled.ground) == 6562 and len(sampled.classes) == 1
+        assert EqRel.diagonal(sampled.ground).refines(sampled)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestDenseChain:

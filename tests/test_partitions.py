@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,18 @@ class TestEqRel:
         finer = EqRel("dcba", [["a", "c"], ["b"], ["d"]])
         coarser = EqRel("abcd", [["a", "c", "d"], ["b"]])
         assert finer.refines(coarser) and not coarser.refines(finer)
+
+    def test_refines_on_one_point_and_empty_grounds(self):
+        assert EqRel([7], [[7]]).refines(EqRel([7], [[7]]))
+        assert EqRel([], []).refines(EqRel([], []))
+
+    def test_large_grounds_stay_linear(self):
+        # construction and refines are linear in the ground size: a few
+        # milliseconds here, where a pair bitmask would take seconds
+        start = time.perf_counter()
+        finest, coarsest = EqRel.diagonal(range(5000)), EqRel.full(range(5000))
+        assert finest.refines(coarsest) and not coarsest.refines(finest)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestJoinMeet:

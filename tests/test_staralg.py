@@ -233,9 +233,20 @@ class TestIntegerScalar:
 
     def test_parts_are_read_only(self):
         x = gr("1/2+3/4 i")
-        with pytest.raises(AttributeError):
-            x.re = Fraction(1)
+        for name in ("re", "im", "a", "b", "d"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
         assert repr(x) == "GaussianRational(re=Fraction(1, 2), im=Fraction(3, 4))"
+
+    def test_shared_zero_and_one_cannot_be_changed(self):
+        zero, one = gr(0), Matrix.identity(2).rows[0][0]
+        for shared in (zero, one):
+            with pytest.raises(AttributeError):
+                shared.a = 5
+        assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+        assert (one.a, one.b, one.d) == (1, 0, 1)
 
 
 def rational_rows(rng, dim, rows, spread=2):
@@ -343,6 +354,9 @@ class TestMatrix:
             Matrix.identity(2) * Matrix.identity(3)
         with pytest.raises(DimMismatch):
             Matrix([[1, 2]])
+        for empty in (lambda: Matrix([]), lambda: Matrix.identity(0), lambda: Matrix.zero(0)):
+            with pytest.raises(DimMismatch):
+                empty()
 
     def test_projection_detection(self):
         assert diag(1, 0, 1).is_projection()
@@ -377,6 +391,12 @@ class TestGeneratedAlgebra:
             generated_algebra([diag(1, 0), diag(1, 0, 0)])
         with pytest.raises(DimMismatch):
             StarAlgebra(3, [Matrix.identity(2)])
+        with pytest.raises(DimMismatch):
+            StarAlgebra(2, [Matrix.identity(2)], generators=[Matrix.identity(3)])
+        with pytest.raises(DimMismatch):
+            generated_algebra([], dim=0)
+        with pytest.raises(DimMismatch):
+            StarAlgebra(0, [])
 
     def test_needs_dimension_hint(self):
         with pytest.raises(BadParameters):
