@@ -35,7 +35,9 @@ _CHECK_ERRORS = (AssertionFailed, CheckFailed, IsoFailure)
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[:2])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -397,86 +399,83 @@ def _cmd_accept(args, digest):
 # parser assembly
 
 
-def _build_parser():
+def _required(flag, **options):
+    return ((flag,), {"required": True, **options})
+
+
+_JSON = (("--json",), {"action": "store_true", "help": "emit a JSON run report"})
+_INPUT = _required("--input")
+_DOT = (("--dot",), {"default": None})
+_EMIT_DOT = (("--emit-dot",), {"action": "store_true", "dest": "emit_dot"})
+
+#: (group, action) -> (handler, argument specs, extra defaults), in the order
+#: that usage and help list them; ``accept`` sits at the root, so its action
+#: is None
+_COMMANDS = {
+    ("poset", "check"): (_cmd_poset_check, [_JSON, _INPUT], {}),
+    ("poset", "report"): (_cmd_poset_report, [_JSON, _INPUT], {}),
+    ("poset", "hasse"): (_cmd_poset_hasse, [_JSON, _INPUT, _DOT], {}),
+    ("eqrel", "join"): (_cmd_eqrel_binop, [_JSON, _required("--a"), _required("--b")],
+                        {"op": "join"}),
+    ("eqrel", "meet"): (_cmd_eqrel_binop, [_JSON, _required("--a"), _required("--b")],
+                        {"op": "meet"}),
+    ("eqrel", "lattice"): (_cmd_eqrel_lattice, [
+        _JSON,
+        _required("--n", type=int),
+        _required("--orientation",
+                  choices=[partitions.ORIENT_REFINEMENT, partitions.ORIENT_SUBALGEBRA]),
+        _DOT,
+        _EMIT_DOT,
+    ], {}),
+    ("cantor", "verify"): (_cmd_cantor_verify, [_JSON, _required("--depth", type=int)], {}),
+    ("cantor", "chain"): (_cmd_cantor_chain, [_JSON, _required("--n", type=int)], {}),
+    ("calg", "generate"): (_cmd_calg_generate, [_JSON, _INPUT], {}),
+    ("calg", "atoms"): (_cmd_calg_atoms, [_JSON, _INPUT], {}),
+    ("calg", "spectrum"): (_cmd_calg_spectrum, [_JSON, _INPUT], {}),
+    ("calg", "caf-iso"): (_cmd_caf_iso, [_JSON, _INPUT], {}),
+    ("calg", "lattice"): (_cmd_calg_lattice, [_JSON, _INPUT, _DOT, _EMIT_DOT], {}),
+    ("omp", "validate"): (_cmd_omp_validate, [_JSON, _INPUT], {}),
+    ("omp", "boolsub"): (_cmd_omp_boolsub, [_JSON, _INPUT, _DOT, _EMIT_DOT], {}),
+    ("omp", "caf-iso"): (_cmd_caf_iso, [_JSON, _INPUT], {}),
+    ("cb", "rank"): (_cmd_cb_rank, [_JSON, _required("--ordinal")], {}),
+    ("topo", "check"): (_cmd_topo_check, [_JSON, _INPUT], {}),
+    ("accept", None): (_cmd_accept, [
+        (("selector",), {"nargs": "?", "default": "all"}),
+        (("--json",), {"action": "store_true"}),
+    ], {}),
+}
+
+
+def _build_parser(path=()):
+    """The parser for the command that ``path`` (``argv[:2]``) names, built
+    root -> group -> leaf along that path alone; the whole tree when it
+    names no command, so that unknown paths and root or group help read the
+    same either way."""
+    head = tuple(path[:2])
+    # a root-level command is named by its first word alone
+    key = next((k for k in (head[:1] + (None,), head) if k in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog="cstardom",
         description="subalgebra lattices, partitions, and their domain-theoretic checks",
     )
-    subparsers = parser.add_subparsers(dest="group", required=True)
-
-    def add(group_parser, name, handler, command_path, **extra):
-        sub = group_parser.add_parser(name)
-        sub.add_argument("--json", action="store_true", help="emit a JSON run report")
-        sub.set_defaults(handler=handler, command_path=command_path, **extra)
-        return sub
-
-    poset = subparsers.add_parser("poset").add_subparsers(dest="action", required=True)
-    check = add(poset, "check", _cmd_poset_check, "poset check")
-    check.add_argument("--input", required=True)
-    report = add(poset, "report", _cmd_poset_report, "poset report")
-    report.add_argument("--input", required=True)
-    hasse = add(poset, "hasse", _cmd_poset_hasse, "poset hasse")
-    hasse.add_argument("--input", required=True)
-    hasse.add_argument("--dot", default=None)
-
-    eqrel = subparsers.add_parser("eqrel").add_subparsers(dest="action", required=True)
-    for op in ("join", "meet"):
-        binop = add(eqrel, op, _cmd_eqrel_binop, f"eqrel {op}", op=op)
-        binop.add_argument("--a", required=True)
-        binop.add_argument("--b", required=True)
-    lattice = add(eqrel, "lattice", _cmd_eqrel_lattice, "eqrel lattice")
-    lattice.add_argument("--n", type=int, required=True)
-    lattice.add_argument(
-        "--orientation",
-        choices=[partitions.ORIENT_REFINEMENT, partitions.ORIENT_SUBALGEBRA],
-        required=True,
-    )
-    lattice.add_argument("--dot", default=None)
-    lattice.add_argument("--emit-dot", action="store_true", dest="emit_dot")
-
-    cantor_group = subparsers.add_parser("cantor").add_subparsers(dest="action", required=True)
-    verify = add(cantor_group, "verify", _cmd_cantor_verify, "cantor verify")
-    verify.add_argument("--depth", type=int, required=True)
-    chain = add(cantor_group, "chain", _cmd_cantor_chain, "cantor chain")
-    chain.add_argument("--n", type=int, required=True)
-
-    calg = subparsers.add_parser("calg").add_subparsers(dest="action", required=True)
-    for name, handler in (
-        ("generate", _cmd_calg_generate),
-        ("atoms", _cmd_calg_atoms),
-        ("spectrum", _cmd_calg_spectrum),
-        ("caf-iso", _cmd_caf_iso),
-    ):
-        sub = add(calg, name, handler, f"calg {name}")
-        sub.add_argument("--input", required=True)
-    clattice = add(calg, "lattice", _cmd_calg_lattice, "calg lattice")
-    clattice.add_argument("--input", required=True)
-    clattice.add_argument("--dot", default=None)
-    clattice.add_argument("--emit-dot", action="store_true", dest="emit_dot")
-
-    omp = subparsers.add_parser("omp").add_subparsers(dest="action", required=True)
-    validate = add(omp, "validate", _cmd_omp_validate, "omp validate")
-    validate.add_argument("--input", required=True)
-    boolsub = add(omp, "boolsub", _cmd_omp_boolsub, "omp boolsub")
-    boolsub.add_argument("--input", required=True)
-    boolsub.add_argument("--dot", default=None)
-    boolsub.add_argument("--emit-dot", action="store_true", dest="emit_dot")
-    omp_iso = add(omp, "caf-iso", _cmd_caf_iso, "omp caf-iso")
-    omp_iso.add_argument("--input", required=True)
-
-    cb = subparsers.add_parser("cb").add_subparsers(dest="action", required=True)
-    rank = add(cb, "rank", _cmd_cb_rank, "cb rank")
-    rank.add_argument("--ordinal", required=True)
-
-    topo = subparsers.add_parser("topo").add_subparsers(dest="action", required=True)
-    topo_check = add(topo, "check", _cmd_topo_check, "topo check")
-    topo_check.add_argument("--input", required=True)
-
-    accept = subparsers.add_parser("accept")
-    accept.add_argument("selector", nargs="?", default="all")
-    accept.add_argument("--json", action="store_true")
-    accept.set_defaults(handler=_cmd_accept, command_path="accept")
-
+    # a narrow root still names every group in the usage line of its errors
+    metavar = "{" + ",".join(dict.fromkeys(g for g, _ in _COMMANDS)) + "}" if key else None
+    subparsers = parser.add_subparsers(dest="group", required=True, metavar=metavar)
+    actions = {}
+    for group, action in [key] if key else _COMMANDS:
+        handler, specs, extra = _COMMANDS[group, action]
+        if action is None:
+            leaf = subparsers.add_parser(group)
+        else:
+            if group not in actions:
+                actions[group] = subparsers.add_parser(group).add_subparsers(
+                    dest="action", required=True
+                )
+            leaf = actions[group].add_parser(action)
+        for flags, options in specs:
+            leaf.add_argument(*flags, **options)
+        command_path = group if action is None else f"{group} {action}"
+        leaf.set_defaults(handler=handler, command_path=command_path, **extra)
     return parser
 
 

@@ -143,10 +143,6 @@ class IsoFailure(CstardomError):
 # CLI
 
 
-class UsageError(CstardomError):
-    pass
-
-
 class ParseError(CstardomError):
     pass
 

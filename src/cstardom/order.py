@@ -108,9 +108,6 @@ class FinPoset:
         self.check_element(j)
         return bool(self.up[i] >> j & 1)
 
-    def lt(self, i, j):
-        return i != j and self.leq(i, j)
-
     def bottom(self):
         """Index of the least element, or None."""
         for i in range(self.n):

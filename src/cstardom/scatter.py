@@ -305,10 +305,6 @@ class OrdinalCNF:
     def is_zero(self):
         return not self.terms
 
-    @property
-    def is_finite(self):
-        return all(e == 0 for e, _ in self.terms)
-
     def leading_exponent(self):
         if self.is_zero:
             raise BadParameters("the zero ordinal has no leading exponent")

@@ -1,11 +1,16 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstardom import acceptance, order
+import cstardom
+from cstardom import acceptance, cli, order
 from cstardom.cli import main
 from cstardom.scatter import FinTop, is_scattered_fin, is_stonean_fin
 
@@ -450,3 +455,137 @@ class TestDeterminism:
         first.pop("wall_time_s")
         second.pop("wall_time_s")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the parser built along the requested path only
+
+
+def parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+COMMAND_PATHS = [[part for part in key if part] for key in cli._COMMANDS]
+GROUPS = list(dict.fromkeys(path[0] for path in COMMAND_PATHS))
+ACTIONS = list(dict.fromkeys(path[1] for path in COMMAND_PATHS if len(path) == 2))
+FLAGS = sorted({
+    flag
+    for _, specs, _ in cli._COMMANDS.values()
+    for flags, _ in specs
+    for flag in flags
+    if flag.startswith("-")
+})
+argv_tokens = st.sampled_from(
+    GROUPS + ACTIONS + FLAGS
+    + ["-h", "--help", "--inp", "--bogus", "-x", "--", "", "zz", "x.json", "3", "-1",
+       "subalgebra", "refinement", "w^2*2+1", "all", "fast", "--input=x.json"]
+)
+argv_lists = st.one_of(
+    st.lists(argv_tokens, max_size=7),
+    st.builds(lambda path, rest: path + rest,
+              st.sampled_from(COMMAND_PATHS), st.lists(argv_tokens, max_size=6)),
+)
+
+
+class TestNarrowParser:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=argv_lists)
+    def test_same_outcome_as_the_whole_tree(self, argv):
+        assert parse_outcome(cli._build_parser(argv[:2]), argv) == parse_outcome(
+            cli._build_parser(), argv
+        )
+
+    @pytest.mark.parametrize(
+        "path", [[]] + [[group] for group in GROUPS] + COMMAND_PATHS, ids=" ".join
+    )
+    def test_help_is_that_of_the_whole_tree(self, path):
+        argv = path + ["-h"]
+        outcome = parse_outcome(cli._build_parser(argv[:2]), argv)
+        assert outcome == parse_outcome(cli._build_parser(), argv)
+        _, code, out, _ = outcome
+        assert code == 0
+        assert out.startswith(" ".join(["usage: cstardom"] + path + ["[-h]"]))
+
+
+VALID_ARGS = {
+    ("poset", "check"): ["--input", "chain3"],
+    ("poset", "report"): ["--input", "chain3"],
+    ("poset", "hasse"): ["--input", "chain3"],
+    ("eqrel", "join"): ["--a", "r", "--b", "s"],
+    ("eqrel", "meet"): ["--a", "r", "--b", "s"],
+    ("eqrel", "lattice"): ["--n", "3", "--orientation", "subalgebra", "--emit-dot"],
+    ("cantor", "verify"): ["--depth", "1"],
+    ("cantor", "chain"): ["--n", "3"],
+    ("calg", "generate"): ["--input", "diag3"],
+    ("calg", "atoms"): ["--input", "diag3"],
+    ("calg", "spectrum"): ["--input", "diag3"],
+    ("calg", "caf-iso"): ["--input", "diag3"],
+    ("calg", "lattice"): ["--input", "diag3"],
+    ("omp", "validate"): ["--input", "mo1"],
+    ("omp", "boolsub"): ["--input", "mo1"],
+    ("omp", "caf-iso"): ["--input", "diag3"],
+    ("cb", "rank"): ["--ordinal", "w^2*2+1"],
+    ("topo", "check"): ["--input", "sierp"],
+    ("accept", None): ["all"],
+}
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    count = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return count
+
+
+class TestParserConstructions:
+    @pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: " ".join(filter(None, key)))
+    def test_one_parser_per_level_of_the_path(self, key, files, capsys, monkeypatch,
+                                              parsers_built):
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda selector: [])
+        argv = [part for part in key if part]
+        argv += [files.get(arg, arg) for arg in VALID_ARGS[key]]
+        code, report = run_json(argv, capsys)
+        assert code == 0, report
+        # root, group and leaf; root and leaf for a root-level command
+        assert parsers_built[0] <= (3 if key[1] else 2)
+
+
+def console(*args):
+    """Run ``main()`` with ``argv=None``, as the console-script entry point
+    calls it, in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cstardom.__file__)))
+    code = "import sys; from cstardom.cli import main; sys.argv[0] = 'cstardom'; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestConsoleEntry:
+    def test_report(self, files):
+        proc = console("poset", "report", "--input", files["chain3"], "--json")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["command"] == "poset report" and report["exit_code"] == 0
+        assert report["results"]["report"]["algebraic"] is True
+
+    def test_group_help(self):
+        proc = console("poset", "-h")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: cstardom poset [-h] {check,report,hasse} ...")
+
+    def test_unknown_group(self):
+        proc = console("nonesuch")
+        assert proc.returncode == 2
+        assert "invalid choice: 'nonesuch'" in proc.stderr
