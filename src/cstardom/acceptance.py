@@ -141,7 +141,7 @@ def _criterion_7():
 
     mutations = 0
     elements = list(mo2.elements)
-    leq = [[mo2.leq(i, j) for j in range(mo2.n)] for i in range(mo2.n)]
+    leq = mo2.poset.to_json_dict()["leq"]
 
     # self-orthocomplement pair: excluded middle must fail on that element
     bad_ortho = list(mo2.ortho)
@@ -172,7 +172,7 @@ def _criterion_7():
 
     # identity complement on the square: antitonicity must fail
     square = ortho.power_set_omp(2)
-    sq_leq = [[square.leq(i, j) for j in range(square.n)] for i in range(square.n)]
+    sq_leq = square.poset.to_json_dict()["leq"]
     try:
         ortho.validate_omp(list(square.elements), sq_leq, list(range(square.n)))
         return False, "identity-complement mutation validated"

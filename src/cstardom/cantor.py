@@ -29,8 +29,10 @@ from fractions import Fraction
 from .errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse
 from .partitions import EqRel
 
-#: default cap on truncation depths (block counts grow as 2^depth)
+#: cap on truncation depths (block counts grow as 2^depth)
 MAX_DEPTH = 10
+#: cap on grid resolutions m (the grid k/3^m has 3^m + 1 points)
+GRID_MAX = 8
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -162,24 +164,24 @@ def _stage_level(length):
     ]
 
 
-def relation_R(depth, max_depth=MAX_DEPTH):
+def relation_R(depth):
     """Middle-thirds relation truncated at the given depth.
 
     One block [b, c] per binary string of length <= depth; the blocks are
     pairwise disjoint (a point in two middle thirds would pin down the same
     string twice), which the constructor re-checks.
     """
-    if not 0 <= depth <= max_depth:
-        raise DepthLimit(depth, max_depth)
+    if not 0 <= depth <= MAX_DEPTH:
+        raise DepthLimit(depth, MAX_DEPTH)
     return TriRel(
         (b, c) for length in range(depth + 1) for _, b, c, _ in _stage_level(length)
     )
 
 
-def relation_S(n, max_depth=MAX_DEPTH):
+def relation_S(n):
     """First-and-last-thirds relation: one block [a, d] per string of length n."""
-    if not 0 <= n <= max_depth:
-        raise DepthLimit(n, max_depth)
+    if not 0 <= n <= MAX_DEPTH:
+        raise DepthLimit(n, MAX_DEPTH)
     return TriRel((a, d) for a, _, _, d in _stage_level(n))
 
 
@@ -262,7 +264,7 @@ class CounterexampleReport:
         }
 
 
-def verify_counterexample(depth, max_depth=MAX_DEPTH):
+def verify_counterexample(depth):
     """Check the distributivity failure at truncation depth ``depth``.
 
     With R the truncated middle-thirds relation and S_n the shrinking
@@ -274,10 +276,10 @@ def verify_counterexample(depth, max_depth=MAX_DEPTH):
     stage as soon as any assertion breaks; returns the full report
     otherwise.
     """
-    if not 0 <= depth <= max_depth:
-        raise DepthLimit(depth, max_depth)
-    r = relation_R(depth, max_depth)
-    family = {n: relation_S(n, max_depth) for n in range(1, depth + 1)}
+    if not 0 <= depth <= MAX_DEPTH:
+        raise DepthLimit(depth, MAX_DEPTH)
+    r = relation_R(depth)
+    family = {n: relation_S(n) for n in range(1, depth + 1)}
     checks = []
 
     def record(name, passed, witness):
@@ -351,7 +353,7 @@ def _chain_level(r, length, s_next, joined):
 # grid restriction (bridge to finite equivalence relations)
 
 
-def sample_to_grid(x, m, max_resolution=8):
+def sample_to_grid(x, m):
     """Restrict a block relation to the grid k/3^m, 0 <= k <= 3^m.
 
     All block endpoints must lie on the grid, else the restriction could
@@ -359,8 +361,8 @@ def sample_to_grid(x, m, max_resolution=8):
     the restriction turns joins of block relations into joins of finite
     relations.
     """
-    if not 0 <= m <= max_resolution:
-        raise DepthLimit(m, max_resolution)
+    if not 0 <= m <= GRID_MAX:
+        raise DepthLimit(m, GRID_MAX)
     scale = 3**m
     spans = []
     for l, u in x.blocks:

@@ -37,12 +37,6 @@ class ElementNotInPoset(CstardomError):
         self.element = element
 
 
-class MeetNotDefined(CstardomError):
-    def __init__(self, i, j):
-        super().__init__(f"elements {i} and {j} have no greatest lower bound")
-        self.pair = (i, j)
-
-
 # ---------------------------------------------------------------------------
 # size / range guards
 

@@ -1,8 +1,8 @@
 """Finite partially ordered sets and domain-style property checks.
 
-The order relation is kept as per-element bitmasks, which keeps the
-exhaustive routines (up-set generation, topologies, the directed-subset
-reference oracle) affordable at the poset sizes this library targets.
+The order relation is kept only as per-element up-set bitmasks; a boolean
+``leq`` table is read by :func:`validate_poset` alone and written by
+:meth:`FinPoset.to_json_dict` alone, for outside input and output.
 
 Each property flag is computed by one route, and reports record which.  On
 a finite poset every directed set contains its supremum, so way-below is
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .errors import (
     BadParameters,
     ElementNotInPoset,
-    MeetNotDefined,
     NotAntisymmetric,
     NotReflexive,
     NotTransitive,
@@ -57,29 +56,22 @@ class FinPoset:
     """Finite poset over opaque labels.
 
     ``up[i]`` / ``dn[i]`` are bitmasks of the principal filter / ideal of
-    element ``i``.  Instances are immutable by convention; all derived data
-    is cached on first use.  Construct through :func:`validate_poset` unless
-    the table is known to be a valid order.
+    element ``i``.  The constructor takes ``up`` unchecked and derives
+    ``dn``; a boolean ``leq`` table from outside goes through
+    :func:`validate_poset`.  Instances are immutable by convention; all
+    derived data is cached on first use.
     """
 
-    def __init__(self, elements, leq_table, orientation=None, payloads=None):
+    def __init__(self, elements, up, orientation=None, payloads=None):
         self.elements = tuple(elements)
         self.n = len(self.elements)
         if self.n == 0:
             raise BadParameters("empty poset is not allowed")
-        up = []
-        for i in range(self.n):
-            row = leq_table[i]
-            mask = 0
-            for j in range(self.n):
-                if row[j]:
-                    mask |= 1 << j
-            up.append(mask)
-        dn = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(up[i]):
-                dn[j] |= 1 << i
         self.up = tuple(up)
+        dn = [0] * self.n
+        for i, mask in enumerate(self.up):
+            for j in iter_bits(mask):
+                dn[j] |= 1 << i
         self.dn = tuple(dn)
         self.full_mask = (1 << self.n) - 1
         self.orientation = orientation
@@ -225,8 +217,7 @@ class FinPoset:
         return self._covers
 
     def dual(self):
-        table = [[bool(self.dn[i] >> j & 1) for j in range(self.n)] for i in range(self.n)]
-        return FinPoset(self.elements, table, orientation=None, payloads=self.payloads)
+        return FinPoset(self.elements, self.dn, payloads=self.payloads)
 
     # -- serialization -----------------------------------------------------
 
@@ -256,8 +247,8 @@ def validate_poset(elements, leq, orientation=None, payloads=None):
 
     ``leq`` is a square boolean table over ``elements``, whose labels must
     be distinct.  Raises BadParameters for a malformed table or labels, then
-    the first violation found: NotReflexive(i), NotAntisymmetric(i, j) or
-    NotTransitive(i, j, k).
+    packs the rows into masks and raises the first violation found:
+    NotReflexive(i), NotAntisymmetric(i, j) or NotTransitive(i, j, k).
     """
     if not isinstance(elements, (list, tuple)):
         raise BadParameters("elements must be a list of labels")
@@ -277,20 +268,21 @@ def validate_poset(elements, leq, orientation=None, payloads=None):
         raise BadParameters("leq must be a square table over the elements")
     if not all(type(cell) is bool for row in leq for cell in row):
         raise BadParameters("leq cells must be booleans")
+    up = [int("".join("1" if cell else "0" for cell in reversed(row)), 2) for row in leq]
+    poset = FinPoset(elements, up, orientation=orientation, payloads=payloads)
+    dn = poset.dn
     for i in range(n):
-        if not leq[i][i]:
+        if not up[i] >> i & 1:
             raise NotReflexive(i)
     for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAntisymmetric(i, j)
-    poset = FinPoset(elements, leq, orientation=orientation, payloads=payloads)
+        both = up[i] & dn[i] & ~((2 << i) - 1)
+        if both:
+            raise NotAntisymmetric(i, next(iter_bits(both)))
     for i in range(n):
-        for j in iter_bits(poset.up[i]):
-            missing = poset.up[j] & ~poset.up[i]
+        for j in iter_bits(up[i]):
+            missing = up[j] & ~up[i]
             if missing:
-                k = next(iter_bits(missing))
-                raise NotTransitive(i, j, k)
+                raise NotTransitive(i, j, next(iter_bits(missing)))
     return poset
 
 
@@ -522,7 +514,7 @@ class DomainReport:
         return data
 
 
-def domain_report(poset, require_meets=False):
+def domain_report(poset):
     """Run all seven property checks and collect witnesses for failures."""
     report = DomainReport()
     report.paths["way_below"] = "theorem"
@@ -534,7 +526,7 @@ def domain_report(poset, require_meets=False):
     report.continuous = True
     report.paths["continuous"] = "theorem"
 
-    _meet_continuity(poset, report, require_meets)
+    _meet_continuity(poset, report)
     _atomistic(poset, report)
 
     # quasi-continuous and quasi-algebraic: for a compact c, {c} is the least
@@ -553,13 +545,11 @@ def domain_report(poset, require_meets=False):
     return report
 
 
-def _meet_continuity(poset, report, require_meets):
+def _meet_continuity(poset, report):
     meet = poset.meets()
     for i in range(poset.n):
         for j in range(i, poset.n):
             if meet[i][j] is None:
-                if require_meets:
-                    raise MeetNotDefined(i, j)
                 report.meet_continuous = None
                 report.witnesses["meet_continuous"] = {
                     "not_applicable": "missing binary meet",
@@ -633,5 +623,4 @@ def random_poset(rng, n, edge_prob=0.35):
         i = order[a]
         for j in iter_bits(up[i] & ~(1 << i)):
             up[i] |= up[j]
-    table = [[bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
-    return validate_poset([f"e{i}" for i in range(n)], table)
+    return FinPoset([f"e{i}" for i in range(n)], up)

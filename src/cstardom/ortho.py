@@ -82,16 +82,18 @@ def validate_omp(elements, leq, ortho):
             if not poset.leq(ortho[q], ortho[p]):
                 raise AxiomViolated("antitone", (p, q))
     omp = OMP(poset, ortho, one)
+    joins = poset.joins()
     for p in range(n):
-        if omp.join(p, ortho[p]) != one:
+        if joins[p][ortho[p]] != one:
             raise AxiomViolated("excluded-middle", (p,))
     for p in range(n):
         for q in range(n):
-            if poset.leq(p, ortho[q]) and omp.join(p, q) is None:
+            if poset.leq(p, ortho[q]) and joins[p][q] is None:
                 raise AxiomViolated("orthogonal-join", (p, q))
+    meets = poset.meets()
     for p in range(n):
         for q in range(n):
-            if poset.leq(ortho[q], p) and omp.meet(p, q) == omp.zero and p != ortho[q]:
+            if poset.leq(ortho[q], p) and meets[p][q] == omp.zero and p != ortho[q]:
                 raise AxiomViolated("orthomodular", (p, q))
     return omp
 
@@ -179,19 +181,20 @@ def _close_boolean(omp, seed_mask):
     or join in the ambient poset (no Boolean subalgebra can contain the
     seed in that case).
     """
+    meets, joins, ortho = omp.poset.meets(), omp.poset.joins(), omp.ortho
     mask = seed_mask | (1 << omp.zero) | (1 << omp.one)
     for p in iter_bits(seed_mask):
-        mask |= 1 << omp.ortho[p]
+        mask |= 1 << ortho[p]
     while True:
         added = 0
         members = list(iter_bits(mask))
         for a, b in itertools.combinations(members, 2):
-            for bound in (omp.meet(a, b), omp.join(a, b)):
+            for bound in (meets[a][b], joins[a][b]):
                 if bound is None:
                     return None
                 bit = 1 << bound
                 if not mask & bit:
-                    added |= bit | (1 << omp.ortho[bound])
+                    added |= bit | (1 << ortho[bound])
         if not added:
             return mask
         mask |= added
@@ -199,20 +202,20 @@ def _close_boolean(omp, seed_mask):
 
 def _is_boolean_mask(omp, mask):
     """Distributivity and complement laws on a closed subset."""
+    meets, joins = omp.poset.meets(), omp.poset.joins()
     members = list(iter_bits(mask))
     for p in members:
-        if omp.meet(p, omp.ortho[p]) != omp.zero:
+        if meets[p][omp.ortho[p]] != omp.zero:
             return False
     for p, q, r in itertools.product(members, repeat=3):
-        qr = omp.join(q, r)
-        lhs = omp.meet(p, qr)
-        rhs = omp.join(omp.meet(p, q), omp.meet(p, r))
+        lhs = meets[p][joins[q][r]]
+        rhs = joins[meets[p][q]][meets[p][r]]
         if lhs != rhs:
             return False
     return True
 
 
-def boolean_subalgebras(omp, size_limit=OMP_MAX):
+def boolean_subalgebras(omp):
     """All Boolean subalgebras, as a poset ordered by inclusion.
 
     Enumeration grows closures of generator sets: starting from the
@@ -220,8 +223,8 @@ def boolean_subalgebras(omp, size_limit=OMP_MAX):
     Every Boolean subalgebra is reached this way, because closing a subset
     of a Boolean subalgebra stays inside it.
     """
-    if omp.n > size_limit:
-        raise SizeLimit("orthomodular poset size", omp.n, size_limit)
+    if omp.n > OMP_MAX:
+        raise SizeLimit("orthomodular poset size", omp.n, OMP_MAX)
     base = _close_boolean(omp, 0)
     if base is None or not _is_boolean_mask(omp, base):
         raise NotBoolean("the bounds {0, 1} do not span a Boolean subalgebra")
@@ -244,14 +247,14 @@ def boolean_subalgebras(omp, size_limit=OMP_MAX):
                 rejected.add(closed)
     masks = sorted(found, key=lambda m: (m.bit_count(), m))
     subs = [BoolSub(omp, m) for m in masks]
-    table = [[(a.mask & ~b.mask) == 0 for b in subs] for a in subs]
+    up = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks]
     labels = ["{" + ",".join(str(lbl) for lbl in sub.labels()) + "}" for sub in subs]
-    return validate_poset(labels, table, payloads=subs)
+    return FinPoset(labels, up, payloads=subs)
 
 
-def blocks(omp, size_limit=OMP_MAX):
+def blocks(omp):
     """Maximal Boolean subalgebras."""
-    poset = boolean_subalgebras(omp, size_limit)
+    poset = boolean_subalgebras(omp)
     return [
         poset.payloads[i]
         for i in range(poset.n)
@@ -284,7 +287,7 @@ class CafIsoReport:
         }
 
 
-def verify_caf_iso(algebra, size_limit=CAF_MAX):
+def verify_caf_iso(algebra):
     """Match the subalgebra lattice with the Boolean subalgebras of projections.
 
     Both sides are enumerated independently: the subalgebra lattice from
@@ -295,8 +298,8 @@ def verify_caf_iso(algebra, size_limit=CAF_MAX):
     """
     projections = minimal_projections(algebra)  # also rejects noncommutative input
     k = len(projections)
-    if k > size_limit:
-        raise SizeLimit("spectrum size", k, size_limit)
+    if k > CAF_MAX:
+        raise SizeLimit("spectrum size", k, CAF_MAX)
 
     proj_omp = power_set_omp(k)
     bool_poset = boolean_subalgebras(proj_omp)

@@ -3,17 +3,20 @@
 A partition doubles as the dual picture of a commutative subalgebra of the
 functions on its ground set: finer partition, larger subalgebra.  The
 lattice constructor therefore exposes two orientations and forces callers
-to pick one.
+to pick one.  Its order is built from covers, without comparing pairs: a
+partition's upper covers in the refinement order are the merges of two of
+its blocks (Davey & Priestley, Introduction to Lattices and Order, 2002).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import itemgetter
 
 from .errors import BadParameters, GroundMismatch, OutOfRange, SizeLimit
-from .order import validate_poset
+from .order import FinPoset
 
-#: default guard for partition-lattice construction (Bell(8) = 4140 nodes)
+#: guard for partition-lattice construction (Bell(8) = 4140 nodes)
 LATTICE_MAX = 8
 
 ORIENT_REFINEMENT = "refinement"
@@ -179,7 +182,7 @@ def all_partitions(ground):
     return sorted(rels, key=lambda rel: (len(rel.classes), rel.classes))
 
 
-def partition_lattice(n, orientation, size_limit=LATTICE_MAX):
+def partition_lattice(n, orientation):
     """Poset of all partitions of {1..n}.
 
     ``orientation`` must be chosen explicitly: in the refinement order a
@@ -191,18 +194,26 @@ def partition_lattice(n, orientation, size_limit=LATTICE_MAX):
         raise BadParameters(
             f"orientation must be {ORIENT_REFINEMENT!r} or {ORIENT_SUBALGEBRA!r}"
         )
-    if not 1 <= n <= size_limit:
-        raise SizeLimit("partition lattice ground size", n, size_limit)
+    if not 1 <= n <= LATTICE_MAX:
+        raise SizeLimit("partition lattice ground size", n, LATTICE_MAX)
     rels = all_partitions(range(1, n + 1))
-    table = []
-    for a in rels:
-        if orientation == ORIENT_REFINEMENT:
-            table.append([a.refines(b) for b in rels])
-        else:
-            table.append([b.refines(a) for b in rels])
-    return validate_poset(
-        [label_of(rel) for rel in rels], table, orientation=orientation, payloads=rels
-    )
+    index = {rel.classes: i for i, rel in enumerate(rels)}
+    # rels come in block-count order, so every merge of two blocks (one
+    # block fewer) has its mask of coarser partitions before the partition
+    coarser = []
+    for i, rel in enumerate(rels):
+        classes, mask = rel.classes, 1 << i
+        for a, b in combinations(range(len(classes)), 2):
+            # the merged block keeps block a's least member, hence its place
+            block = tuple(sorted(classes[a] + classes[b]))
+            merged = classes[:a] + (block,) + classes[a + 1 : b] + classes[b + 1 :]
+            mask |= coarser[index[merged]]
+        coarser.append(mask)
+    labels = [label_of(rel) for rel in rels]
+    poset = FinPoset(labels, coarser, orientation=ORIENT_REFINEMENT, payloads=rels)
+    if orientation == ORIENT_SUBALGEBRA:
+        poset = FinPoset(labels, poset.dn, orientation=ORIENT_SUBALGEBRA, payloads=rels)
+    return poset
 
 
 def collapse(n, subset):

@@ -20,8 +20,9 @@ from .partitions import EqRel, collapse
 
 #: ordinal exponents stay below this (desk scale)
 EXPONENT_MAX = 9
-#: the layer-counting oracle applies below w^3
+#: the layer-counting oracle applies below w^3, to coefficients up to 3
 ORACLE_EXPONENT_MAX = 2
+ORACLE_COEFFICIENT_MAX = 3
 
 
 class FinTop:
@@ -378,7 +379,7 @@ def cb_rank_ord(alpha):
     return rank
 
 
-def cb_derivative_ord_oracle(alpha, coefficient_limit=3):
+def cb_derivative_ord_oracle(alpha):
     """Independent derivative for ordinals below w^3.
 
     Counts the limit ordinals directly: they come in runs indexed by the
@@ -395,8 +396,8 @@ def cb_derivative_ord_oracle(alpha, coefficient_limit=3):
     # only the infinite terms feed the run enumeration; the finite part
     # contributes no limit ordinals and may be arbitrarily large
     enumerated = [c for e, c in alpha.terms if e >= 1]
-    if any(c > coefficient_limit for c in enumerated):
-        raise SizeLimit("oracle coefficient", max(enumerated), coefficient_limit)
+    if any(c > ORACLE_COEFFICIENT_MAX for c in enumerated):
+        raise SizeLimit("oracle coefficient", max(enumerated), ORACLE_COEFFICIENT_MAX)
     a, b = by_exp.get(2, 0), by_exp.get(1, 0)
     if a == 0:
         # finite layer: enumerate the multiples of w up to the bound

@@ -655,7 +655,7 @@ def block_sum_algebra(projections, partition, dim):
     return StarAlgebra(dim, sums, generators=tuple(sums))
 
 
-def c_lattice(algebra, size_limit=LATTICE_MAX):
+def c_lattice(algebra):
     """Lattice of the subalgebras of a commutative projection-generated algebra.
 
     Nodes, labels and order are the spectrum's partition lattice in the
@@ -667,13 +667,12 @@ def c_lattice(algebra, size_limit=LATTICE_MAX):
     """
     projections = minimal_projections(algebra)
     k = len(projections)
-    if k > size_limit:
-        raise SizeLimit("spectrum size", k, size_limit)
-    lattice = partition_lattice(k, ORIENT_SUBALGEBRA, size_limit=size_limit)
+    if k > LATTICE_MAX:
+        raise SizeLimit("spectrum size", k, LATTICE_MAX)
+    lattice = partition_lattice(k, ORIENT_SUBALGEBRA)
     labels = lattice.elements
     algebras = [block_sum_algebra(projections, rel, algebra.dim) for rel in lattice.payloads]
-    table = [[bool(mask >> j & 1) for j in range(lattice.n)] for mask in lattice.up]
-    poset = FinPoset(labels, table, orientation=ORIENT_SUBALGEBRA, payloads=algebras)
+    poset = FinPoset(labels, lattice.up, orientation=ORIENT_SUBALGEBRA, payloads=algebras)
     for i, j in poset.covers():
         if not algebras[j].contains_algebra(algebras[i]):
             raise AssertionFailed(f"subalgebra {labels[j]} does not contain {labels[i]}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cstardom.cantor import (
     DIAGONAL,
     FULL,
+    GRID_MAX,
     MAX_DEPTH,
     TriRel,
     _stage_level,
@@ -162,6 +163,14 @@ class TestRelationConstruction:
         with pytest.raises(DepthLimit):
             relation_S(-1)
 
+    def test_at_and_past_the_depth_limit(self):
+        assert len(relation_R(MAX_DEPTH).blocks) == 2 ** (MAX_DEPTH + 1) - 1
+        assert len(relation_S(MAX_DEPTH).blocks) == 2**MAX_DEPTH
+        for build in (relation_R, relation_S):
+            with pytest.raises(DepthLimit) as info:
+                build(MAX_DEPTH + 1)
+            assert (info.value.depth, info.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
+
     @pytest.mark.parametrize("n", range(9))
     def test_s_family_nests(self, n):
         assert relation_S(n + 1).blocks != relation_S(n).blocks
@@ -277,8 +286,9 @@ class TestCounterexample:
         assert f"chain_level:{depth - 1}" in names
 
     def test_depth_limit(self):
-        with pytest.raises(DepthLimit):
-            verify_counterexample(11)
+        with pytest.raises(DepthLimit) as info:
+            verify_counterexample(MAX_DEPTH + 1)
+        assert (info.value.depth, info.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
 
     def test_at_the_depth_limit(self):
         report = verify_counterexample(MAX_DEPTH)
@@ -291,7 +301,7 @@ class TestCounterexample:
         # degrade the shrinking family to the diagonal: the very first
         # fullness assertion must abort and name its check
         monkeypatch.setattr(
-            cantor_module, "relation_S", lambda n, max_depth=10: DIAGONAL
+            cantor_module, "relation_S", lambda n: DIAGONAL
         )
         with pytest.raises(AssertionFailed) as info:
             cantor_module.verify_counterexample(1)
@@ -302,9 +312,9 @@ class TestCounterexample:
 
         built = []
 
-        def counted(n, max_depth=10):
+        def counted(n):
             built.append(n)
-            return relation_S(n, max_depth)
+            return relation_S(n)
 
         monkeypatch.setattr(cantor_module, "relation_S", counted)
         assert cantor_module.verify_counterexample(4).passed
@@ -368,10 +378,16 @@ class TestGrid:
     def test_finest_grid_stays_fast(self):
         # 3^8 + 1 = 6562 grid points in one class
         start = time.perf_counter()
-        sampled = sample_to_grid(TriRel([(0, 1)]), 8)
+        sampled = sample_to_grid(TriRel([(0, 1)]), GRID_MAX)
         assert len(sampled.ground) == 6562 and len(sampled.classes) == 1
         assert EqRel.diagonal(sampled.ground).refines(sampled)
         assert time.perf_counter() - start < 2.0
+
+    def test_past_the_finest_grid(self):
+        for m in (-1, GRID_MAX + 1):
+            with pytest.raises(DepthLimit) as info:
+                sample_to_grid(FULL, m)
+            assert (info.value.depth, info.value.limit) == (m, GRID_MAX)
 
 
 class TestDenseChain:

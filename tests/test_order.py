@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cstardom import order
 from cstardom.errors import (
@@ -53,6 +54,49 @@ def posets(draw, max_size=8):
     n = draw(st.integers(min_value=1, max_value=max_size))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_poset(random.Random(seed), n)
+
+
+@st.composite
+def square_tables(draw, max_size=7):
+    """Square boolean tables: orders, orders with a few cells flipped, and
+    random tables, some made reflexive and antisymmetric so that only
+    transitivity can fail."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    kind = draw(st.sampled_from(["order", "flipped", "upper", "random"]))
+    if kind in ("order", "flipped"):
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        leq = random_poset(random.Random(seed), n).to_json_dict()["leq"]
+        if kind == "flipped":
+            for _ in range(draw(st.integers(min_value=1, max_value=3))):
+                i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+                leq[i][j] = not leq[i][j]
+        return leq
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    leq = [cells[i * n : (i + 1) * n] for i in range(n)]
+    if kind == "upper":
+        leq = [[i == j or (i < j and leq[i][j]) for j in range(n)] for i in range(n)]
+    return leq
+
+
+def table_order_faults(leq):
+    """The order checks read off the bool table cell by cell: raise the
+    first reflexive, then antisymmetric, then transitive fault, scanning
+    indices in increasing order.  The reference for the mask-based checks
+    of validate_poset."""
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            raise NotReflexive(i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise NotAntisymmetric(i, j)
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        raise NotTransitive(i, j, k)
 
 
 # Reference implementations by the definitions, over every directed subset
@@ -144,6 +188,25 @@ class TestValidation:
     def test_non_square_rejected(self):
         with pytest.raises(BadParameters):
             validate_poset(["a"], [[True, False]])
+
+    @settings(max_examples=400, deadline=None)
+    @given(square_tables())
+    @example([[False, False], [False, True]])
+    @example([[True, True], [True, True]])
+    @example([[True, True, False], [False, True, True], [False, False, True]])
+    def test_witnesses_match_the_table_reference(self, leq):
+        elements = [f"e{i}" for i in range(len(leq))]
+        try:
+            table_order_faults(leq)
+        except (NotReflexive, NotAntisymmetric, NotTransitive) as expected:
+            with pytest.raises(type(expected)) as info:
+                validate_poset(elements, leq)
+            assert vars(info.value) == vars(expected)
+            assert str(info.value) == str(expected)
+        else:
+            poset = validate_poset(elements, leq)
+            for i, j in itertools.product(range(poset.n), repeat=2):
+                assert poset.leq(i, j) == leq[i][j]
 
     def test_unknown_element(self):
         with pytest.raises(ElementNotInPoset):
@@ -401,12 +464,6 @@ class TestDomainReport:
         report = domain_report(antichain(2))
         assert report.atomistic is None
 
-    def test_explicitly_required_meets_raise(self):
-        from cstardom.errors import MeetNotDefined
-
-        with pytest.raises(MeetNotDefined):
-            domain_report(antichain(2), require_meets=True)
-
     @settings(max_examples=30, deadline=None)
     @given(posets())
     def test_order_scattered_always(self, poset):
@@ -497,6 +554,11 @@ class TestSerialization:
 
     def test_dual_is_involution(self):
         poset = partition_lattice(3, ORIENT_REFINEMENT)
-        assert poset.dual().dual() == FinPoset(poset.elements, [
-            [bool(poset.up[i] >> j & 1) for j in range(poset.n)] for i in range(poset.n)
-        ])
+        assert poset.dual().up == poset.dn and poset.dual().dn == poset.up
+        assert poset.dual().dual() == FinPoset(poset.elements, poset.up)
+
+    @settings(max_examples=60, deadline=None)
+    @given(posets(max_size=10))
+    def test_random_poset_round_trips_through_validation(self, poset):
+        data = poset.to_json_dict()
+        assert validate_poset(data["elements"], data["leq"]) == poset

@@ -4,6 +4,8 @@ import pytest
 
 from cstardom.errors import AxiomViolated, BadParameters, NotBoolean, SizeLimit
 from cstardom.ortho import (
+    CAF_MAX,
+    OMP_MAX,
     blocks,
     boolean_subalgebras,
     mo_omp,
@@ -192,8 +194,11 @@ class TestBooleanSubalgebras:
                 assert poset.leq(i, j) == reference.leq(mapping[i], mapping[j])
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            boolean_subalgebras(power_set_omp(4), size_limit=8)
+        # 2^5 = OMP_MAX elements pass; 2^6 do not
+        assert boolean_subalgebras(power_set_omp(5)).n == bell_number(5)
+        with pytest.raises(SizeLimit) as info:
+            boolean_subalgebras(power_set_omp(6))
+        assert (info.value.value, info.value.limit) == (64, OMP_MAX)
 
 
 class TestBlocks:
@@ -235,8 +240,10 @@ class TestCafIso:
         assert report.size == 2
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            verify_caf_iso(self.diagonal(4), size_limit=3)
+        assert verify_caf_iso(self.diagonal(CAF_MAX)).size == bell_number(CAF_MAX)
+        with pytest.raises(SizeLimit) as info:
+            verify_caf_iso(self.diagonal(CAF_MAX + 1))
+        assert (info.value.value, info.value.limit) == (CAF_MAX + 1, CAF_MAX)
 
     def test_default_guard_is_the_spectrum_guard(self):
         # a 6-point spectrum would give a 64-element power set, beyond OMP_MAX

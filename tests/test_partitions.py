@@ -4,9 +4,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cstardom import order, ortho, partitions, staralg
 from cstardom.errors import BadParameters, GroundMismatch, OutOfRange, SizeLimit
 from cstardom.order import glb, lub
 from cstardom.partitions import (
+    LATTICE_MAX,
     ORIENT_REFINEMENT,
     ORIENT_SUBALGEBRA,
     EqRel,
@@ -23,6 +25,22 @@ from cstardom.partitions import (
 
 def rel(n, *classes):
     return EqRel(range(1, n + 1), classes)
+
+
+def refines_lattice(n, orientation):
+    """The partition lattice by its definition: ``refines`` on all n^2
+    pairs of partitions, read through the checked constructor.  The
+    reference for the merge-cover build of partition_lattice."""
+    rels = all_partitions(range(1, n + 1))
+    table = []
+    for a in rels:
+        if orientation == ORIENT_REFINEMENT:
+            table.append([a.refines(b) for b in rels])
+        else:
+            table.append([b.refines(a) for b in rels])
+    return order.validate_poset(
+        [label_of(rel) for rel in rels], table, orientation=orientation, payloads=rels
+    )
 
 
 @st.composite
@@ -143,10 +161,22 @@ class TestPartitionLattice:
         assert poset.n == count == bell_number(n)
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            partition_lattice(9, ORIENT_SUBALGEBRA)
+        assert partition_lattice(LATTICE_MAX, ORIENT_SUBALGEBRA).n == bell_number(LATTICE_MAX)
+        with pytest.raises(SizeLimit) as info:
+            partition_lattice(LATTICE_MAX + 1, ORIENT_SUBALGEBRA)
+        assert (info.value.value, info.value.limit) == (LATTICE_MAX + 1, LATTICE_MAX)
         with pytest.raises(SizeLimit):
             partition_lattice(0, ORIENT_SUBALGEBRA)
+
+    @pytest.mark.parametrize("orientation", [ORIENT_REFINEMENT, ORIENT_SUBALGEBRA])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_the_refines_definition(self, n, orientation):
+        built = partition_lattice(n, orientation)
+        reference = refines_lattice(n, orientation)
+        assert built.up == reference.up
+        assert built.elements == reference.elements
+        assert built.payloads == reference.payloads
+        assert built.orientation == reference.orientation == orientation
 
     def test_orientation_required(self):
         with pytest.raises(BadParameters):
@@ -190,6 +220,45 @@ class TestPartitionLattice:
         rels = poset.payloads
         for i, j in itertools.product(range(poset.n), repeat=2):
             assert poset.leq(i, j) == rels[j].refines(rels[i])
+
+
+class TestWorkCounters:
+    """The lattice builders compare no pair of partitions and read no bool
+    table: both calls are counted and must stay at zero."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"refines": 0, "validate_poset": 0}
+        refines, validate = EqRel.refines, order.validate_poset
+
+        def counted_refines(self, other):
+            counts["refines"] += 1
+            return refines(self, other)
+
+        def counted_validate(*args, **kwargs):
+            counts["validate_poset"] += 1
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(EqRel, "refines", counted_refines)
+        # every module binding of the name, as an import by name would see it
+        for module in (order, partitions, staralg, ortho):
+            if getattr(module, "validate_poset", None) is validate:
+                monkeypatch.setattr(module, "validate_poset", counted_validate)
+        return counts
+
+    def test_the_counters_see_the_reference(self, calls):
+        refines_lattice(3, ORIENT_REFINEMENT)
+        assert calls == {"refines": 25, "validate_poset": 1}
+
+    @pytest.mark.parametrize("orientation", [ORIENT_REFINEMENT, ORIENT_SUBALGEBRA])
+    def test_partition_lattice(self, calls, orientation):
+        partition_lattice(7, orientation)
+        assert calls == {"refines": 0, "validate_poset": 0}
+
+    def test_c_lattice(self, calls):
+        gens = [staralg.Matrix.diag([1] * (j + 1) + [0] * (4 - j)) for j in range(4)]
+        staralg.c_lattice(staralg.generated_algebra(gens, dim=5))
+        assert calls == {"refines": 0, "validate_poset": 0}
 
 
 class TestCollapseQuotient:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cstardom.errors import BadParameters, ParseError, SizeLimit
 from cstardom.scatter import (
+    ORACLE_COEFFICIENT_MAX,
     FinTop,
     OrdinalCNF,
     cb_derivative_fin,
@@ -351,6 +352,15 @@ class TestOrdinalDerivative:
         terms = tuple((e, dict(raw_terms)[e]) for e in exponents)
         alpha = OrdinalCNF(terms)
         assert cb_derivative_ord(alpha) == cb_derivative_ord_oracle(alpha)
+
+    def test_oracle_coefficient_guard(self):
+        limit = ORACLE_COEFFICIENT_MAX
+        alpha = OrdinalCNF(((2, limit), (1, limit), (0, 100)))
+        assert cb_derivative_ord(alpha) == cb_derivative_ord_oracle(alpha)
+        for terms in (((2, limit + 1),), ((2, 1), (1, limit + 1))):
+            with pytest.raises(SizeLimit) as info:
+                cb_derivative_ord_oracle(OrdinalCNF(terms))
+            assert (info.value.value, info.value.limit) == (limit + 1, limit)
 
     @pytest.mark.parametrize("value", [0, 1, 4, 7])
     def test_finite_ordinals_match_explicit_spaces(self, value):

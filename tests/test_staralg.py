@@ -22,6 +22,7 @@ from cstardom.errors import (
 )
 from cstardom.order import lub
 from cstardom.partitions import (
+    LATTICE_MAX,
     ORIENT_SUBALGEBRA,
     EqRel,
     collapse,
@@ -530,8 +531,12 @@ class TestCLattice:
         assert lattice.up == reference.up
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            c_lattice(diagonal_algebra(4), size_limit=3)
+        # partition_lattice admits LATTICE_MAX points (tested there); c_lattice
+        # on that many takes tens of seconds, so only one past it is run here
+        with pytest.raises(SizeLimit) as info:
+            c_lattice(diagonal_algebra(LATTICE_MAX + 1))
+        assert info.value.what == "spectrum size"
+        assert (info.value.value, info.value.limit) == (LATTICE_MAX + 1, LATTICE_MAX)
 
 
 class TestCLatticeCertificate:
