@@ -111,13 +111,10 @@ def _criterion_5():
         resolution = depth + 1
         relations = [cantor.relation_R(depth), cantor.DIAGONAL]
         relations.extend(cantor.relation_S(n) for n in range(1, depth + 1))
-        for x, y in itertools.product(relations, repeat=2):
+        grids = [cantor.sample_to_grid(x, resolution) for x in relations]
+        for (x, gx), (y, gy) in itertools.product(zip(relations, grids), repeat=2):
             joined = cantor.sample_to_grid(cantor.tri_join(x, y), resolution)
-            separate = partitions.join(
-                cantor.sample_to_grid(x, resolution),
-                cantor.sample_to_grid(y, resolution),
-            )
-            if joined != separate:
+            if joined != partitions.join(gx, gy):
                 return False, f"depth {depth}: grid join mismatch"
             checked += 1
     return True, f"{checked} pairs, grid join equals join of grids"

@@ -357,9 +357,12 @@ def sample_to_grid(x, m):
     """Restrict a block relation to the grid k/3^m, 0 <= k <= 3^m.
 
     All block endpoints must lie on the grid, else the restriction could
-    misrepresent connectivity (GridTooCoarse).  At sufficient resolution
-    the restriction turns joins of block relations into joins of finite
-    relations.
+    misrepresent connectivity (GridTooCoarse).  Block [l, u] becomes the
+    run of grid indices l*3^m .. u*3^m and every other grid point a
+    singleton.  The blocks are sorted and strictly separated, so the runs
+    are written straight into the relation's label vector, without the
+    checked constructor.  At sufficient resolution the restriction turns
+    joins of block relations into joins of finite relations.
     """
     if not 0 <= m <= GRID_MAX:
         raise DepthLimit(m, GRID_MAX)
@@ -370,16 +373,17 @@ def sample_to_grid(x, m):
             if (endpoint * scale).denominator != 1:
                 raise GridTooCoarse(endpoint, m)
         spans.append((int(l * scale), int(u * scale)))
-    points = [Fraction(k, scale) for k in range(scale + 1)]
-    # block [l, u] is the run of grid indices l*3^m .. u*3^m; the rest are singletons
-    classes = []
-    start = 0
+    points = tuple(Fraction(k, scale) for k in range(scale + 1))
+    # grid index k is labelled k - merged, where merged counts the points
+    # folded into earlier runs
+    labels, merged, start = [], 0, 0
     for lo, hi in spans:
-        classes.extend([p] for p in points[start:lo])
-        classes.append(points[lo : hi + 1])
+        labels.extend(range(start - merged, lo - merged))
+        labels.extend([lo - merged] * (hi - lo + 1))
+        merged += hi - lo
         start = hi + 1
-    classes.extend([p] for p in points[start:])
-    return EqRel(points, classes)
+    labels.extend(range(start - merged, scale + 1 - merged))
+    return EqRel._from_labels(points, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -57,26 +57,31 @@ class FinPoset:
 
     ``up[i]`` / ``dn[i]`` are bitmasks of the principal filter / ideal of
     element ``i``.  The constructor takes ``up`` unchecked and derives
-    ``dn``; a boolean ``leq`` table from outside goes through
-    :func:`validate_poset`.  Instances are immutable by convention; all
-    derived data is cached on first use.
+    ``dn``, and :meth:`dual` swaps the two; a boolean ``leq`` table from
+    outside goes through :func:`validate_poset`.  Instances are immutable
+    by convention; all derived data is cached on first use.
     """
 
     def __init__(self, elements, up, orientation=None, payloads=None):
-        self.elements = tuple(elements)
-        self.n = len(self.elements)
-        if self.n == 0:
+        elements = tuple(elements)
+        if not elements:
             raise BadParameters("empty poset is not allowed")
-        self.up = tuple(up)
-        dn = [0] * self.n
-        for i, mask in enumerate(self.up):
+        up = tuple(up)
+        dn = [0] * len(elements)
+        for i, mask in enumerate(up):
             for j in iter_bits(mask):
                 dn[j] |= 1 << i
-        self.dn = tuple(dn)
+        self._set(elements, up, tuple(dn), orientation, payloads)
+
+    def _set(self, elements, up, dn, orientation, payloads):
+        self.elements = elements
+        self.n = len(elements)
+        self.up = up
+        self.dn = dn
         self.full_mask = (1 << self.n) - 1
         self.orientation = orientation
         self.payloads = tuple(payloads) if payloads is not None else None
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._index = {e: i for i, e in enumerate(elements)}
         self._directed = None
         self._covers = None
         self._meets = None
@@ -216,8 +221,12 @@ class FinPoset:
             self._covers = tuple(out)
         return self._covers
 
-    def dual(self):
-        return FinPoset(self.elements, self.dn, payloads=self.payloads)
+    def dual(self, orientation=None):
+        """The opposite order on the same elements and payloads: ``up`` and
+        ``dn`` swap, and no mask is derived again."""
+        poset = FinPoset.__new__(FinPoset)
+        poset._set(self.elements, self.dn, self.up, orientation, self.payloads)
+        return poset
 
     # -- serialization -----------------------------------------------------
 

@@ -1,11 +1,20 @@
 """Equivalence relations on finite sets and the partition lattice.
 
+A relation is stored as its sorted ground and a label vector, the class
+index of each ground position with classes numbered by first occurrence.
+The ``EqRel`` constructor and ``EqRel.from_pairs`` check outside input;
+join (union-find over class labels), meet (pairs of labels) and the grid
+restriction in ``cantor`` build their results from labels through the
+unchecked ``EqRel._from_labels`` and never hash a ground member.
+
 A partition doubles as the dual picture of a commutative subalgebra of the
 functions on its ground set: finer partition, larger subalgebra.  The
 lattice constructor therefore exposes two orientations and forces callers
 to pick one.  Its order is built from covers, without comparing pairs: a
 partition's upper covers in the refinement order are the merges of two of
 its blocks (Davey & Priestley, Introduction to Lattices and Order, 2002).
+The subalgebra orientation is the dual of the refinement one, with the
+same masks swapped.
 """
 
 from __future__ import annotations
@@ -39,19 +48,25 @@ def bell_number(n):
 class EqRel:
     """Equivalence relation on a finite, totally orderable ground set.
 
-    Canonical form: each class sorted, classes sorted by least member.
-    Instances are immutable and hash by their canonical class tuple, so
-    structural equality is relation equality.
+    Stored as the sorted ``ground`` tuple and a label vector: ``_labels[i]``
+    is the class index of ground position ``i``, classes numbered in order
+    of first occurrence.  ``classes`` is read off the labels: each class
+    sorted, classes sorted by least member.  The constructor checks outside
+    input; :meth:`_from_labels` is the unchecked path for labels built
+    inside the package.  The member-to-class map behind :meth:`relates` and
+    :meth:`class_of` is built on first use.  Instances are immutable and
+    compare and hash by ground and classes, so structural equality is
+    relation equality.
     """
 
     def __init__(self, ground, classes):
-        self.ground = tuple(sorted(ground))
-        if len(set(self.ground)) != len(self.ground):
+        ground = tuple(sorted(ground))
+        if len(set(ground)) != len(ground):
             raise BadParameters("ground set has duplicate members")
         seen = set()
         canon = []
         for cls in classes:
-            cls = tuple(sorted(cls))
+            cls = tuple(cls)
             if not cls:
                 raise BadParameters("empty class")
             canon.append(cls)
@@ -59,18 +74,42 @@ class EqRel:
                 if x in seen:
                     raise BadParameters(f"element {x!r} occurs in two classes")
                 seen.add(x)
-        if seen != set(self.ground):
+        if seen != set(ground):
             raise BadParameters("classes do not cover the ground set")
-        self.classes = tuple(sorted(canon, key=lambda cls: cls[0]))
-        self._class_of = {x: i for i, cls in enumerate(self.classes) for x in cls}
-        # class index of each ground position, and a gather that reads a
-        # labelling at the least member of each position's class: self
-        # refines other when gathering other's labels leaves them unchanged
-        position = {x: i for i, x in enumerate(self.ground)}
-        self._labels = tuple(self._class_of[x] for x in self.ground)
-        leads = tuple(position[self.classes[k][0]] for k in self._labels)
-        # itemgetter returns a bare item for one index; a ground of one
-        # point or none has a single relation, so nothing is gathered there
+        position = {x: i for i, x in enumerate(ground)}
+        labels = [0] * len(ground)
+        for k, cls in enumerate(canon):
+            for x in cls:
+                labels[position[x]] = k
+        self._set(ground, _first_occurrence(labels))
+
+    @classmethod
+    def _from_labels(cls, ground, labels):
+        """Unchecked constructor: ``ground`` a sorted tuple of distinct
+        members, ``labels`` one class index per position, numbered in order
+        of first occurrence."""
+        rel = cls.__new__(cls)
+        rel._set(ground, labels)
+        return rel
+
+    def _set(self, ground, labels):
+        members, starts = [], []
+        for i, (x, k) in enumerate(zip(ground, labels)):
+            if k == len(members):
+                members.append([x])
+                starts.append(i)
+            else:
+                members[k].append(x)
+        self.ground = ground
+        self.classes = tuple(map(tuple, members))
+        self._labels = tuple(labels)
+        self._class_of = None
+        # a gather that reads a labelling at the first position of each
+        # position's class: self refines other when gathering other's
+        # labels leaves them unchanged.  itemgetter returns a bare item for
+        # one index; a ground of one point or none has a single relation,
+        # so nothing is gathered there
+        leads = [starts[k] for k in labels]
         self._gather = itemgetter(*leads) if len(leads) > 1 else tuple
 
     # -- constructors ---------------------------------------------------
@@ -105,11 +144,16 @@ class EqRel:
 
     # -- queries ----------------------------------------------------------
 
+    def _class_index(self, a):
+        if self._class_of is None:
+            self._class_of = dict(zip(self.ground, self._labels))
+        return self._class_of[a]
+
     def relates(self, a, b):
-        return self._class_of[a] == self._class_of[b]
+        return self._class_index(a) == self._class_index(b)
 
     def class_of(self, a):
-        return self.classes[self._class_of[a]]
+        return self.classes[self._class_index(a)]
 
     def refines(self, other):
         """True when every class of self sits inside a class of other."""
@@ -118,7 +162,12 @@ class EqRel:
         return self._gather(other._labels) == other._labels
 
     def __eq__(self, other):
-        return isinstance(other, EqRel) and self.ground == other.ground and self.classes == other.classes
+        # on one ground, equal canonical labels are equal classes
+        return (
+            isinstance(other, EqRel)
+            and self.ground == other.ground
+            and self._labels == other._labels
+        )
 
     def __hash__(self):
         return hash((self.ground, self.classes))
@@ -136,49 +185,68 @@ class EqRel:
         return {"n": len(self.ground), "classes": [list(cls) for cls in self.classes]}
 
 
+def _first_occurrence(keys):
+    """Number hashable keys 0, 1, ... in order of first occurrence."""
+    number = {}
+    return [number.setdefault(key, len(number)) for key in keys]
+
+
 def label_of(rel):
     """Canonical human-readable label, e.g. ``{1,2}|{3}``."""
     return "|".join("{" + ",".join(str(x) for x in cls) + "}" for cls in rel.classes)
 
 
 def join(r, s):
-    """Smallest equivalence relation containing both (transitive closure)."""
+    """Smallest equivalence relation containing both (transitive closure).
+
+    Union-find over the classes of ``r``: each position links its r-class
+    with the r-class where its s-class first occurs.  Roots are kept at the
+    least r-class index of their component, so they come in order of first
+    occurrence.
+    """
     if r.ground != s.ground:
         raise GroundMismatch("join needs a common ground set")
-    pairs = []
-    for rel in (r, s):
-        for cls in rel.classes:
-            pairs.extend(zip(cls, cls[1:]))
-    return EqRel.from_pairs(r.ground, pairs)
+    parent = list(range(len(r.classes)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    anchor = [None] * len(s.classes)
+    for a, b in zip(r._labels, s._labels):
+        c = anchor[b]
+        if c is None:
+            anchor[b] = a
+            continue
+        a, c = find(a), find(c)
+        if a != c:
+            parent[max(a, c)] = min(a, c)
+    return EqRel._from_labels(r.ground, _first_occurrence(map(find, r._labels)))
 
 
 def meet(r, s):
-    """Classwise intersection."""
+    """Classwise intersection: positions grouped by their pair of labels."""
     if r.ground != s.ground:
         raise GroundMismatch("meet needs a common ground set")
-    buckets = {}
-    for x in r.ground:
-        buckets.setdefault((r._class_of[x], s._class_of[x]), []).append(x)
-    return EqRel(r.ground, buckets.values())
+    return EqRel._from_labels(r.ground, _first_occurrence(zip(r._labels, s._labels)))
 
 
 def all_partitions(ground):
-    """Every partition of the ground set, deterministically ordered."""
+    """Every partition of the ground set, deterministically ordered.
+
+    The label vectors numbered by first occurrence are exactly the
+    sequences that start at 0 and exceed their running maximum by at most
+    one, so each partition is built once, from its labels.
+    """
     ground = tuple(sorted(ground))
-
-    def rec(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for sub in rec(rest):
-            yield [[first]] + [list(c) for c in sub]
-            for i in range(len(sub)):
-                yield [list(c) for c in sub[:i]] + [[first] + list(sub[i])] + [
-                    list(c) for c in sub[i + 1 :]
-                ]
-
-    rels = {EqRel(ground, classes) for classes in rec(list(ground))}
+    if len(set(ground)) != len(ground):
+        raise BadParameters("ground set has duplicate members")
+    vectors = [()]
+    for _ in ground:
+        vectors = [v + (k,) for v in vectors for k in range(max(v, default=-1) + 2)]
+    rels = [EqRel._from_labels(ground, v) for v in vectors]
     return sorted(rels, key=lambda rel: (len(rel.classes), rel.classes))
 
 
@@ -212,7 +280,7 @@ def partition_lattice(n, orientation):
     labels = [label_of(rel) for rel in rels]
     poset = FinPoset(labels, coarser, orientation=ORIENT_REFINEMENT, payloads=rels)
     if orientation == ORIENT_SUBALGEBRA:
-        poset = FinPoset(labels, poset.dn, orientation=ORIENT_SUBALGEBRA, payloads=rels)
+        poset = poset.dual(ORIENT_SUBALGEBRA)
     return poset
 
 

@@ -746,9 +746,10 @@ def pushforward_hom(mapping, partition, target_ground):
             raise NotTotal(f"map is undefined at {y!r}")
         if mapping[y] not in source_ground:
             raise NotTotal(f"map sends {y!r} outside the source spectrum")
+    # a class is named by its least member
     buckets = {}
     for y in target_ground:
-        buckets.setdefault(partition._class_of[mapping[y]], []).append(y)
+        buckets.setdefault(partition.class_of(mapping[y])[0], []).append(y)
     return EqRel(target_ground, buckets.values())
 
 

@@ -383,6 +383,16 @@ class TestGrid:
         assert EqRel.diagonal(sampled.ground).refines(sampled)
         assert time.perf_counter() - start < 2.0
 
+    def test_join_of_finest_grids_stays_fast(self):
+        # two 6562-point grids, joined by label alone
+        start = time.perf_counter()
+        x = sample_to_grid(relation_R(4), GRID_MAX)
+        y = sample_to_grid(relation_S(4), GRID_MAX)
+        joined = eqrel_join(x, y)
+        assert joined == sample_to_grid(tri_join(relation_R(4), relation_S(4)), GRID_MAX)
+        assert len(joined.ground) == 6562 and len(joined.classes) == 1
+        assert time.perf_counter() - start < 2.0
+
     def test_past_the_finest_grid(self):
         for m in (-1, GRID_MAX + 1):
             with pytest.raises(DepthLimit) as info:

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,49 @@ def eqrels(draw, n=5):
     return EqRel(range(1, n + 1), buckets.values())
 
 
+@st.composite
+def grounds_and_relations(draw):
+    """A ground of ints, strings or Fractions, and two relations on it."""
+    n = draw(st.integers(0, 7))
+    ground = draw(
+        st.sampled_from(
+            [
+                list(range(1, n + 1)),
+                [chr(ord("z") - i) for i in range(n)],
+                [Fraction(k, 7) for k in range(n)],
+            ]
+        )
+    )
+    rels = []
+    for _ in range(2):
+        assignment = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        buckets = {}
+        for x, cls in zip(ground, assignment):
+            buckets.setdefault(cls, []).append(x)
+        rels.append(EqRel(ground, buckets.values()))
+    return ground, rels[0], rels[1]
+
+
+@functools.total_ordering
+class Counted:
+    """An orderable ground member that counts the hashes taken of it."""
+
+    hashes = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+    def __lt__(self, other):
+        return self.value < other.value
+
+    def __hash__(self):
+        Counted.hashes += 1
+        return hash(self.value)
+
+
 class TestEqRel:
     def test_canonical_form(self):
         a = EqRel(range(1, 4), [[3], [2, 1]])
@@ -94,6 +139,21 @@ class TestEqRel:
     def test_refines_on_one_point_and_empty_grounds(self):
         assert EqRel([7], [[7]]).refines(EqRel([7], [[7]]))
         assert EqRel([], []).refines(EqRel([], []))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grounds_and_relations())
+    def test_from_labels_equals_the_checked_constructor(self, case):
+        ground, r, _ = case
+        rebuilt = EqRel._from_labels(r.ground, r._labels)
+        checked = EqRel(reversed(ground), [reversed(cls) for cls in reversed(r.classes)])
+        assert rebuilt == checked == r
+        assert hash(rebuilt) == hash(checked) == hash(r)
+        assert rebuilt.ground == checked.ground and rebuilt.classes == checked.classes
+
+    def test_label_vector_is_numbered_by_first_occurrence(self):
+        r = EqRel("abcde", [["e", "b"], ["d"], ["c", "a"]])
+        assert r._labels == (0, 1, 0, 2, 1)
+        assert r.classes == (("a", "c"), ("b", "e"), ("d",))
 
     def test_large_grounds_stay_linear(self):
         # construction and refines are linear in the ground size: a few
@@ -146,12 +206,61 @@ class TestJoinMeet:
         assert join(r, meet(r, s)) == r
         assert meet(r, join(r, s)) == r
 
+    @settings(max_examples=80, deadline=None)
+    @given(grounds_and_relations())
+    def test_join_meet_match_the_member_level_reference(self, case):
+        ground, r, s = case
+        # join: the relation generated by the consecutive pairs of both
+        # relations' classes; meet: members bucketed by their pair of classes
+        pairs = [p for rel in (r, s) for cls in rel.classes for p in zip(cls, cls[1:])]
+        buckets = {}
+        for x in ground:
+            buckets.setdefault((r.class_of(x), s.class_of(x)), []).append(x)
+        expected_join = EqRel.from_pairs(ground, pairs)
+        expected_meet = EqRel(ground, buckets.values())
+        for got, expected in ((join(r, s), expected_join), (meet(r, s), expected_meet)):
+            assert got == expected and hash(got) == hash(expected)
+            assert got.classes == expected.classes and got.ground == expected.ground
+
+    def test_join_meet_refines_and_eq_never_hash_a_member(self):
+        ground = [Counted(k) for k in range(12)]
+        r = EqRel(ground, [ground[0:3], ground[3:6], ground[6:12]])
+        s = EqRel(ground, [ground[2:4], ground[0:2], ground[4:6], ground[6:12]])
+        t = EqRel(list(reversed(ground)), [ground[0:3], ground[3:6], ground[6:12]])
+        Counted.hashes = 0
+        joined, met = join(r, s), meet(r, s)
+        assert joined.classes == (tuple(ground[0:6]), tuple(ground[6:12]))
+        assert met.refines(r) and met.refines(s)
+        assert r.refines(joined) and s.refines(joined)
+        assert r == t and joined != met
+        assert Counted.hashes == 0
+
     @settings(max_examples=40, deadline=None)
     @given(eqrels(), eqrels(), eqrels())
     def test_monotone(self, r, s, t):
         if r.refines(s):
             assert join(r, t).refines(join(s, t))
             assert meet(r, t).refines(meet(s, t))
+
+
+class TestAllPartitions:
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_matches_every_assignment_of_classes(self, n):
+        ground = [chr(ord("z") - i) for i in range(n)]
+        expected = set()
+        for assignment in itertools.product(range(n), repeat=n):
+            buckets = {}
+            for x, cls in zip(ground, assignment):
+                buckets.setdefault(cls, []).append(x)
+            expected.add(EqRel(ground, buckets.values()))
+        rels = all_partitions(ground)
+        assert len(rels) == bell_number(n) == len(expected)
+        assert set(rels) == expected
+        assert rels == sorted(rels, key=lambda rel: (len(rel.classes), rel.classes))
+
+    def test_rejects_a_duplicate_member(self):
+        with pytest.raises(BadParameters):
+            all_partitions([1, 2, 2])
 
 
 class TestPartitionLattice:
@@ -191,7 +300,7 @@ class TestPartitionLattice:
         poset = partition_lattice(1, ORIENT_SUBALGEBRA)
         assert poset.n == 1 and poset.bottom() == poset.top()
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_orientations_are_order_duals(self, n):
         sub = partition_lattice(n, ORIENT_SUBALGEBRA)
         ref = partition_lattice(n, ORIENT_REFINEMENT)

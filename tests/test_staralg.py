@@ -690,6 +690,11 @@ class TestPushforward:
         with pytest.raises(NotTotal):
             pushforward_hom({1: 9, 2: 1}, part, (1, 2))
 
+    def test_duplicate_target_points(self):
+        part = collapse(3, {1, 2})
+        with pytest.raises(BadParameters):
+            pushforward_hom({1: 1, 2: 3}, part, (1, 2, 2))
+
     def test_monotone(self):
         lattice = partition_lattice(3, ORIENT_SUBALGEBRA)
         mapping = {1: 1, 2: 1, 3: 2}
