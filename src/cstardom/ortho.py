@@ -5,7 +5,13 @@ involution subject to five axioms, all machine-checked on construction.
 Boolean subalgebras are subsets closed under the involution whose pairwise
 meets and joins exist in the ambient poset, land back in the subset, and
 obey distributivity; they are enumerated by closing generator sets rather
-than scanning the power set.
+than scanning the power set.  A closure is evaluated semi-naively, as a
+worklist in which each new member is combined only with the members
+processed before it (Bancilhon & Ramakrishnan, An amateur's introduction
+to recursive query processing strategies, SIGMOD 1986), and it grows an
+already closed subalgebra without combining its pairs again.  Since every
+closure holds the complement of each member, p and its complement give one
+closure and only one of them is tried.
 """
 
 from __future__ import annotations
@@ -174,30 +180,40 @@ class BoolSub:
         return hash((id(self.omp), self.mask))
 
 
-def _close_boolean(omp, seed_mask):
+def _close_boolean(omp, seed_mask, closed=0):
     """Close a subset under complement, meet and join.
 
-    Returns the closed mask, or None when some pair of members has no meet
-    or join in the ambient poset (no Boolean subalgebra can contain the
-    seed in that case).
+    ``closed`` is a mask this function returned before, or 0; the result is
+    the closure of ``seed_mask`` together with it.  The closure is a
+    worklist (semi-naive) evaluation: each member is combined once with
+    every member processed before it, so each pair is combined once, and
+    the pairs inside ``closed`` are not combined again.  Returns the closed
+    mask, or None when some pair of members has no meet or join in the
+    ambient poset (no Boolean subalgebra can contain the seed in that case).
     """
     meets, joins, ortho = omp.poset.meets(), omp.poset.joins(), omp.ortho
-    mask = seed_mask | (1 << omp.zero) | (1 << omp.one)
-    for p in iter_bits(seed_mask):
-        mask |= 1 << ortho[p]
-    while True:
-        added = 0
-        members = list(iter_bits(mask))
-        for a, b in itertools.combinations(members, 2):
-            for bound in (meets[a][b], joins[a][b]):
+    pending = (seed_mask | (1 << omp.zero) | (1 << omp.one)) & ~closed
+    for p in iter_bits(pending):
+        pending |= 1 << ortho[p]
+    # ``closed`` is closed under complement and ``known`` stays so: a bound
+    # outside it is added together with its complement
+    known = closed | pending
+    done = list(iter_bits(closed))
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        a = low.bit_length() - 1
+        meet_row, join_row = meets[a], joins[a]
+        for b in done:
+            for bound in (meet_row[b], join_row[b]):
                 if bound is None:
                     return None
-                bit = 1 << bound
-                if not mask & bit:
-                    added |= bit | (1 << ortho[bound])
-        if not added:
-            return mask
-        mask |= added
+                if not known >> bound & 1:
+                    fresh = (1 << bound) | (1 << ortho[bound])
+                    known |= fresh
+                    pending |= fresh
+        done.append(a)
+    return known
 
 
 def _is_boolean_mask(omp, mask):
@@ -221,7 +237,10 @@ def boolean_subalgebras(omp):
     Enumeration grows closures of generator sets: starting from the
     smallest subalgebra, repeatedly adjoin one outside element and close.
     Every Boolean subalgebra is reached this way, because closing a subset
-    of a Boolean subalgebra stays inside it.
+    of a Boolean subalgebra stays inside it.  Each closure starts from the
+    already closed current subalgebra, and an element p is tried only when
+    ortho[p] >= p: the closure adds the complement of every member, so p
+    and ortho[p] give one closure.
     """
     if omp.n > OMP_MAX:
         raise SizeLimit("orthomodular poset size", omp.n, OMP_MAX)
@@ -234,10 +253,9 @@ def boolean_subalgebras(omp):
     while frontier:
         current = frontier.pop()
         for p in range(omp.n):
-            if current >> p & 1:
+            if current >> p & 1 or omp.ortho[p] < p:
                 continue
-            seed = current | (1 << p)
-            closed = _close_boolean(omp, seed)
+            closed = _close_boolean(omp, 1 << p, current)
             if closed is None or closed in found or closed in rejected:
                 continue
             if _is_boolean_mask(omp, closed):
@@ -305,14 +323,18 @@ def verify_caf_iso(algebra):
     bool_poset = boolean_subalgebras(proj_omp)
     sub_poset = c_lattice(algebra)
 
-    # each subalgebra's projections: sums over unions of blocks of its partition
+    # each subalgebra's projections: sums over unions of blocks of its
+    # partition.  The 2^k sums are formed once, one addition per mask
+    sums = [Matrix.zero(algebra.dim)]
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        sums.append(sums[mask ^ low] + projections[low.bit_length() - 1])
     bool_index = {sub.mask: i for i, sub in enumerate(bool_poset.payloads)}
     assignment = []
     for i in range(sub_poset.n):
         node = sub_poset.payloads[i]
         proj_mask = 0
-        for mask in range(1 << k):
-            candidate = _sum_of(projections, mask, algebra.dim)
+        for mask, candidate in enumerate(sums):
             if node.contains(candidate):
                 proj_mask |= 1 << mask
         j = bool_index.get(proj_mask)
@@ -340,13 +362,6 @@ def verify_caf_iso(algebra):
         boolean_poset=bool_poset,
         correspondence=correspondence,
     )
-
-
-def _sum_of(projections, mask, dim):
-    total = Matrix.zero(dim)
-    for i in iter_bits(mask):
-        total = total + projections[i]
-    return total
 
 
 # ---------------------------------------------------------------------------

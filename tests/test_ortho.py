@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cstardom import ortho
 from cstardom.errors import AxiomViolated, BadParameters, NotBoolean, SizeLimit
 from cstardom.ortho import (
     CAF_MAX,
@@ -52,6 +55,70 @@ def brute_force_boolean_subalgebras(omp):
         if distributive:
             found.append(mask)
     return sorted(found)
+
+
+def all_pairs_closure(omp, seed_mask):
+    """Closure under complement, meet and join that combines every pair of
+    members again in each round until nothing changes: the reference for
+    the worklist closure ``ortho._close_boolean``."""
+    mask = seed_mask | (1 << omp.zero) | (1 << omp.one)
+    for p in range(omp.n):
+        if seed_mask >> p & 1:
+            mask |= 1 << omp.ortho[p]
+    while True:
+        added = 0
+        members = [p for p in range(omp.n) if mask >> p & 1]
+        for a, b in itertools.combinations(members, 2):
+            for bound in (omp.meet(a, b), omp.join(a, b)):
+                if bound is None:
+                    return None
+                if not mask >> bound & 1:
+                    added |= (1 << bound) | (1 << omp.ortho[bound])
+        if not added:
+            return mask
+        mask |= added
+
+
+def greechie_square():
+    """Four three-atom blocks in a loop, each sharing a corner atom with
+    the next: an orthomodular poset that is not a lattice (Greechie's loop
+    lemma), since the opposite corners c0 and c2 have the two minimal upper
+    bounds c1' and c3'.  An atom x lies below the complement of y exactly
+    when x and y are distinct atoms of one block."""
+    corners = [f"c{i}" for i in range(4)]
+    blocks = [(corners[i], f"m{i}", corners[(i + 1) % 4]) for i in range(4)]
+    atoms = [x for block in blocks for x in block[:2]]
+    elements = ["0"] + atoms + [x + "'" for x in atoms] + ["1"]
+    n, a = len(elements), len(atoms)
+    leq = [[i == j or i == 0 or j == n - 1 for j in range(n)] for i in range(n)]
+    for x, y in itertools.permutations(range(a), 2):
+        if any(atoms[x] in block and atoms[y] in block for block in blocks):
+            leq[1 + x][1 + a + y] = True
+    ortho_table = [n - 1] + [1 + a + x for x in range(a)] + [1 + x for x in range(a)] + [0]
+    return validate_omp(elements, leq, ortho_table)
+
+
+CLOSURE_FIXTURES = {
+    "square": greechie_square,
+    "P3": lambda: power_set_omp(3),
+    "P4": lambda: power_set_omp(4),
+    "MO2": lambda: mo_omp(2),
+    "MO3": lambda: mo_omp(3),
+    "MO4": lambda: mo_omp(4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def closure_fixture(name):
+    return CLOSURE_FIXTURES[name]()
+
+
+@st.composite
+def omps_and_seeds(draw):
+    """A fixture and two seed masks over its elements."""
+    omp = closure_fixture(draw(st.sampled_from(sorted(CLOSURE_FIXTURES))))
+    seeds = st.integers(0, (1 << omp.n) - 1)
+    return omp, draw(seeds), draw(seeds)
 
 
 class TestValidation:
@@ -143,7 +210,17 @@ class TestBooleanSubalgebras:
     def test_singleton_bool_poset(self):
         assert boolean_subalgebras(power_set_omp(1)).n == 1
 
-    @pytest.mark.parametrize("make", [lambda: mo_omp(2), lambda: mo_omp(3), lambda: power_set_omp(3)])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: mo_omp(2),
+            lambda: mo_omp(3),
+            lambda: mo_omp(4),
+            lambda: power_set_omp(3),
+            lambda: power_set_omp(4),
+            greechie_square,
+        ],
+    )
     def test_matches_brute_force(self, make):
         omp = make()
         enumerated = sorted(sub.mask for sub in boolean_subalgebras(omp).payloads)
@@ -199,6 +276,46 @@ class TestBooleanSubalgebras:
         with pytest.raises(SizeLimit) as info:
             boolean_subalgebras(power_set_omp(6))
         assert (info.value.value, info.value.limit) == (64, OMP_MAX)
+
+
+class TestClosure:
+    @settings(max_examples=150, deadline=None)
+    @given(omps_and_seeds())
+    def test_matches_the_all_pairs_reference(self, case):
+        omp, seed, other = case
+        assert ortho._close_boolean(omp, seed) == all_pairs_closure(omp, seed)
+        closed = all_pairs_closure(omp, other)
+        if closed is not None:
+            expected = all_pairs_closure(omp, seed | closed)
+            assert ortho._close_boolean(omp, seed, closed) == expected
+
+    def test_opposite_corners_have_no_join(self):
+        omp = closure_fixture("square")
+        c0, c2 = omp.poset.index("c0"), omp.poset.index("c2")
+        assert omp.join(c0, c2) is None
+        seed = (1 << c0) | (1 << c2)
+        assert ortho._close_boolean(omp, seed) is None
+        closed = ortho._close_boolean(omp, 1 << c0)
+        assert closed is not None
+        assert ortho._close_boolean(omp, 1 << c2, closed) is None
+
+
+class TestWorkCounters:
+    """Deterministic counts of the closure search, pinned as regression
+    checks: each Boolean subalgebra of P(5) tries each complement pair
+    outside it once."""
+
+    def test_closures_in_the_power_set_of_five(self, monkeypatch):
+        calls = [0]
+        close = ortho._close_boolean
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return close(*args, **kwargs)
+
+        monkeypatch.setattr(ortho, "_close_boolean", counted)
+        assert boolean_subalgebras(power_set_omp(5)).n == bell_number(5)
+        assert calls[0] == 606
 
 
 class TestBlocks:
