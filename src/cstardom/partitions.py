@@ -13,9 +13,8 @@ lattice constructor therefore exposes two orientations and forces callers
 to pick one.  Its order is built from covers, without comparing pairs: a
 partition's upper covers in the refinement order are the merges of two of
 its blocks (Davey & Priestley, Introduction to Lattices and Order, 2002).
-One walk over the merges gives the coarser-side masks, and the merges it
-records give the finer-side ones; the subalgebra orientation is the dual
-of the refinement one, with the same masks swapped.
+The subalgebra orientation is the dual of the refinement one, with the
+same masks swapped.
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ class EqRel:
     sorted, classes sorted by least member.  The constructor checks outside
     input; :meth:`_from_labels` is the unchecked path for labels built
     inside the package.  The member-to-class map behind :meth:`relates` and
-    :meth:`class_of` is built on first use, and so is the hash.  Instances
-    are immutable and compare and hash by ground and classes, so structural
-    equality is relation equality.
+    :meth:`class_of` is built on first use.  Instances are immutable and
+    compare and hash by ground and classes, so structural equality is
+    relation equality.
     """
 
     def __init__(self, ground, classes):
@@ -105,7 +104,6 @@ class EqRel:
         self.classes = tuple(map(tuple, members))
         self._labels = tuple(labels)
         self._class_of = None
-        self._hash = None
         # a gather that reads a labelling at the first position of each
         # position's class: self refines other when gathering other's
         # labels leaves them unchanged.  itemgetter returns a bare item for
@@ -172,11 +170,7 @@ class EqRel:
         )
 
     def __hash__(self):
-        # a relation on a large ground (a grid of thousands of Fractions)
-        # would hash every member again on each call
-        if self._hash is None:
-            self._hash = hash((self.ground, self.classes))
-        return self._hash
+        return hash((self.ground, self.classes))
 
     def __or__(self, other):
         return join(self, other)
@@ -274,26 +268,17 @@ def partition_lattice(n, orientation):
     index = {rel.classes: i for i, rel in enumerate(rels)}
     # rels come in block-count order, so every merge of two blocks (one
     # block fewer) has its mask of coarser partitions before the partition
-    coarser, merges = [], []
+    coarser = []
     for i, rel in enumerate(rels):
-        classes, mask, covers = rel.classes, 1 << i, []
+        classes, mask = rel.classes, 1 << i
         for a, b in combinations(range(len(classes)), 2):
             # the merged block keeps block a's least member, hence its place
             block = tuple(sorted(classes[a] + classes[b]))
-            merged = index[classes[:a] + (block,) + classes[a + 1 : b] + classes[b + 1 :]]
-            covers.append(merged)
-            mask |= coarser[merged]
+            merged = classes[:a] + (block,) + classes[a + 1 : b] + classes[b + 1 :]
+            mask |= coarser[index[merged]]
         coarser.append(mask)
-        merges.append(covers)
-    # the finer-side masks, in reverse block-count order: a partition's mask
-    # is complete before it is ORed into each of its merges
-    finer = [1 << i for i in range(len(rels))]
-    for i in reversed(range(len(rels))):
-        for merged in merges[i]:
-            finer[merged] |= finer[i]
-    labels = tuple(label_of(rel) for rel in rels)
-    poset = FinPoset.__new__(FinPoset)
-    poset._set(labels, tuple(coarser), tuple(finer), ORIENT_REFINEMENT, rels)
+    labels = [label_of(rel) for rel in rels]
+    poset = FinPoset(labels, coarser, orientation=ORIENT_REFINEMENT, payloads=rels)
     if orientation == ORIENT_SUBALGEBRA:
         poset = poset.dual(ORIENT_SUBALGEBRA)
     return poset

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cstardom import cantor, order, ortho, partitions, staralg
+from cstardom import order, ortho, partitions, staralg
 from cstardom.errors import BadParameters, GroundMismatch, OutOfRange, SizeLimit
 from cstardom.order import glb, lub
 from cstardom.partitions import (
@@ -163,26 +163,6 @@ class TestEqRel:
         assert finest.refines(coarsest) and not coarsest.refines(finest)
         assert time.perf_counter() - start < 1.0
 
-    def test_a_second_hash_reads_no_member(self, monkeypatch):
-        counts = [0]
-        fraction_hash = Fraction.__hash__
-
-        def counted(value):
-            counts[0] += 1
-            return fraction_hash(value)
-
-        grid = cantor.sample_to_grid(cantor.relation_R(3), 4)
-        checked = EqRel(grid.ground, grid.classes)
-        expected = hash((grid.ground, grid.classes))
-        monkeypatch.setattr(Fraction, "__hash__", counted)
-        for r in (grid, checked):
-            counts[0] = 0
-            assert hash(r) == expected
-            assert counts[0] >= len(r.ground)
-            counts[0] = 0
-            assert hash(r) == expected
-            assert counts[0] == 0
-
 
 class TestJoinMeet:
     def test_join_collapses(self):
@@ -319,15 +299,6 @@ class TestPartitionLattice:
     def test_singleton_lattice(self):
         poset = partition_lattice(1, ORIENT_SUBALGEBRA)
         assert poset.n == 1 and poset.bottom() == poset.top()
-
-    @pytest.mark.parametrize("orientation", [ORIENT_REFINEMENT, ORIENT_SUBALGEBRA])
-    @pytest.mark.parametrize("n", range(1, LATTICE_MAX + 1))
-    def test_masks_match_the_constructor(self, n, orientation):
-        # the finer-side masks come from the recorded merges, not from the
-        # bit walk over ``up`` that the FinPoset constructor makes
-        built = partition_lattice(n, orientation)
-        derived = order.FinPoset(built.elements, built.up)
-        assert built.up == derived.up and built.dn == derived.dn
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_orientations_are_order_duals(self, n):
