@@ -284,8 +284,9 @@ def _criterion_11():
                 for rel in lx.payloads
             ]
             for i in range(lx.n):
+                image_up = ly.up[image[i]]
                 for j in order.iter_bits(lx.up[i]):
-                    if not ly.leq(image[i], image[j]):
+                    if not image_up >> image[j] & 1:
                         return False, f"pushforward not monotone for {mapping}"
             for m in range(lx.n):
                 image_mask = 0

@@ -23,7 +23,6 @@ from cstardom.order import (
     lawson_opens,
     lub,
     glb,
-    order_dense_chain,
     random_poset,
     recheck_witness,
     scott_opens,
@@ -101,6 +100,74 @@ def table_order_faults(leq):
 
 # Reference implementations by the definitions, over every directed subset
 # or every basic open; the library answers these from finiteness alone.
+
+
+def is_directed_mask(poset, mask):
+    """Definitional directedness: every pair has an upper bound inside."""
+    if mask == 0:
+        return False
+    bits = list(order.iter_bits(mask))
+    for a in range(len(bits)):
+        ua = poset.up[bits[a]]
+        for b in range(a, len(bits)):
+            if mask & ua & poset.up[bits[b]] == 0:
+                return False
+    return True
+
+
+def directed_by_pairs(poset):
+    """Every nonempty directed subset with its least upper bound, by a pair
+    test on each of the 2^n masks in increasing order: the reference for
+    FinPoset.directed_masks."""
+    return tuple(
+        (mask, poset.lub_mask(mask))
+        for mask in range(1, poset.full_mask + 1)
+        if is_directed_mask(poset, mask)
+    )
+
+
+# Cap for the order-dense chain search, which scans all 2^n subsets.
+FIN_ENUM_MAX = 12
+
+
+def order_dense_chain(poset):
+    """Search for an order-dense chain of at least two elements.
+
+    Returns the chain (as a list of indices) or None.  A finite chain with
+    two or more elements always contains a pair that is covering inside
+    the chain, so on a finite poset the search always returns None; it is
+    the reference the property report's covering-pair argument is tested
+    against.
+    """
+    if poset.n > FIN_ENUM_MAX:
+        raise SizeLimit("poset size for chain search", poset.n, FIN_ENUM_MAX)
+    for mask in range(1, poset.full_mask + 1):
+        bits = list(order.iter_bits(mask))
+        if len(bits) < 2:
+            continue
+        if not _is_chain(poset, bits):
+            continue
+        if _chain_is_order_dense(poset, mask, bits):
+            return bits
+    return None
+
+
+def _is_chain(poset, bits):
+    for a in range(len(bits)):
+        for b in range(a + 1, len(bits)):
+            if not (poset.leq(bits[a], bits[b]) or poset.leq(bits[b], bits[a])):
+                return False
+    return True
+
+
+def _chain_is_order_dense(poset, mask, bits):
+    for x in bits:
+        for z in bits:
+            if x != z and poset.leq(x, z):
+                between = poset.up[x] & poset.dn[z] & mask & ~(1 << x) & ~(1 << z)
+                if between == 0:
+                    return False
+    return True
 
 
 def upset(poset, mask):
@@ -258,6 +325,47 @@ class TestBounds:
                     assert meets[i][j] == poset.glb_mask(pair)
                     assert joins[i][j] == poset.lub_mask(pair)
             assert poset.meets() is meets and poset.joins() is joins
+
+
+FIXED_POSETS = [
+    pytest.param(partition_lattice(k, orientation), id=f"pi{k}-{orientation}")
+    for k in range(1, 5)
+    for orientation in (ORIENT_REFINEMENT, ORIENT_SUBALGEBRA)
+] + [pytest.param(antichain(order.ORACLE_MAX), id="antichain-oracle-max")]
+
+
+def assert_greatest_elements(poset, directed):
+    """Theorem side: a finite directed set holds its sup as its greatest
+    element, so the directed sets are the subsets of dn[c] that contain c,
+    2^(|dn c| - 1) of them for each c."""
+    assert len(directed) == sum(2 ** (bin(d).count("1") - 1) for d in poset.dn)
+    masks = [mask for mask, _ in directed]
+    assert masks == sorted(set(masks))
+    for mask, sup in directed:
+        assert sup is not None and mask >> sup & 1 and mask & ~poset.dn[sup] == 0
+
+
+class TestDirectedSubsets:
+    @settings(max_examples=60, deadline=None)
+    @given(posets(max_size=10))
+    def test_matches_pair_scan_on_random_posets(self, poset):
+        assert poset.directed_masks() == directed_by_pairs(poset)
+
+    @pytest.mark.parametrize("poset", FIXED_POSETS)
+    def test_matches_pair_scan_on_fixed_posets(self, poset):
+        assert poset.directed_masks() == directed_by_pairs(poset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(posets(max_size=10))
+    def test_sups_are_greatest_elements_on_random_posets(self, poset):
+        assert_greatest_elements(poset, poset.directed_masks())
+
+    @pytest.mark.parametrize("poset", FIXED_POSETS)
+    def test_sups_are_greatest_elements_on_fixed_posets(self, poset):
+        assert_greatest_elements(poset, poset.directed_masks())
+
+    def test_partition_lattice_count_is_pinned(self):
+        assert len(partition_lattice(4, ORIENT_SUBALGEBRA).directed_masks()) == 16495
 
 
 class TestWayBelow:
@@ -539,9 +647,9 @@ class TestOrderDenseChains:
         assert domain_report(poset).paths["order_scattered"] == "covering-pair-shortcut"
 
     def test_search_size_guard(self):
-        assert order_dense_chain(antichain(order.FIN_ENUM_MAX)) is None
+        assert order_dense_chain(antichain(FIN_ENUM_MAX)) is None
         with pytest.raises(SizeLimit):
-            order_dense_chain(antichain(order.FIN_ENUM_MAX + 1))
+            order_dense_chain(antichain(FIN_ENUM_MAX + 1))
 
 
 class TestSerialization:
