@@ -36,7 +36,6 @@ GRID_MAX = 8
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-THIRD = Fraction(1, 3)
 
 
 class TriRel:
@@ -112,24 +111,6 @@ DIAGONAL = TriRel(())
 FULL = TriRel(((ZERO, ONE),))
 
 
-def stage_intervals(sigma):
-    """The four stage endpoints (a, b, c, d) for a binary string.
-
-    Each stage splits its interval [a, d] into closed thirds: [a, b] and
-    [c, d] survive into the next stage (suffix 0 and 1), [b, c] is the
-    middle block.  Always 0 <= a < b < c < d <= 1.
-    """
-    if any(ch not in "01" for ch in sigma):
-        raise BadParameters(f"stage index {sigma!r} is not a binary string")
-    a, b, c, d = ZERO, THIRD, 2 * THIRD, ONE
-    for ch in sigma:
-        if ch == "0":
-            a, b, c, d = a, a + (b - a) / 3, b - (b - a) / 3, b
-        else:
-            a, b, c, d = c, c + (d - c) / 3, d - (d - c) / 3, d
-    return a, b, c, d
-
-
 def _stages(length):
     if length == 0:
         yield ""
@@ -140,7 +121,9 @@ def _stages(length):
 
 
 def _stage_level(length):
-    """``stage_intervals`` of every binary string of a length, in ``_stages`` order.
+    """The stages (a, b, c, d) of every binary string of a length, in
+    ``_stages`` order: the outer thirds [a, b] and [c, d] of [a, d] survive
+    as suffixes 0 and 1, and [b, c] is the middle block.
 
     One walk down from the root on integer numerators: at level k a stage
     [a, d] has numerators over 3^k, and its children are (3a, 2a+d) and
@@ -210,17 +193,6 @@ def tri_join(x, y):
         else:
             merged.append([l, u])
     return TriRel(tuple((l, u) for l, u in merged))
-
-
-def tri_meet(x, y):
-    """Intersection: pairwise block intersections, dropping degenerate ones."""
-    blocks = []
-    for l1, u1 in x.blocks:
-        for l2, u2 in y.blocks:
-            l, u = max(l1, l2), min(u1, u2)
-            if l < u:
-                blocks.append((l, u))
-    return TriRel(blocks)
 
 
 def max_offdiag_width(x):

@@ -201,7 +201,7 @@ def _cmd_poset_report(args, digest):
 def _cmd_poset_hasse(args, digest):
     data = _read_json(args.input, digest)
     poset = _poset_from_json(data)
-    results = {"covers": [list(pair) for pair in order.hasse(poset)], "lines": []}
+    results = {"covers": [list(pair) for pair in poset.covers()], "lines": []}
     _write_dot(args, order.hasse_dot(poset), results)
     return results, False
 
@@ -357,14 +357,13 @@ def _cmd_cb_rank(args, digest):
 
 def _cmd_topo_check(args, digest):
     topology = _topology_from_json(_read_json(args.input, digest))
-    rank, residue = scatter.cb_rank_fin(topology)
     stone = scatter.stone_scattered_check(topology)
     results = {
         "valid": True,
         "points": [str(p) for p in topology.points],
-        "scattered": not residue,
-        "rank": rank,
-        "residue": sorted(str(p) for p in residue),
+        "scattered": stone.scattered,
+        "rank": stone.rank,
+        "residue": sorted(str(p) for p in stone.residue),
         "hausdorff": scatter.is_hausdorff_fin(topology),
         "stonean": stone.stonean,
         "totally_disconnected": scatter.is_totally_disconnected_fin(topology),

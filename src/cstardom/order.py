@@ -6,13 +6,12 @@ The order relation is kept only as per-element up-set bitmasks; a boolean
 
 Each property flag is computed by one route, and reports record which.  On
 a finite poset every directed set contains its supremum, so way-below is
-the order itself and the flags built on it follow from finiteness
-(Gierz et al., Continuous Lattices and Domains, 2003).  The one exception
-is :func:`directed_way_below`, which enumerates directed subsets outright;
-it is the reference that acceptance criterion 3 and the tests compare the
-order-based route with.  Its enumeration, :meth:`FinPoset.directed_masks`,
-is the one test of all 2^n subsets left in the package; it checks each
-subset by the definition, one down-set table lookup per member.
+the order, every element is compact and the Scott opens are the up-sets;
+the flags built on these follow from finiteness (Gierz et al., Continuous
+Lattices and Domains, 2003).  Only :func:`directed_way_below` enumerates
+directed subsets outright; acceptance criterion 3 compares it with ``up``.
+Its enumeration, :meth:`FinPoset.directed_masks`, is the one test of all
+2^n subsets in the package, one down-set table lookup per member.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from .errors import (
 # Cap for directed-subset enumeration: one pass over all 2^n subsets, at most
 # n table lookups each, and a table of 2^n machine words (128 KB at 15).
 ORACLE_MAX = 15
-# Cap for materializing topologies (lists of up to 2^n subsets).
-TOPOLOGY_MAX = 13
 
 PROPERTY_KEYS = (
     "algebraic",
@@ -313,26 +310,12 @@ def glb(poset, subset):
 # way-below
 
 
-def way_below(poset, b, c):
-    """Whether ``b`` is way below ``c``.
-
-    On a finite poset every directed set attains its supremum, so
-    way-below collapses to the order itself.
-    """
-    return poset.leq(b, c)
-
-
-def way_below_matrix(poset):
-    """Bitmask rows wb[b] = {c : b way below c}: the principal filters."""
-    return list(poset.up)
-
-
 def directed_way_below(poset):
     """Way-below rows by the definition, over every directed subset.
 
     ``b`` is way below ``c`` unless some directed set whose supremum lies
-    above ``c`` misses the up-set of ``b``.  The reference for
-    :func:`way_below_matrix`; SizeLimit above ``ORACLE_MAX`` elements.
+    above ``c`` misses the up-set of ``b``; on a finite poset the rows are
+    the principal filters ``up``.  SizeLimit above ``ORACLE_MAX`` elements.
     """
     not_wb = [0] * poset.n
     for mask, sup in poset.directed_masks():
@@ -345,47 +328,8 @@ def directed_way_below(poset):
     return [poset.full_mask & ~row for row in not_wb]
 
 
-def subset_way_below(poset, g_subset, h_subset):
-    """Way-below on nonempty subsets.
-
-    On a finite poset, G is way below H exactly when the up-set of H is
-    contained in the up-set of G.
-    """
-    g_mask = poset.mask_of(g_subset)
-    h_mask = poset.mask_of(h_subset)
-    if g_mask == 0 or h_mask == 0:
-        raise BadParameters("subset way-below needs nonempty subsets")
-    return _upset_of_mask(poset, h_mask) & ~_upset_of_mask(poset, g_mask) == 0
-
-
-def _upset_of_mask(poset, mask):
-    out = 0
-    for i in iter_bits(mask):
-        out |= poset.up[i]
-    return out
-
-
-def compact_elements(poset):
-    """Elements way below themselves.  On a finite poset this is everything."""
-    wb = way_below_matrix(poset)
-    return [c for c in range(poset.n) if wb[c] >> c & 1]
-
-
 # ---------------------------------------------------------------------------
-# Scott and Lawson topologies
-
-
-def scott_opens(poset):
-    """All Scott-open subsets.
-
-    A set is Scott open when it is up-closed and meets every directed set
-    whose supremum it contains; on a finite poset the second condition is
-    automatic, so the Scott opens are exactly the up-sets.  The directed-set
-    condition is cross-checked in the test suite.
-    """
-    if poset.n > TOPOLOGY_MAX:
-        raise SizeLimit("poset size for topology enumeration", poset.n, TOPOLOGY_MAX)
-    return [frozenset(iter_bits(m)) for m in sorted(upsets(poset.up))]
+# up-sets and the Hasse diagram
 
 
 def upsets(up, limit=None):
@@ -408,27 +352,6 @@ def upsets(up, limit=None):
                     return found
                 stack.append(bigger)
     return found
-
-
-def lawson_opens(poset):
-    """All Lawson-open subsets.
-
-    Basic opens are Scott opens minus upsets of finite sets; on a finite
-    poset every singleton is such a difference, so the topology is
-    discrete and every subset is open.
-    """
-    if poset.n > TOPOLOGY_MAX:
-        raise SizeLimit("poset size for topology enumeration", poset.n, TOPOLOGY_MAX)
-    return [frozenset(iter_bits(m)) for m in range(poset.full_mask + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Hasse diagram
-
-
-def hasse(poset):
-    """The cover relation (transitive reduction) as index pairs."""
-    return list(poset.covers())
 
 
 def hasse_dot(poset, name="poset"):
@@ -554,23 +477,6 @@ def _atomistic(poset, report):
                 "sup": poset.lub_mask(approx),
             }
             return
-
-
-def recheck_witness(poset, prop, witness):
-    """Confirm that a recorded witness still violates its property.
-
-    Only meet-continuity and atomisticity can fail on a finite poset, so
-    only their witnesses exist.
-    """
-    if prop == "meet_continuous":
-        i, j = witness["pair"]
-        return poset.meets()[i][j] is None
-    if prop == "atomistic":
-        if "not_applicable" in witness:
-            return poset.bottom() is None
-        approx = poset.mask_of(witness["atoms_below"])
-        return poset.lub_mask(approx) != witness["element"]
-    raise BadParameters(f"no recheck for property {prop!r}")
 
 
 # ---------------------------------------------------------------------------

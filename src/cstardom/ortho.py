@@ -27,7 +27,6 @@ from .errors import (
     SizeLimit,
 )
 from .order import FinPoset, iter_bits, validate_poset
-from .scatter import FinTop, discrete_topology
 from .staralg import Matrix, c_lattice, minimal_projections
 
 #: enumeration guard for Boolean subalgebras
@@ -75,7 +74,8 @@ def validate_omp(elements, leq, ortho):
     """
     poset = validate_poset(elements, leq)
     n = poset.n
-    if len(ortho) != n or sorted(ortho) != list(range(n)):
+    ints = isinstance(ortho, (list, tuple)) and all(type(p) is int for p in ortho)
+    if not ints or sorted(ortho) != list(range(n)):
         raise BadParameters("ortho table must be a permutation of the elements")
     one = poset.top()
     if one is None:
@@ -362,55 +362,3 @@ def verify_caf_iso(algebra):
         boolean_poset=bool_poset,
         correspondence=correspondence,
     )
-
-
-# ---------------------------------------------------------------------------
-# Stone spaces of finite Boolean algebras
-
-
-@dataclass
-class StoneSpace:
-    points: tuple
-    topology: FinTop
-    element_to_clopen: dict
-
-    def to_json_dict(self):
-        return {
-            "points": list(self.points),
-            "clopens": {
-                str(k): sorted(v) for k, v in self.element_to_clopen.items()
-            },
-        }
-
-
-def stone_space(boolean):
-    """Atoms of a finite Boolean algebra as a discrete space.
-
-    Accepts an OMP or a BoolSub.  Every element must be the join of the
-    atoms below it and the element-to-clopen map must biject onto the
-    power set of atoms; otherwise the input was not Boolean (NotBoolean).
-    """
-    if isinstance(boolean, BoolSub):
-        omp, mask = boolean.omp, boolean.mask
-    elif isinstance(boolean, OMP):
-        omp, mask = boolean, (1 << boolean.n) - 1
-    else:
-        raise BadParameters("expected an OMP or a BoolSub")
-    if not _is_boolean_mask(omp, mask):
-        raise NotBoolean("input is not a Boolean algebra")
-    sub = BoolSub(omp, mask)
-    atom_list = sub.atoms()
-    atom_pos = {a: i for i, a in enumerate(atom_list)}
-    element_to_clopen = {}
-    seen = set()
-    for p in iter_bits(mask):
-        clopen = frozenset(
-            atom_pos[a] for a in atom_list if omp.leq(a, p)
-        )
-        element_to_clopen[omp.elements[p]] = clopen
-        seen.add(clopen)
-    if len(seen) != 1 << len(atom_list) or len(seen) != mask.bit_count():
-        raise NotBoolean("clopen sets do not reconstruct the algebra")
-    points = tuple(omp.elements[a] for a in atom_list)
-    topology = discrete_topology(points)
-    return StoneSpace(points=points, topology=topology, element_to_clopen=element_to_clopen)

@@ -294,12 +294,3 @@ def collapse(n, subset):
         return EqRel.diagonal(ground)
     classes = [sorted(subset)] + [[x] for x in ground if x not in subset]
     return EqRel(ground, classes)
-
-
-def quotient(n, rel):
-    """Quotient set of a relation on {1..n} plus the projection map."""
-    if rel.ground != tuple(range(1, n + 1)):
-        raise GroundMismatch(f"relation is not on the ground set 1..{n}")
-    points = tuple(rel.classes)
-    projection = {x: rel.class_of(x) for x in rel.ground}
-    return points, projection

@@ -3,9 +3,11 @@
 A finite topology is the family of up-sets of its specialization preorder
 (Alexandrov, 1937), so it is stored as one bitmask per point: the smallest
 open containing that point.  Scatteredness is decided by iterating the
-derivative that removes isolated points; ordinal intervals [0, a] are
-handled symbolically through their normal forms, with an independent
-layer-counting oracle for the small range where it applies.
+derivative that removes isolated points, in one walk over these masks: a
+mask of live points shrinks stage by stage, and no subspace is built.
+Ordinal intervals [0, a] are handled symbolically through their normal
+forms, with an independent layer-counting oracle for the small range where
+it applies.
 """
 
 from __future__ import annotations
@@ -106,18 +108,11 @@ class FinTop:
         mask = self._mask(subset)
         return frozenset(x for x in range(self.n) if self.up[x] & mask)
 
-    def isolated_points(self):
-        return frozenset(x for x in range(self.n) if self.up[x] == 1 << x)
-
     def subspace(self, subset):
         kept = sorted(set(subset))
         position = {x: i for i, x in enumerate(kept)}
         up = [sum(1 << position[y] for y in iter_bits(self.up[x]) if y in position) for x in kept]
         return FinTop._from_masks([self.points[x] for x in kept], up)
-
-    def closed_sets(self):
-        full = frozenset(range(self.n))
-        return [full - o for o in self.opens]
 
     def _mask(self, subset):
         mask = 0
@@ -131,24 +126,33 @@ class FinTop:
         return f"FinTop({self.n} points, {len(upsets(self.up))} opens)"
 
 
-def discrete_topology(points):
-    points = tuple(points)
-    return FinTop._from_masks(points, [1 << i for i in range(len(points))])
-
-
-def indiscrete_topology(points):
-    points = tuple(points)
-    return FinTop._from_masks(points, [(1 << len(points)) - 1] * len(points))
-
-
 # ---------------------------------------------------------------------------
 # derivatives and scatteredness
 
 
-def cb_derivative_fin(topology):
-    """Subspace on the non-isolated points, with the induced topology."""
-    keep = set(range(topology.n)) - set(topology.isolated_points())
-    return topology.subspace(keep)
+def _cb_walk(topology):
+    """Iterate the derivative on the space's own masks: ``(stages, residue)``.
+
+    Each derivative is the subspace on the mask ``live`` of points not yet
+    removed.  A live x is isolated there when ``up[x] & live == 1 << x``,
+    and its singleton is then also closed when ``dn[x] & live == 1 << x``.
+    ``stages[k]`` maps each point removed at step k to that clopen flag;
+    ``residue`` masks the points never removed, empty exactly for scattered
+    spaces.
+    """
+    up = topology.up
+    dn = [0] * len(up)
+    for y, mask in enumerate(up):
+        for x in iter_bits(mask):
+            dn[x] |= 1 << y
+    live, stages = (1 << len(up)) - 1, []
+    while live:
+        stage = {x: dn[x] & live == 1 << x for x in iter_bits(live) if up[x] & live == 1 << x}
+        if not stage:
+            break
+        stages.append(stage)
+        live &= ~sum(1 << x for x in stage)
+    return stages, live
 
 
 def cb_rank_fin(topology):
@@ -158,34 +162,8 @@ def cb_rank_fin(topology):
     nonempty stable subspace without isolated points, reported with the
     number of steps taken to reach it.
     """
-    current = topology
-    rank = 0
-    while current.n > 0:
-        nxt = cb_derivative_fin(current)
-        if nxt.n == current.n:
-            return rank, frozenset(current.points)
-        current = nxt
-        rank += 1
-    return rank, frozenset()
-
-
-def is_scattered_fin(topology):
-    _, residue = cb_rank_fin(topology)
-    return not residue
-
-
-def scattered_by_closed_sets(topology):
-    """Definitional route: every nonempty closed set has an isolated point.
-
-    Used as the cross-check oracle for the derivative iteration.
-    """
-    for closed in topology.closed_sets():
-        if not closed:
-            continue
-        sub = topology.subspace(closed)
-        if not sub.isolated_points():
-            return False
-    return True
+    stages, residue = _cb_walk(topology)
+    return len(stages), frozenset(topology.points[x] for x in iter_bits(residue))
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +205,14 @@ def connected_components(topology):
 
 @dataclass
 class StoneScatteredReport:
-    """Stonean+scattered verdict with per-point isolation stages."""
+    """Stonean+scattered verdict with per-point isolation stages, and the
+    ``rank`` and ``residue`` of :func:`cb_rank_fin` from the same walk."""
 
     stonean: bool
     scattered: bool
     stages: dict
+    rank: int
+    residue: frozenset
 
     @property
     def ok(self):
@@ -255,21 +236,15 @@ def stone_scattered_check(topology):
     For every point the report lists the derivative stage at which its
     singleton becomes open, and whether the singleton is clopen there.
     """
-    stonean = is_stonean_fin(topology)
-    stages = {}
-    current = topology
-    stage = 0
-    while current.n > 0:
-        isolated = current.isolated_points()
-        if not isolated:
-            break
-        for i in isolated:
-            point = current.points[i]
-            stages[point] = (stage, current.is_closed({i}))
-        current = cb_derivative_fin(current)
-        stage += 1
-    scattered = current.n == 0
-    return StoneScatteredReport(stonean=stonean, scattered=scattered, stages=stages)
+    stages, residue = _cb_walk(topology)
+    points = topology.points
+    return StoneScatteredReport(
+        stonean=is_stonean_fin(topology),
+        scattered=not residue,
+        stages={points[x]: (k, flag) for k, step in enumerate(stages) for x, flag in step.items()},
+        rank=len(stages),
+        residue=frozenset(points[x] for x in iter_bits(residue)),
+    )
 
 
 # ---------------------------------------------------------------------------

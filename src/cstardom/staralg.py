@@ -32,7 +32,7 @@ from .errors import (
     SizeLimit,
 )
 from .order import FinPoset
-from .partitions import LATTICE_MAX, ORIENT_SUBALGEBRA, EqRel, partition_lattice
+from .partitions import LATTICE_MAX, ORIENT_SUBALGEBRA, EqRel, _first_occurrence, partition_lattice
 
 #: ambient matrix size / algebra dimension guards
 AMBIENT_MAX = 16
@@ -746,11 +746,11 @@ def pushforward_hom(mapping, partition, target_ground):
             raise NotTotal(f"map is undefined at {y!r}")
         if mapping[y] not in source_ground:
             raise NotTotal(f"map sends {y!r} outside the source spectrum")
-    # a class is named by its least member
-    buckets = {}
-    for y in target_ground:
-        buckets.setdefault(partition.class_of(mapping[y])[0], []).append(y)
-    return EqRel(target_ground, buckets.values())
+    if any(a == b for a, b in zip(target_ground, target_ground[1:])):
+        raise BadParameters("ground set has duplicate members")
+    # y is labelled by the class of its image, renumbered by first occurrence
+    labels = _first_occurrence(partition._class_index(mapping[y]) for y in target_ground)
+    return EqRel._from_labels(target_ground, labels)
 
 
 def pullback_adjoint(mapping, partition, source_ground):

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import cstardom
 from cstardom import acceptance, cli, order
 from cstardom.cli import main
-from cstardom.scatter import FinTop, is_scattered_fin, is_stonean_fin
+from cstardom.scatter import FinTop, is_stonean_fin
+from test_scatter import scattered_by_closed_sets
 
 
 @pytest.fixture
@@ -336,6 +337,9 @@ class TestCalg:
         assert report["results"]["error"]["type"] == "AssertionFailed"
 
 
+TWO_CHAIN = {"elements": ["0", "1"], "leq": [[True, True], [False, True]]}
+
+
 class TestOmp:
     def test_validate(self, files, capsys):
         code, report = run_json(["omp", "validate", "--input", files["mo1"]], capsys)
@@ -357,14 +361,26 @@ class TestOmp:
         assert report["results"]["error"]["type"] == "AxiomViolated"
 
 
-    @pytest.mark.parametrize("payload", [5, None, True, 1.5], ids=["int", "null", "bool", "float"])
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            pytest.param(5, "ParseError", id="int"),
+            pytest.param(None, "ParseError", id="null"),
+            pytest.param(True, "ParseError", id="bool"),
+            pytest.param(1.5, "ParseError", id="float"),
+            # a valid two-element order whose ortho table is malformed
+            pytest.param(dict(TWO_CHAIN, ortho=5), "BadParameters", id="ortho-int"),
+            pytest.param(dict(TWO_CHAIN, ortho=[1, "a"]), "BadParameters", id="ortho-string"),
+            pytest.param(dict(TWO_CHAIN, ortho=[1.0, 0.0]), "BadParameters", id="ortho-floats"),
+        ],
+    )
     @pytest.mark.parametrize("action", ["validate", "boolsub"])
-    def test_non_object_is_a_usage_error(self, payload, action, tmp_path, capsys):
+    def test_non_object_is_a_usage_error(self, payload, error, action, tmp_path, capsys):
         code, report = run_json(
             ["omp", action, "--input", write_payload(tmp_path, payload)], capsys
         )
         assert code == 2
-        assert report["results"]["error"]["type"] == "ParseError"
+        assert report["results"]["error"]["type"] == error
 
 
 class TestScatterCommands:
@@ -444,7 +460,7 @@ class TestTopoCheckFuzz:
         if code == 0:
             # the flags read off the shared walks agree with the library's
             topology = FinTop(payload["points"], payload["opens"])
-            assert report["results"]["scattered"] == is_scattered_fin(topology)
+            assert report["results"]["scattered"] == scattered_by_closed_sets(topology)
             assert report["results"]["stonean"] == is_stonean_fin(topology)
 
 

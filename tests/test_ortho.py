@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstardom import ortho
-from cstardom.errors import AxiomViolated, BadParameters, NotBoolean, SizeLimit
+from cstardom.errors import AxiomViolated, BadParameters, SizeLimit
 from cstardom.ortho import (
     CAF_MAX,
     OMP_MAX,
@@ -13,12 +13,10 @@ from cstardom.ortho import (
     boolean_subalgebras,
     mo_omp,
     power_set_omp,
-    stone_space,
     validate_omp,
     verify_caf_iso,
 )
 from cstardom.partitions import ORIENT_SUBALGEBRA, bell_number, partition_lattice
-from cstardom.scatter import is_scattered_fin
 from cstardom.staralg import Matrix, generated_algebra
 
 
@@ -371,29 +369,38 @@ class TestCafIso:
 
 
 class TestStoneSpace:
+    """The Stone space of a finite Boolean algebra is the discrete space on
+    its atoms; these check the Boolean test and the atoms it rests on."""
+
+    def whole(self, omp):
+        return ortho.BoolSub(omp, (1 << omp.n) - 1)
+
     def test_three_atoms(self):
-        space = stone_space(power_set_omp(3))
-        assert len(space.points) == 3
-        assert is_scattered_fin(space.topology)
+        omp = power_set_omp(3)
+        assert ortho._is_boolean_mask(omp, (1 << omp.n) - 1)
+        assert len(self.whole(omp).atoms()) == 3
 
     def test_two_element_algebra(self):
-        space = stone_space(power_set_omp(1))
-        assert len(space.points) == 1
+        omp = power_set_omp(1)
+        assert ortho._is_boolean_mask(omp, 0b11)
+        assert len(self.whole(omp).atoms()) == 1
 
     def test_sixteen_clopens(self):
-        space = stone_space(power_set_omp(4))
-        assert len(space.points) == 4
-        assert len(space.element_to_clopen) == 16
-        assert len(set(space.element_to_clopen.values())) == 16
+        omp = power_set_omp(4)
+        assert ortho._is_boolean_mask(omp, (1 << 16) - 1)
+        atoms = self.whole(omp).atoms()
+        # each element is the join of a distinct set of atoms below it
+        below = {sum(1 << a for a in atoms if omp.leq(a, p)) for p in range(omp.n)}
+        assert len(atoms) == 4 and len(below) == 16
 
     def test_bool_sub_input(self):
         omp = mo_omp(2)
         sub = next(
             s for s in boolean_subalgebras(omp).payloads if len(s.members()) == 4
         )
-        space = stone_space(sub)
-        assert len(space.points) == 2
+        assert ortho._is_boolean_mask(omp, sub.mask)
+        assert len(sub.atoms()) == 2
 
     def test_rejects_non_boolean(self):
-        with pytest.raises(NotBoolean):
-            stone_space(mo_omp(2))
+        omp = mo_omp(2)
+        assert not ortho._is_boolean_mask(omp, (1 << omp.n) - 1)

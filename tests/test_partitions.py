@@ -21,7 +21,6 @@ from cstardom.partitions import (
     label_of,
     meet,
     partition_lattice,
-    quotient,
 )
 
 
@@ -384,15 +383,6 @@ class TestCollapseQuotient:
     def test_collapse_out_of_range(self):
         with pytest.raises(OutOfRange):
             collapse(3, {1, 9})
-
-    def test_quotient_shapes(self):
-        points, projection = quotient(3, rel(3, [1, 2], [3]))
-        assert len(points) == 2
-        assert projection[1] == projection[2] != projection[3]
-        points, projection = quotient(3, EqRel.diagonal(range(1, 4)))
-        assert len(points) == 3
-        points, _ = quotient(4, EqRel.full(range(1, 5)))
-        assert len(points) == 1
 
 
 class TestSerialization:

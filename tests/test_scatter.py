@@ -6,31 +6,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstardom.errors import BadParameters, ParseError, SizeLimit
+from cstardom.order import iter_bits, upsets
 from cstardom.scatter import (
     ORACLE_COEFFICIENT_MAX,
     FinTop,
     OrdinalCNF,
-    cb_derivative_fin,
     cb_derivative_ord,
     cb_derivative_ord_oracle,
     cb_rank_fin,
     cb_rank_ord,
     connected_components,
-    discrete_topology,
-    indiscrete_topology,
     is_hausdorff_fin,
-    is_scattered_fin,
     is_stonean_fin,
     is_totally_disconnected_fin,
     kq_chain_witness,
     ordinal_interval_topology,
-    scattered_by_closed_sets,
     stone_scattered_check,
 )
 
 
 def sierpinski():
     return FinTop(["a", "b"], [set(), {"a"}, {"a", "b"}])
+
+
+def discrete_topology(points):
+    return FinTop._from_masks(points, [1 << i for i in range(len(points))])
+
+
+def indiscrete_topology(points):
+    return FinTop._from_masks(points, [(1 << len(points)) - 1] * len(points))
+
+
+def is_scattered(topology):
+    return not cb_rank_fin(topology)[1]
 
 
 def closed_under_union_and_intersection(family):
@@ -55,6 +63,37 @@ def random_topology(rng, n):
 
 # Reference routes over the explicit open family, by the definitions; the
 # library answers these from each point's minimal open.
+
+
+def isolated_points(topology):
+    return frozenset(x for x in range(topology.n) if topology.up[x] == 1 << x)
+
+
+def stages_by_subspaces(topology):
+    """The per-step derivative loop: ``(rank, residue, stages)``, with a
+    relabelled subspace built at every step and each point's isolation
+    stage and clopen flag read off it.  The reference for the one mask
+    walk behind cb_rank_fin and stone_scattered_check."""
+    current, rank, stages = topology, 0, {}
+    while current.n > 0:
+        isolated = isolated_points(current)
+        if not isolated:
+            return rank, frozenset(current.points), stages
+        for i in isolated:
+            stages[current.points[i]] = (rank, current.is_closed({i}))
+        current = current.subspace(set(range(current.n)) - isolated)
+        rank += 1
+    return rank, frozenset(), stages
+
+
+def scattered_by_closed_sets(topology):
+    """Every nonempty closed set has a point isolated in it."""
+    full = frozenset(range(topology.n))
+    for open_mask in upsets(topology.up):
+        closed = full - frozenset(iter_bits(open_mask))
+        if closed and not isolated_points(topology.subspace(closed)):
+            return False
+    return True
 
 
 def family_validator(n, family):
@@ -93,6 +132,30 @@ def components_by_clopens(n, family):
             components.append(component)
             seen |= component
     return components
+
+
+@st.composite
+def preorders(draw, max_size=9):
+    """Minimal-open masks of a random preorder on at most ``max_size``
+    points, the empty space included: up to 3n random pairs (x, y), each
+    putting y in up[x], then closed under ``y in up[x]`` implies
+    ``up[y] within up[x]``.  Cycles make some preorders not T0."""
+    n = draw(st.integers(0, max_size))
+    up = [1 << x for x in range(n)]
+    if n:
+        points = st.integers(0, n - 1)
+        for x, y in draw(st.lists(st.tuples(points, points), max_size=3 * n)):
+            up[x] |= 1 << y
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            closed = up[x]
+            for y in iter_bits(up[x]):
+                closed |= up[y]
+            if closed != up[x]:
+                up[x], changed = closed, True
+    return up
 
 
 @st.composite
@@ -177,7 +240,7 @@ class TestFinTop:
 
     def test_opens_are_read_as_labels(self):
         top = FinTop([1, 2], [[], [1], [1, 2]])
-        assert top.isolated_points() == frozenset({0})
+        assert top.up == (0b01, 0b11)
         with pytest.raises(BadParameters):
             FinTop([1, 2], [[], [0], [0, 1]])
         with pytest.raises(BadParameters):
@@ -186,15 +249,14 @@ class TestFinTop:
 
 class TestDerivatives:
     def test_discrete_derivative_empty(self):
-        assert cb_derivative_fin(discrete_topology("abc")).n == 0
+        assert cb_rank_fin(discrete_topology("abc")) == (1, frozenset())
 
     def test_indiscrete_fixed(self):
-        top = indiscrete_topology("ab")
-        assert cb_derivative_fin(top).n == 2
+        assert cb_rank_fin(indiscrete_topology("ab")) == (0, frozenset("ab"))
 
     def test_sierpinski_step(self):
-        derived = cb_derivative_fin(sierpinski())
-        assert derived.points == ("b",)
+        stages = stone_scattered_check(sierpinski()).stages
+        assert [p for p, (stage, _) in stages.items() if stage >= 1] == ["b"]
 
     def test_ranks(self):
         assert cb_rank_fin(discrete_topology("abcd")) == (1, frozenset())
@@ -203,24 +265,44 @@ class TestDerivatives:
         assert cb_rank_fin(sierpinski()) == (2, frozenset())
 
     def test_scattered_flags(self):
-        assert is_scattered_fin(sierpinski())
-        assert not is_scattered_fin(indiscrete_topology("ab"))
+        assert is_scattered(sierpinski())
+        assert not is_scattered(indiscrete_topology("ab"))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_rank_iteration_matches_closed_set_definition(self, seed, n):
         top = random_topology(random.Random(seed), n)
-        assert is_scattered_fin(top) == scattered_by_closed_sets(top)
+        assert is_scattered(top) == scattered_by_closed_sets(top)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_derivative_strictly_shrinks_scattered_spaces(self, seed, n):
+        # every step of a scattered space removes a point, and every point
+        # is removed at some step
         top = random_topology(random.Random(seed), n)
-        if is_scattered_fin(top):
-            while top.n:
-                smaller = cb_derivative_fin(top)
-                assert smaller.n < top.n
-                top = smaller
+        report = stone_scattered_check(top)
+        if report.scattered:
+            assert len(report.stages) == top.n
+            assert {stage for stage, _ in report.stages.values()} == set(range(report.rank))
+
+    @settings(max_examples=300, deadline=None)
+    @given(preorders())
+    def test_one_walk_matches_the_subspace_loop(self, up):
+        labels = [f"p{i}" for i in range(len(up))]
+        top = FinTop._from_masks(labels, up)
+        rank, residue, stages = stages_by_subspaces(top)
+        report = stone_scattered_check(top)
+        assert cb_rank_fin(top) == (rank, residue) == (report.rank, report.residue)
+        assert report.stages == stages
+        assert report.scattered == (not residue) == scattered_by_closed_sets(top)
+
+    def test_one_walk_on_ordinal_intervals(self):
+        for value in range(11):
+            top = ordinal_interval_topology(value)
+            rank, residue, stages = stages_by_subspaces(top)
+            report = stone_scattered_check(top)
+            assert cb_rank_fin(top) == (rank, residue) == (1, frozenset())
+            assert report.stages == stages
 
 
 class TestSeparation:
@@ -250,7 +332,7 @@ class TestSeparation:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_scattered_hausdorff_implies_totally_disconnected(self, seed, n):
         top = random_topology(random.Random(seed), n)
-        if is_scattered_fin(top) and is_hausdorff_fin(top):
+        if is_scattered(top) and is_hausdorff_fin(top):
             assert is_totally_disconnected_fin(top)
 
     def test_components_partition_the_space(self):

@@ -695,6 +695,27 @@ class TestPushforward:
         with pytest.raises(BadParameters):
             pushforward_hom({1: 1, 2: 3}, part, (1, 2, 2))
 
+    def test_matches_the_checked_build_on_every_criterion_11_map(self):
+        # reference: bucket the target points by the least member of their
+        # image's class and build the relation through the checked EqRel
+        lattices = {n: partition_lattice(n, ORIENT_SUBALGEBRA).payloads for n in range(1, 5)}
+        built = 0
+        for nx, ny in itertools.product(range(1, 5), repeat=2):
+            ys = list(range(1, ny + 1))
+            for values in itertools.product(range(1, nx + 1), repeat=ny):
+                mapping = dict(zip(ys, values))
+                for part in lattices[nx]:
+                    buckets = {}
+                    for y in ys:
+                        buckets.setdefault(part.class_of(mapping[y])[0], []).append(y)
+                    checked = EqRel(ys, buckets.values())
+                    image = pushforward_hom(mapping, part, ys)
+                    assert image == checked and hash(image) == hash(checked)
+                    assert image.classes == checked.classes
+                    assert image._labels == checked._labels
+                    built += 1
+        assert built == 5764
+
     def test_monotone(self):
         lattice = partition_lattice(3, ORIENT_SUBALGEBRA)
         mapping = {1: 1, 2: 1, 3: 2}
