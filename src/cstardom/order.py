@@ -169,13 +169,6 @@ class FinPoset:
                 table[i][j] = table[j][i] = bound((1 << i) | (1 << j))
         return tuple(tuple(row) for row in table)
 
-    def mask_of(self, subset):
-        mask = 0
-        for i in subset:
-            self.check_element(i)
-            mask |= 1 << i
-        return mask
-
     # -- directed subsets ------------------------------------------------
 
     def directed_masks(self):
@@ -295,15 +288,6 @@ def validate_poset(elements, leq, orientation=None, payloads=None):
             if missing:
                 raise NotTransitive(i, j, next(iter_bits(missing)))
     return poset
-
-
-def lub(poset, subset):
-    """Least upper bound of ``subset`` (iterable of indices), or None."""
-    return poset.lub_mask(poset.mask_of(subset))
-
-
-def glb(poset, subset):
-    return poset.glb_mask(poset.mask_of(subset))
 
 
 # ---------------------------------------------------------------------------

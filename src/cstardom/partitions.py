@@ -53,10 +53,9 @@ class EqRel:
     of first occurrence.  ``classes`` is read off the labels: each class
     sorted, classes sorted by least member.  The constructor checks outside
     input; :meth:`_from_labels` is the unchecked path for labels built
-    inside the package.  The member-to-class map behind :meth:`relates` and
-    :meth:`class_of` is built on first use.  Instances are immutable and
-    compare and hash by ground and classes, so structural equality is
-    relation equality.
+    inside the package.  The member-to-class map behind :meth:`relates` is
+    built on first use.  Instances are immutable and compare and hash by
+    ground and classes, so structural equality is relation equality.
     """
 
     def __init__(self, ground, classes):
@@ -151,9 +150,6 @@ class EqRel:
 
     def relates(self, a, b):
         return self._class_index(a) == self._class_index(b)
-
-    def class_of(self, a):
-        return self.classes[self._class_index(a)]
 
     def refines(self, other):
         """True when every class of self sits inside a class of other."""

@@ -305,9 +305,12 @@ class TestCalg:
             {"dim": 3, "generators": 5},
             {"dim": 3, "basis": [5]},
             {"dim": 3, "basis": [[5]]},
+            {"dim": 1, "generators": [[["1/0"]]]},
+            {"dim": 1, "generators": [[["1/0 i"]]]},
         ],
         ids=["dim-string", "dim-bool", "dim-zero", "dim-float", "generator-int",
-             "generators-int", "basis-int", "basis-row-int"],
+             "generators-int", "basis-int", "basis-row-int", "entry-zero-denominator",
+             "imaginary-zero-denominator"],
     )
     @pytest.mark.parametrize("action", ["generate", "lattice"])
     def test_bad_algebra_is_a_usage_error(self, payload, action, tmp_path, capsys):
@@ -316,6 +319,32 @@ class TestCalg:
         )
         assert code == 2
         assert report["results"]["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # a projection outside the diagonal algebra the basis spans
+            {"dim": 2, "basis": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "0"]]],
+             "generators": [[["1/2", "1/2"], ["1/2", "1/2"]]]},
+            # a projection outside the scalars
+            {"dim": 2, "basis": [[["1", "0"], ["0", "1"]]],
+             "generators": [[["1", "0"], ["0", "0"]]]},
+        ],
+        ids=["outside-diagonal", "outside-scalars"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["calg", "generate"], ["calg", "lattice"], ["calg", "atoms"], ["calg", "spectrum"],
+         ["calg", "caf-iso"], ["omp", "caf-iso"]],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_generators_outside_the_basis_span_are_a_usage_error(
+        self, payload, argv, tmp_path, capsys
+    ):
+        code, report = run_json(argv + ["--input", write_payload(tmp_path, payload)], capsys)
+        assert code == 2
+        assert report["results"]["error"]["type"] == "BadParameters"
+        assert "outside the basis span" in report["results"]["error"]["message"]
 
     def test_basis_of_the_wrong_size_is_a_usage_error(self, tmp_path, capsys):
         identity2 = [["1", "0"], ["0", "1"]]

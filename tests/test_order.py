@@ -18,8 +18,6 @@ from cstardom.order import (
     directed_way_below,
     domain_report,
     hasse_dot,
-    lub,
-    glb,
     random_poset,
     validate_poset,
 )
@@ -39,6 +37,24 @@ def antichain(n):
         [str(i) for i in range(n)],
         [[i == j for j in range(n)] for i in range(n)],
     )
+
+
+def mask_of(poset, subset):
+    """Bitmask of an iterable of element indices."""
+    mask = 0
+    for i in subset:
+        poset.check_element(i)
+        mask |= 1 << i
+    return mask
+
+
+def lub(poset, subset):
+    """Least upper bound of ``subset`` (iterable of indices), or None."""
+    return poset.lub_mask(mask_of(poset, subset))
+
+
+def glb(poset, subset):
+    return poset.glb_mask(mask_of(poset, subset))
 
 
 @st.composite
@@ -173,7 +189,7 @@ def upset(poset, mask):
 def subset_way_below(poset, g_subset, h_subset):
     """Way-below on nonempty subsets by the finite-stage theorem: G is way
     below H exactly when the up-set of H lies inside the up-set of G."""
-    g_mask, h_mask = poset.mask_of(g_subset), poset.mask_of(h_subset)
+    g_mask, h_mask = mask_of(poset, g_subset), mask_of(poset, h_subset)
     assert g_mask and h_mask
     return upset(poset, h_mask) & ~upset(poset, g_mask) == 0
 
@@ -181,7 +197,7 @@ def subset_way_below(poset, g_subset, h_subset):
 def directed_subset_way_below(poset, g, h):
     """G way below H: every directed D with a sup above some member of H
     has a member above some member of G."""
-    up_g, up_h = upset(poset, poset.mask_of(g)), upset(poset, poset.mask_of(h))
+    up_g, up_h = upset(poset, mask_of(poset, g)), upset(poset, mask_of(poset, h))
     return all(
         sup is None or not up_h >> sup & 1 or mask & up_g
         for mask, sup in poset.directed_masks()
@@ -224,7 +240,7 @@ def recheck_witness(poset, prop, witness):
     assert prop == "atomistic", prop
     if "not_applicable" in witness:
         return poset.bottom() is None
-    approx = poset.mask_of(witness["atoms_below"])
+    approx = mask_of(poset, witness["atoms_below"])
     return poset.lub_mask(approx) != witness["element"]
 
 

@@ -185,7 +185,8 @@ class TestValidation:
             validate_omp(elements, leq, ortho)
         assert info.value.axiom == "orthomodular"
         # re-check the witness: p above q⊥ with zero meet yet p != q⊥
-        from cstardom.order import glb, validate_poset
+        from cstardom.order import validate_poset
+        from test_order import glb
 
         poset = validate_poset(elements, leq)
         p, q = info.value.witness

@@ -20,7 +20,7 @@ from cstardom.errors import (
     ParseError,
     SizeLimit,
 )
-from cstardom.order import lub
+from cstardom.ortho import verify_caf_iso
 from cstardom.partitions import (
     LATTICE_MAX,
     ORIENT_SUBALGEBRA,
@@ -44,10 +44,21 @@ from cstardom.staralg import (
     pushforward_hom,
     spectrum,
 )
+from test_order import lub
+from test_partitions import class_of
 
 
 def diag(*values):
     return Matrix.diag(list(values))
+
+
+def assert_equals_checked_build(algebra):
+    """An unchecked build equals the checked constructor's on its own basis
+    and generators: same span, pivots and generators, and the check passes."""
+    checked = StarAlgebra(algebra.dim, algebra.basis, algebra.generators)
+    assert checked == algebra and hash(checked) == hash(algebra)
+    assert checked.basis == algebra.basis and checked.generators == algebra.generators
+    assert checked._pivots == algebra._pivots
 
 
 def diagonal_algebra(k):
@@ -108,8 +119,9 @@ class TestGaussianRational:
         v = GaussianRational.from_string("1/2+3/4 i")
         assert v == GaussianRational(Fraction(1, 2), Fraction(3, 4))
         assert GaussianRational.from_string("2/3 i").re == 0
-        with pytest.raises(ParseError):
-            GaussianRational.from_string("one half")
+        for text in ("one half", "1/0", "1/0 i", "1+1/0 i"):
+            with pytest.raises(ParseError):
+                GaussianRational.from_string(text)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -426,10 +438,30 @@ class TestGeneratedAlgebra:
             # monotone
             bigger = generated_algebra(gens + [Matrix.unit(dim, 0, 0)], dim=dim)
             assert bigger.contains_algebra(algebra)
+            for built in (algebra, again, bigger):
+                assert_equals_checked_build(built)
 
     def test_validation_rejects_non_closed_basis(self):
-        with pytest.raises(BadParameters):
-            StarAlgebra(2, [Matrix.identity(2), Matrix.unit(2, 0, 1)])
+        for basis in (
+            [diag(1, 0)],  # no identity
+            [Matrix.identity(2), Matrix.unit(2, 0, 1)],  # no adjoint
+            # the Pauli matrices x and z: their product is i times y
+            [Matrix.identity(2), Matrix.unit(2, 0, 1) + Matrix.unit(2, 1, 0), diag(1, -1)],
+        ):
+            with pytest.raises(BadParameters, match="lacks the identity, an adjoint or a product"):
+                StarAlgebra(2, basis)
+
+    def test_validation_rejects_generators_outside_the_span(self):
+        half = Fraction(1, 2)
+        for basis, generator in (
+            ([Matrix.identity(2), diag(1, 0)], Matrix([[half, half], [half, half]])),
+            ([Matrix.identity(2)], diag(1, 0)),
+        ):
+            with pytest.raises(BadParameters, match="generator lies outside"):
+                StarAlgebra(2, basis, generators=[generator])
+        # inside the span, in any spelling, is accepted
+        algebra = StarAlgebra(2, [Matrix.identity(2), diag(1, 0)], generators=[diag(0, 3)])
+        assert algebra == generated_algebra([diag(1, 0)])
 
     def test_ambient_size_guard(self):
         with pytest.raises(SizeLimit):
@@ -510,6 +542,17 @@ class TestSpectrum:
             generator_values.add(tuple(str(v) for v in row))
         assert len(generator_values) == 2
 
+    def test_characters_reconstruct_the_basis(self):
+        # each basis element is the character-weighted sum of the pieces
+        for algebra in (diagonal_algebra(3), rotated_algebra(4), generated_algebra([], dim=2),
+                        generated_algebra([diag(1, 1, 0)])):
+            spec = spectrum(algebra)
+            for j, b in enumerate(algebra.basis):
+                total = Matrix.zero(algebra.dim)
+                for q, row in zip(spec.projections, spec.table):
+                    total = total + q * row[j]
+                assert total == b
+
 
 class TestCLattice:
     def test_diagonal_three(self):
@@ -547,6 +590,14 @@ class TestCLatticeCertificate:
         for i, j in itertools.product(range(lattice.n), repeat=2):
             contains = lattice.payloads[j].contains_algebra(lattice.payloads[i])
             assert contains == lattice.leq(i, j)
+
+    @pytest.mark.parametrize(
+        "make,k",
+        [(diagonal_algebra, k) for k in range(1, 6)] + [(rotated_algebra, k) for k in (3, 4, 5)],
+    )
+    def test_nodes_equal_the_checked_build(self, make, k):
+        for node in c_lattice(make(k)).payloads:
+            assert_equals_checked_build(node)
 
     def test_rotation_leaves_the_lattice_unchanged(self):
         plain, rotated = c_lattice(diagonal_algebra(4)), c_lattice(rotated_algebra(4))
@@ -598,6 +649,30 @@ class TestCLatticeCertificate:
             c_lattice(diagonal_algebra(4))
 
 
+class TestBoundaryCheck:
+    def test_no_checked_build_inside_the_package(self, monkeypatch):
+        # the package's own builds are closed by construction: none of them
+        # goes through the checked constructor
+        algebra = rotated_algebra(4)
+        original = StarAlgebra.__init__
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StarAlgebra, "__init__", counted)
+        lattice = c_lattice(algebra)
+        assert verify_caf_iso(algebra).size == lattice.n == 15
+        assert generated_algebra(algebra.generators, algebra.dim) == algebra
+        pieces = atoms(algebra)
+        assert csa_join(pieces[0], pieces[-1], algebra).dimension == 3
+        assert generated_by_projections(algebra)[0]
+        assert calls == []
+        StarAlgebra(algebra.dim, algebra.basis, algebra.generators)
+        assert len(calls) == 1
+
+
 class TestAtoms:
     @pytest.mark.parametrize("k,count", [(2, 1), (3, 3), (4, 7)])
     def test_counts(self, k, count):
@@ -624,6 +699,7 @@ class TestJoinInAmbient:
         a2 = generated_algebra([diag(1, 0, 0)], dim=3)
         joined = csa_join(a1, a2, ambient)
         assert joined == ambient
+        assert ambient.contains_algebra(joined)
 
     def test_join_idempotent_and_unit(self):
         ambient = diagonal_algebra(3)
@@ -639,6 +715,7 @@ class TestJoinInAmbient:
             joined = csa_join(lattice.payloads[i], lattice.payloads[j], ambient)
             expected = lattice.payloads[lub(lattice, [i, j])]
             assert joined == expected
+            assert ambient.contains_algebra(joined)
 
     def test_rejects_noncommutative_ambient(self):
         m2 = generated_algebra([Matrix.unit(2, 0, 1)])
@@ -707,7 +784,7 @@ class TestPushforward:
                 for part in lattices[nx]:
                     buckets = {}
                     for y in ys:
-                        buckets.setdefault(part.class_of(mapping[y])[0], []).append(y)
+                        buckets.setdefault(class_of(part, mapping[y])[0], []).append(y)
                     checked = EqRel(ys, buckets.values())
                     image = pushforward_hom(mapping, part, ys)
                     assert image == checked and hash(image) == hash(checked)
