@@ -1,17 +1,24 @@
 """Closed interval-block equivalence relations on [0,1] with exact rationals.
 
 A relation here is the diagonal plus the squares of finitely many disjoint
-closed blocks.  Endpoints are triadic rationals, and joins hinge on exact
-endpoint equality (blocks that merely touch must merge), so everything runs
-on ``fractions.Fraction`` - never floats.  Blocks keep ``Fraction``
-endpoints, not integers over one power of three, because the dense-chain
-witnesses have endpoints i/(n+1) and their midpoints halve them again.
+closed blocks.  Joins hinge on exact endpoint equality (blocks that merely
+touch must merge), so nothing runs on floats.  A relation stores its
+endpoints as integer numerators over one denominator ``den``, reduced so
+that ``den`` and the numerators have no common factor: ``den`` is then the
+lcm of the endpoint denominators in lowest terms, and equal relations store
+equal integers.  The triadic relations have a power of three for ``den``;
+the dense-chain witnesses keep their i/(n+1) endpoints, and their midpoints
+halve those again, which is why ``den`` belongs to each relation rather
+than being one power of three.  Two relations are compared over the lcm of
+their denominators and a point p/q against a block by cross-multiplying,
+so every comparison is between integers and stays exact.  The ``Fraction``
+form of the blocks is built only when asked for.
 
-A relation keeps the sorted lower endpoints of its blocks; since blocks are
-disjoint and do not touch, the only block that can hold a point is the one
-with the largest lower endpoint at or below it, found by bisection.  The
-stages of one level are made by a single walk down from the root on integer
-numerators (``_stage_level``), not string by string.
+A relation keeps the sorted lower numerators of its blocks; since blocks
+are disjoint and do not touch, the only block that can hold a point is the
+one with the largest lower endpoint at or below it, found by bisection.
+The stages of one level are made by a single walk down from the root on
+integer numerators (``_stage_level``), not string by string.
 
 The module builds the middle-thirds relation and the shrinking
 first-and-last-thirds family, and verifies at a chosen truncation depth
@@ -25,6 +32,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse
 from .partitions import EqRel
@@ -46,47 +55,106 @@ class TriRel:
     merged, since transitivity through the shared point would glue them).
     Blocks that already satisfy all three in the given order are kept as
     given; any others are sorted first and then checked.
+
+    The stored form is ``den`` and the numerator pairs ``_pairs``;
+    ``blocks`` is the same list as ``Fraction`` pairs.  The package's own
+    builds pass numerators to ``TriRel._from_ints``, which runs the same
+    checks.
     """
 
-    __slots__ = ("blocks", "_lows")
+    __slots__ = ("den", "_pairs", "_lows", "_blocks")
 
     def __init__(self, blocks):
         blocks = tuple(
             (l if type(l) is Fraction else Fraction(l), u if type(u) is Fraction else Fraction(u))
             for l, u in blocks
         )
+        den = lcm(*(end.denominator for block in blocks for end in block))
+        self._set(
+            den,
+            tuple(
+                (l.numerator * (den // l.denominator), u.numerator * (den // u.denominator))
+                for l, u in blocks
+            ),
+            blocks,
+        )
+
+    @classmethod
+    def _from_ints(cls, den, pairs):
+        """The relation with blocks [l/den, u/den] for the (l, u) in ``pairs``."""
+        rel = object.__new__(cls)
+        rel._set(den, pairs)
+        return rel
+
+    def _set(self, den, pairs, blocks=None):
+        """Check the numerator pairs over ``den``, reduce and store them;
+        ``blocks``, their ``Fraction`` form, is kept if they are in order."""
         # proper, strictly separated blocks in the given order are sorted
         if not (
-            all(ZERO <= l < u <= ONE for l, u in blocks)
-            and all(u1 < l2 for (_, u1), (l2, _) in zip(blocks, blocks[1:]))
+            all(0 <= l < u <= den for l, u in pairs)
+            and all(u1 < l2 for (_, u1), (l2, _) in zip(pairs, pairs[1:]))
         ):
-            blocks = tuple(sorted(blocks))
-            for l, u in blocks:
-                if not (ZERO <= l < u <= ONE):
-                    raise BadParameters(f"block [{l}, {u}] is not a proper subinterval of [0,1]")
-            for (_, u1), (l2, _) in zip(blocks, blocks[1:]):
+            pairs, blocks = tuple(sorted(pairs)), None
+            for l, u in pairs:
+                if not 0 <= l < u <= den:
+                    raise BadParameters(
+                        f"block [{Fraction(l, den)}, {Fraction(u, den)}] "
+                        "is not a proper subinterval of [0,1]"
+                    )
+            for (_, u1), (l2, _) in zip(pairs, pairs[1:]):
                 if l2 <= u1:
-                    raise BadParameters(f"blocks touching at {l2} must be merged")
-        self.blocks = blocks
-        self._lows = [l for l, _ in blocks]
+                    raise BadParameters(f"blocks touching at {Fraction(l2, den)} must be merged")
+        common = gcd(den, *chain.from_iterable(pairs))
+        if common > 1:
+            den //= common
+            pairs = tuple((l // common, u // common) for l, u in pairs)
+        self.den, self._pairs, self._blocks = den, pairs, blocks
+        self._lows = [l for l, _ in pairs]
 
-    def relates(self, x, y):
+    @property
+    def blocks(self):
+        """The blocks as sorted ``Fraction`` pairs."""
+        if self._blocks is None:
+            den = self.den
+            self._blocks = tuple((Fraction(l, den), Fraction(u, den)) for l, u in self._pairs)
+        return self._blocks
+
+    def _over(self, den):
+        """The numerator pairs over ``den``, a multiple of ``self.den``."""
+        k = den // self.den
+        return self._pairs if k == 1 else [(l * k, u * k) for l, u in self._pairs]
+
+    def _find(self, num, den):
+        """Index of the block holding the point num/den (den > 0), or -1."""
+        scaled = num * self.den
+        i = bisect_right(self._lows, scaled // den) - 1
+        if i >= 0 and scaled <= self._pairs[i][1] * den:
+            return i
+        return -1
+
+    def _relates(self, x, y, den):
+        """Whether the points x/den and y/den are related."""
         if x == y:
             return True
-        block = self.block_containing(x)
-        return block is not None and block[0] <= y <= block[1]
+        i = self._find(x, den)
+        return i >= 0 and self._find(y, den) == i
+
+    def relates(self, x, y):
+        """Whether the rationals x and y are related."""
+        p, q = x.numerator, x.denominator
+        r, s = y.numerator, y.denominator
+        return self._relates(p * s, r * q, q * s)
 
     def block_containing(self, x):
-        i = bisect_right(self._lows, x) - 1
-        if i >= 0 and x <= self.blocks[i][1]:
-            return self.blocks[i]
-        return None
+        i = self._find(x.numerator, x.denominator)
+        return self.blocks[i] if i >= 0 else None
 
     def contains(self, other):
         """Relation containment: every block of other inside a block of self."""
-        for ol, ou in other.blocks:
-            block = self.block_containing(ol)
-            if block is None or ou > block[1]:
+        pairs, den, other_den = self._pairs, self.den, other.den
+        for l, u in other._pairs:
+            i = self._find(l, other_den)
+            if i < 0 or u * den > pairs[i][1] * other_den:
                 return False
         return True
 
@@ -94,10 +162,10 @@ class TriRel:
         return other.contains(self)
 
     def __eq__(self, other):
-        return isinstance(other, TriRel) and self.blocks == other.blocks
+        return isinstance(other, TriRel) and self.den == other.den and self._pairs == other._pairs
 
     def __hash__(self):
-        return hash(self.blocks)
+        return hash((self.den, self._pairs))
 
     def __repr__(self):
         inner = ", ".join(f"[{l}, {u}]" for l, u in self.blocks)
@@ -122,8 +190,9 @@ def _stages(length):
 
 def _stage_level(length):
     """The stages (a, b, c, d) of every binary string of a length, in
-    ``_stages`` order: the outer thirds [a, b] and [c, d] of [a, d] survive
-    as suffixes 0 and 1, and [b, c] is the middle block.
+    ``_stages`` order, as numerators over 3^(length+1): the outer thirds
+    [a, b] and [c, d] of [a, d] survive as suffixes 0 and 1, and [b, c] is
+    the middle block.
 
     One walk down from the root on integer numerators: at level k a stage
     [a, d] has numerators over 3^k, and its children are (3a, 2a+d) and
@@ -135,16 +204,7 @@ def _stage_level(length):
         ends = [
             child for a, d in ends for child in ((3 * a, 2 * a + d), (a + 2 * d, 3 * d))
         ]
-    den = 3 ** (length + 1)
-    return [
-        (
-            Fraction(3 * a, den),
-            Fraction(2 * a + d, den),
-            Fraction(a + 2 * d, den),
-            Fraction(3 * d, den),
-        )
-        for a, d in ends
-    ]
+    return [(3 * a, 2 * a + d, a + 2 * d, 3 * d) for a, d in ends]
 
 
 def relation_R(depth):
@@ -156,52 +216,47 @@ def relation_R(depth):
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise DepthLimit(depth, MAX_DEPTH)
-    return TriRel(
-        (b, c) for length in range(depth + 1) for _, b, c, _ in _stage_level(length)
-    )
+    pairs = []
+    for length in range(depth + 1):
+        k = 3 ** (depth - length)
+        pairs.extend((b * k, c * k) for _, b, c, _ in _stage_level(length))
+    return TriRel._from_ints(3 ** (depth + 1), tuple(pairs))
 
 
 def relation_S(n):
     """First-and-last-thirds relation: one block [a, d] per string of length n."""
     if not 0 <= n <= MAX_DEPTH:
         raise DepthLimit(n, MAX_DEPTH)
-    return TriRel((a, d) for a, _, _, d in _stage_level(n))
+    return TriRel._from_ints(3 ** (n + 1), tuple((a, d) for a, _, _, d in _stage_level(n)))
 
 
 def tri_join(x, y):
     """Smallest block relation containing both.
 
     Blocks that overlap or touch merge into their convex hull; a single
-    sorted sweep realizes the transitive closure because blocks are
-    intervals.
+    sweep in order of lower ends realizes the transitive closure because
+    blocks are intervals.  Both block lists are sorted, so sorting their
+    concatenation is one linear merge of two runs.
     """
-    xs, ys = x.blocks, y.blocks
-    nx, ny = len(xs), len(ys)
-    i = j = 0
+    den = lcm(x.den, y.den)
     merged = []
-    # merge the two sorted block lists by lower end, sweeping as we go
-    while i < nx or j < ny:
-        if j == ny or (i < nx and xs[i][0] <= ys[j][0]):
-            l, u = xs[i]
-            i += 1
-        else:
-            l, u = ys[j]
-            j += 1
-        if merged and l <= merged[-1][1]:
-            if u > merged[-1][1]:
-                merged[-1][1] = u
-        else:
+    top = -1  # upper end of the last merged block
+    for l, u in sorted(chain(x._over(den), y._over(den))):
+        if l > top:
             merged.append([l, u])
-    return TriRel(tuple((l, u) for l, u in merged))
+            top = u
+        elif u > top:
+            top = merged[-1][1] = u
+    return TriRel._from_ints(den, tuple(map(tuple, merged)))
 
 
 def max_offdiag_width(x):
     """Largest block length; zero for the diagonal."""
-    return max((u - l for l, u in x.blocks), default=ZERO)
+    return Fraction(max((u - l for l, u in x._pairs), default=0), x.den)
 
 
 def is_full(x):
-    return x.blocks == ((ZERO, ONE),)
+    return x._pairs == ((0, x.den),)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +328,7 @@ def verify_counterexample(depth):
     record(
         "join_diagonal_is_r",
         with_diag == r and not is_full(r),
-        f"{len(r.blocks)} block(s)",
+        f"{len(r._pairs)} block(s)",
     )
 
     for n in range(1, depth + 1):
@@ -292,7 +347,7 @@ def verify_counterexample(depth):
             "all stage chains connect" if ok else f"chain broken at stage {sigma!r}",
         )
 
-    return CounterexampleReport(depth=depth, r_blocks=len(r.blocks), checks=checks)
+    return CounterexampleReport(depth=depth, r_blocks=len(r._pairs), checks=checks)
 
 
 def _chain_level(r, length, s_next, joined):
@@ -303,6 +358,7 @@ def _chain_level(r, length, s_next, joined):
     lands on (a, d) related inside ``joined``, the join of R with
     ``s_next``, the next family member.
     """
+    den = 3 ** (length + 1)
     children = _stage_level(length + 1)
     for i, (sigma, (a, b, c, d)) in enumerate(zip(_stages(length), _stage_level(length))):
         steps = []
@@ -311,12 +367,12 @@ def _chain_level(r, length, s_next, joined):
             steps.append((cb, cc, r))
             steps.append((cc, cd, s_next))
         for x, y, rel in steps:
-            if not rel.relates(x, y):
+            if not rel._relates(x, y, 3 * den):
                 return False, sigma
         # the middle block of the parent stage links the two child spans
-        if not r.relates(b, c):
+        if not r._relates(b, c, den):
             return False, sigma
-        if not joined.relates(a, d):
+        if not joined._relates(a, d, den):
             return False, sigma
     return True, None
 
@@ -339,12 +395,13 @@ def sample_to_grid(x, m):
     if not 0 <= m <= GRID_MAX:
         raise DepthLimit(m, GRID_MAX)
     scale = 3**m
-    spans = []
-    for l, u in x.blocks:
-        for endpoint in (l, u):
-            if (endpoint * scale).denominator != 1:
-                raise GridTooCoarse(endpoint, m)
-        spans.append((int(l * scale), int(u * scale)))
+    factor, off_grid = divmod(scale, x.den)
+    if off_grid:
+        # x.den is reduced, so it divides scale unless an endpoint is off the grid
+        den = x.den
+        endpoint = next(e for e in chain.from_iterable(x._pairs) if e * scale % den)
+        raise GridTooCoarse(Fraction(endpoint, den), m)
+    spans = [(l * factor, u * factor) for l, u in x._pairs]
     points = tuple(Fraction(k, scale) for k in range(scale + 1))
     # grid index k is labelled k - merged, where merged counts the points
     # folded into earlier runs

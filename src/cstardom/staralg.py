@@ -465,12 +465,16 @@ class StarAlgebra:
     __slots__ = ("dim", "basis", "generators", "_pivots")
 
     def __init__(self, dim, basis_matrices, generators=()):
+        if dim > AMBIENT_MAX:
+            raise SizeLimit("ambient matrix size", dim, AMBIENT_MAX)
         basis_matrices = list(basis_matrices)
         generators = tuple(generators)
         for m in basis_matrices + list(generators):
             if m.dim != dim:
                 raise DimMismatch(f"matrix of size {m.dim} in ambient size {dim}")
         rows = rref([_vec(m) for m in basis_matrices])
+        if len(rows) > ALGEBRA_DIM_MAX:
+            raise SizeLimit("algebra dimension", len(rows), ALGEBRA_DIM_MAX)
         if len(_close_once(dim, rows)) != len(rows):
             raise BadParameters("basis span lacks the identity, an adjoint or a product")
         self._set(dim, rows, generators)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cstardom.cantor import (
     GRID_MAX,
     MAX_DEPTH,
     TriRel,
+    _chain_level,
     _stage_level,
     _stages,
     dense_chain_witness,
@@ -73,11 +75,31 @@ def probe_points(rel):
     return sorted(points)
 
 
+def midpoint_witnesses(n):
+    chain = dense_chain_witness(n)
+    return [midpoint_witness(a, b) for a, b in zip(chain, chain[1:])]
+
+
+# triadic relations mixed with the chain witnesses' i/(n+1) endpoints and
+# their midpoints' 2(n+1) denominators
 relations_for_lookup = st.one_of(
     triadic_relations(),
     triadic_relations(1),
     st.integers(2, 12).flatmap(lambda n: st.sampled_from(dense_chain_witness(n))),
+    st.integers(2, 12).flatmap(lambda n: st.sampled_from(midpoint_witnesses(n))),
 )
+
+
+def sorted_sweep(x, y):
+    """Reference join: sort all Fraction blocks, then merge overlapping or
+    touching ones."""
+    merged = []
+    for l, u in sorted(x.blocks + y.blocks):
+        if merged and l <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], u)
+        else:
+            merged.append([l, u])
+    return tuple((l, u) for l, u in merged)
 
 
 class TestBisectLookup:
@@ -145,7 +167,11 @@ class TestStageIntervals:
 
     @pytest.mark.parametrize("length", range(9))
     def test_stage_level_matches_stage_intervals(self, length):
-        assert _stage_level(length) == [stage_intervals(s) for s in _stages(length)]
+        # _stage_level gives numerators over 3^(length+1)
+        den = 3 ** (length + 1)
+        assert [tuple(F(x, den) for x in stage) for stage in _stage_level(length)] == [
+            stage_intervals(s) for s in _stages(length)
+        ]
 
 
 class TestRelationConstruction:
@@ -235,6 +261,8 @@ class TestJoinMeet:
     def test_is_full(self):
         assert is_full(FULL)
         assert not is_full(relation_R(1))
+        # a block [0, 1/3] is stored as (0, 1) over 3
+        assert not is_full(TriRel([(0, F(1, 3))]))
         assert is_full(tri_join(relation_R(1), relation_S(1)))
 
     @settings(max_examples=60, deadline=None)
@@ -254,14 +282,14 @@ class TestJoinMeet:
     @settings(max_examples=60, deadline=None)
     @given(triadic_relations(), triadic_relations())
     def test_join_matches_the_sorted_sweep(self, x, y):
-        # reference: sort all blocks, then merge overlapping or touching ones
-        merged = []
-        for l, u in sorted(x.blocks + y.blocks):
-            if merged and l <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], u)
-            else:
-                merged.append([l, u])
-        assert tri_join(x, y).blocks == tuple((l, u) for l, u in merged)
+        assert tri_join(x, y).blocks == sorted_sweep(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relations_for_lookup, relations_for_lookup)
+    def test_join_matches_the_sorted_sweep_across_denominators(self, x, y):
+        joined = tri_join(x, y)
+        assert joined.blocks == sorted_sweep(x, y)
+        assert joined == TriRel(sorted_sweep(x, y))
 
     @settings(max_examples=50, deadline=None)
     @given(triadic_relations(2), triadic_relations(2))
@@ -270,6 +298,36 @@ class TestJoinMeet:
         sampled = sample_to_grid(tri_join(x, y), resolution)
         joined = eqrel_join(sample_to_grid(x, resolution), sample_to_grid(y, resolution))
         assert sampled == joined
+
+
+class TestCanonicalForm:
+    def test_join_through_ninths_is_full(self):
+        # R_1 and S_1 are stored over 9 and 3; their join reduces to [0, 1]
+        joined = tri_join(relation_R(1), relation_S(1))
+        assert joined == FULL and hash(joined) == hash(FULL)
+        assert (joined.den, joined._pairs) == (1, ((0, 1),))
+
+    def test_unreduced_endpoints(self):
+        rel = TriRel([(F(3, 9), F(6, 9))])
+        assert rel == relation_R(0) and hash(rel) == hash(relation_R(0))
+        assert rel.den == 3
+        scaled = TriRel._from_ints(27, ((9, 18),))
+        assert scaled == rel and hash(scaled) == hash(rel) and scaled.den == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(relations_for_lookup, st.integers(2, 30))
+    def test_any_common_denominator_gives_the_same_relation(self, rel, k):
+        scaled = TriRel._from_ints(rel.den * k, tuple((l * k, u * k) for l, u in rel._pairs))
+        assert scaled == rel and hash(scaled) == hash(rel)
+        assert (scaled.den, scaled._pairs) == (rel.den, rel._pairs)
+        assert scaled.blocks == rel.blocks
+
+    @settings(max_examples=60, deadline=None)
+    @given(relations_for_lookup)
+    def test_denominator_is_the_lcm_of_the_endpoint_denominators(self, rel):
+        assert rel.den == math.lcm(*(end.denominator for block in rel.blocks for end in block))
+        assert all(F(l, rel.den) == lo and F(u, rel.den) == hi
+                   for (l, u), (lo, hi) in zip(rel._pairs, rel.blocks))
 
 
 class TestCounterexample:
@@ -311,6 +369,47 @@ class TestCounterexample:
         with pytest.raises(AssertionFailed) as info:
             cantor_module.verify_counterexample(1)
         assert "join_full:n=1" in str(info.value.detail)
+
+    def test_widened_family_member_fails_the_width_check(self, monkeypatch):
+        import cstardom.cantor as cantor_module
+
+        # S_1 widened to [0, 1/2], [2/3, 1]: every join stays full, so only
+        # the exact 3^-n width check can catch it
+        widened = TriRel([(0, F(1, 2)), (F(2, 3), 1)])
+        monkeypatch.setattr(
+            cantor_module, "relation_S", lambda n: widened if n == 1 else relation_S(n)
+        )
+        assert is_full(tri_join(relation_R(2), widened))
+        with pytest.raises(AssertionFailed) as info:
+            cantor_module.verify_counterexample(2)
+        assert info.value.detail == "width_exact:n=1: max width 1/2"
+
+    def test_full_r_fails_the_diagonal_check(self, monkeypatch):
+        import cstardom.cantor as cantor_module
+
+        monkeypatch.setattr(cantor_module, "relation_R", lambda depth: FULL)
+        with pytest.raises(AssertionFailed) as info:
+            cantor_module.verify_counterexample(2)
+        assert info.value.detail == "join_diagonal_is_r: 1 block(s)"
+
+    def test_missing_middle_block_breaks_its_stage_chain(self, monkeypatch):
+        import cstardom.cantor as cantor_module
+
+        # R_3 without the middle block [7/9, 8/9] of stage "1"; the joins
+        # are passed full, as for the intact R, so only R's steps can fail
+        broken = TriRel([b for b in relation_R(3).blocks if b != (F(7, 9), F(8, 9))])
+        s1, s2 = relation_S(1), relation_S(2)
+        # as the parent stage's middle block at length 1
+        assert _chain_level(broken, 1, s2, FULL) == (False, "1")
+        # as a child's middle block at length 0
+        assert _chain_level(broken, 0, s1, FULL) == (False, "")
+        assert _chain_level(relation_R(3), 1, s2, tri_join(relation_R(3), s2)) == (True, None)
+        assert _chain_level(broken, 2, relation_S(3), FULL) == (True, None)
+        # through the verifier, the join with S_2 is not full and fails first
+        monkeypatch.setattr(cantor_module, "relation_R", lambda depth: broken)
+        with pytest.raises(AssertionFailed) as info:
+            cantor_module.verify_counterexample(3)
+        assert str(info.value.detail).startswith("join_full:n=2:")
 
     def test_builds_each_family_member_once(self, monkeypatch):
         import cstardom.cantor as cantor_module
@@ -379,6 +478,21 @@ class TestGrid:
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             sample_to_grid(relation_S(2), 1)
+
+    @pytest.mark.parametrize(
+        "rel, m, endpoint",
+        [
+            (relation_S(2), 1, F(1, 9)),
+            (TriRel([(0, F(1, 3)), (F(1, 2), 1)]), 1, F(1, 2)),
+            (TriRel([(F(1, 9), F(1, 4))]), 2, F(1, 4)),
+            (dense_chain_witness(3)[1], 5, F(1, 2)),
+        ],
+    )
+    def test_too_coarse_names_the_first_endpoint_off_the_grid(self, rel, m, endpoint):
+        with pytest.raises(GridTooCoarse) as info:
+            sample_to_grid(rel, m)
+        assert (info.value.endpoint, info.value.resolution) == (endpoint, m)
+        assert str(endpoint) in str(info.value)
 
     def test_finest_grid_stays_fast(self):
         # 3^8 + 1 = 6562 grid points in one class

@@ -346,6 +346,21 @@ class TestCalg:
         assert report["results"]["error"]["type"] == "BadParameters"
         assert "outside the basis span" in report["results"]["error"]["message"]
 
+    @pytest.mark.parametrize("route", ["basis", "generators"])
+    @pytest.mark.parametrize("dim, code", [(16, 0), (17, 2)])
+    def test_ambient_size_guard_on_both_routes(self, route, dim, code, tmp_path, capsys):
+        identity = [["1" if r == c else "0" for c in range(dim)] for r in range(dim)]
+        payload = {"dim": dim, "basis": [identity], "generators": []}
+        if route == "generators":
+            del payload["basis"]
+        got, report = run_json(
+            ["calg", "generate", "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert got == code
+        if code:
+            assert report["results"]["error"]["type"] == "SizeLimit"
+            assert "ambient matrix size = 17" in report["results"]["error"]["message"]
+
     def test_basis_of_the_wrong_size_is_a_usage_error(self, tmp_path, capsys):
         identity2 = [["1", "0"], ["0", "1"]]
         payload = {"dim": 3, "basis": [identity2]}

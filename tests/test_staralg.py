@@ -464,8 +464,18 @@ class TestGeneratedAlgebra:
         assert algebra == generated_algebra([diag(1, 0)])
 
     def test_ambient_size_guard(self):
-        with pytest.raises(SizeLimit):
-            generated_algebra([], dim=17)
+        # both input routes, at the limit and one past it
+        limit = staralg.AMBIENT_MAX
+        assert StarAlgebra(limit, [Matrix.identity(limit)]).dimension == 1
+        assert generated_algebra([], dim=limit).dimension == 1
+        for build in (
+            lambda: StarAlgebra(limit + 1, [Matrix.identity(limit + 1)]),
+            lambda: generated_algebra([], dim=limit + 1),
+        ):
+            with pytest.raises(SizeLimit) as info:
+                build()
+            assert info.value.what == "ambient matrix size"
+            assert (info.value.value, info.value.limit) == (limit + 1, limit)
 
     def test_algebra_dimension_guard(self):
         # the superdiagonal units generate all 81 dimensions of the 9x9
@@ -473,6 +483,26 @@ class TestGeneratedAlgebra:
         gens = [Matrix.unit(9, i, i + 1) for i in range(8)]
         with pytest.raises(SizeLimit):
             generated_algebra(gens)
+
+    def test_algebra_dimension_guard_on_both_routes(self):
+        # M_8 has dimension 64, at the limit; M_8 + C inside the 9x9
+        # matrices has 65, one past it
+        limit = staralg.ALGEBRA_DIM_MAX
+        assert limit == 64
+        m8 = [Matrix.unit(8, i, j) for i in range(8) for j in range(8)]
+        assert StarAlgebra(8, m8).dimension == limit
+        assert generated_algebra([Matrix.unit(8, i, i + 1) for i in range(7)]).dimension == limit
+        corner = [Matrix.unit(9, i, j) for i in range(8) for j in range(8)]
+        for build in (
+            lambda: StarAlgebra(9, corner + [Matrix.unit(9, 8, 8)]),
+            lambda: generated_algebra(
+                [Matrix.unit(9, i, i + 1) for i in range(7)] + [Matrix.unit(9, 8, 8)]
+            ),
+        ):
+            with pytest.raises(SizeLimit) as info:
+                build()
+            assert info.value.what == "algebra dimension"
+            assert (info.value.value, info.value.limit) == (limit + 1, limit)
 
 
 class TestCommutativity:
