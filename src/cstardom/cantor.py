@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -402,7 +403,6 @@ def sample_to_grid(x, m):
         endpoint = next(e for e in chain.from_iterable(x._pairs) if e * scale % den)
         raise GridTooCoarse(Fraction(endpoint, den), m)
     spans = [(l * factor, u * factor) for l, u in x._pairs]
-    points = tuple(Fraction(k, scale) for k in range(scale + 1))
     # grid index k is labelled k - merged, where merged counts the points
     # folded into earlier runs
     labels, merged, start = [], 0, 0
@@ -412,7 +412,13 @@ def sample_to_grid(x, m):
         merged += hi - lo
         start = hi + 1
     labels.extend(range(start - merged, scale + 1 - merged))
-    return EqRel._from_labels(points, labels)
+    return EqRel._from_labels(_grid_points(scale), labels)
+
+
+@cache
+def _grid_points(scale):
+    """The grid k/scale, one tuple shared by every relation sampled on it."""
+    return tuple(Fraction(k, scale) for k in range(scale + 1))
 
 
 # ---------------------------------------------------------------------------

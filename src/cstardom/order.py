@@ -2,7 +2,10 @@
 
 The order relation is kept only as per-element up-set bitmasks; a boolean
 ``leq`` table is read by :func:`validate_poset` alone and written by
-:meth:`FinPoset.to_json_dict` alone, for outside input and output.
+:meth:`FinPoset.to_json_dict` alone, for outside input and output.  Bounds
+are lookups: a least upper bound c has ``up[c]`` equal to the upper bounds,
+and ``up`` masks are distinct by antisymmetry, so the lub is the element
+with that mask, if any; greatest lower bounds read ``dn`` alike.
 
 Each property flag is computed by one route, and reports record which.  On
 a finite poset every directed set contains its supremum, so way-below is
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BadParameters,
@@ -106,16 +110,10 @@ class FinPoset:
 
     def bottom(self):
         """Index of the least element, or None."""
-        for i in range(self.n):
-            if self.up[i] == self.full_mask:
-                return i
-        return None
+        return self.lub_mask(0)
 
     def top(self):
-        for i in range(self.n):
-            if self.dn[i] == self.full_mask:
-                return i
-        return None
+        return self.glb_mask(0)
 
     # -- bounds ---------------------------------------------------------
 
@@ -131,43 +129,36 @@ class FinPoset:
             lbs &= self.dn[i]
         return lbs
 
+    @cached_property
+    def _by_up(self):
+        return {m: c for c, m in enumerate(self.up)}
+
+    @cached_property
+    def _by_dn(self):
+        return {m: c for c, m in enumerate(self.dn)}
+
     def lub_mask(self, mask):
         """Least upper bound of the subset given as a bitmask, or None.
 
         The least upper bound of the empty set is the bottom element when
         one exists.
         """
-        ubs = self.upper_bounds_mask(mask)
-        for c in iter_bits(ubs):
-            if ubs & ~self.up[c] == 0:
-                return c
-        return None
+        return self._by_up.get(self.upper_bounds_mask(mask))
 
     def glb_mask(self, mask):
-        lbs = self.lower_bounds_mask(mask)
-        for c in iter_bits(lbs):
-            if lbs & ~self.dn[c] == 0:
-                return c
-        return None
+        return self._by_dn.get(self.lower_bounds_mask(mask))
 
     def meets(self):
         """Binary meet table: ``meets()[i][j]`` is the meet of i and j, or None."""
         if self._meets is None:
-            self._meets = self._pair_table(self.glb_mask)
+            self._meets = _pair_table(self.dn, self._by_dn)
         return self._meets
 
     def joins(self):
         """Binary join table: ``joins()[i][j]`` is the join of i and j, or None."""
         if self._joins is None:
-            self._joins = self._pair_table(self.lub_mask)
+            self._joins = _pair_table(self.up, self._by_up)
         return self._joins
-
-    def _pair_table(self, bound):
-        table = [[None] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(i, self.n):
-                table[i][j] = table[j][i] = bound((1 << i) | (1 << j))
-        return tuple(tuple(row) for row in table)
 
     # -- directed subsets ------------------------------------------------
 
@@ -244,6 +235,11 @@ class FinPoset:
 
     def __repr__(self):
         return f"FinPoset({self.n} elements)"
+
+
+def _pair_table(masks, index):
+    """``index.get(masks[i] & masks[j])`` for every pair, as a tuple of rows."""
+    return tuple(tuple(map(index.get, map(a.__and__, masks))) for a in masks)
 
 
 def validate_poset(elements, leq, orientation=None, payloads=None):
@@ -423,10 +419,11 @@ def domain_report(poset):
 
 
 def _meet_continuity(poset, report):
-    meet = poset.meets()
-    for i in range(poset.n):
+    # a pair has a meet exactly when its common lower bounds are some dn[c]
+    dn, meets = poset.dn, poset._by_dn
+    for i, a in enumerate(dn):
         for j in range(i, poset.n):
-            if meet[i][j] is None:
+            if a & dn[j] not in meets:
                 report.meet_continuous = None
                 report.witnesses["meet_continuous"] = {
                     "not_applicable": "missing binary meet",
@@ -446,10 +443,7 @@ def _atomistic(poset, report):
         report.witnesses["atomistic"] = {"not_applicable": "no least element"}
         report.paths["atomistic"] = "no-least-element"
         return
-    atoms_mask = 0
-    for i, j in poset.covers():
-        if i == bottom:
-            atoms_mask |= 1 << j
+    atoms_mask = sum(1 << j for i, j in poset.covers() if i == bottom)
     report.paths["atomistic"] = "definitional"
     for c in range(poset.n):
         approx = atoms_mask & poset.dn[c]

@@ -512,6 +512,16 @@ class TestGrid:
         assert len(joined.ground) == 6562 and len(joined.classes) == 1
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("m", [0, 2, GRID_MAX])
+    def test_one_ground_per_resolution(self, m):
+        # relations sampled on one grid share its ground tuple, which holds
+        # the same points as a freshly built grid
+        x, y = sample_to_grid(DIAGONAL, m), sample_to_grid(FULL, m)
+        assert x.ground is y.ground
+        assert x.ground == tuple(Fraction(k, 3**m) for k in range(3**m + 1))
+        if m >= 2:
+            assert sample_to_grid(relation_R(1), m).ground is x.ground
+
     def test_past_the_finest_grid(self):
         for m in (-1, GRID_MAX + 1):
             with pytest.raises(DepthLimit) as info:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,7 +169,7 @@ class TestPoset:
             ["poset", "hasse", "--input", files["chain3"], "--dot", out], capsys
         )
         assert code == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert "digraph" in text and "n0 -> n1;" in text
 
 
@@ -279,7 +280,7 @@ class TestCalg:
             ["calg", "lattice", "--input", files["diag3"], "--dot", out], capsys
         )
         assert code == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert text.count("[label=") == 5
 
     def test_spectrum(self, files, capsys):
@@ -397,7 +398,7 @@ class TestOmp:
 
     def test_invalid_omp(self, files, capsys, tmp_path):
         bad = tmp_path / "bad_omp.json"
-        payload = json.load(open(files["mo1"]))
+        payload = json.loads(Path(files["mo1"]).read_text())
         payload["ortho"] = [0, 1, 2, 3]
         bad.write_text(json.dumps(payload))
         code, report = run_json(["omp", "validate", "--input", str(bad)], capsys)

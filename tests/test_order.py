@@ -57,6 +57,82 @@ def glb(poset, subset):
     return poset.glb_mask(mask_of(poset, subset))
 
 
+def lub_by_scan(poset, mask):
+    """Least upper bound by a scan of the upper bounds for one lying below
+    all of them: the reference for the lookup in FinPoset.lub_mask."""
+    ubs = poset.upper_bounds_mask(mask)
+    for c in order.iter_bits(ubs):
+        if ubs & ~poset.up[c] == 0:
+            return c
+    return None
+
+
+def glb_by_scan(poset, mask):
+    lbs = poset.lower_bounds_mask(mask)
+    for c in order.iter_bits(lbs):
+        if lbs & ~poset.dn[c] == 0:
+            return c
+    return None
+
+
+def first_missing_meet(poset):
+    """The first pair i <= j, in row order, that the scan finds no meet for."""
+    pairs = ((i, j) for i in range(poset.n) for j in range(i, poset.n))
+    return next(([i, j] for i, j in pairs if glb_by_scan(poset, (1 << i) | (1 << j)) is None), None)
+
+
+def assert_bounds_match_scan(poset):
+    """Every lookup against the scan: lub_mask and glb_mask on every mask
+    of up to 12 elements (above that, on every mask of at most three
+    members, two above 20 elements, and on its complement), the pair
+    tables, bottom and top, and the tables of the dual after the poset's
+    own lookups have been built."""
+    if poset.n <= 12:
+        masks = range(poset.full_mask + 1)
+    else:
+        small = [
+            sum(1 << i for i in members)
+            for size in range(4 if poset.n <= 20 else 3)
+            for members in itertools.combinations(range(poset.n), size)
+        ]
+        masks = small + [poset.full_mask & ~m for m in small]
+    for mask in masks:
+        assert poset.lub_mask(mask) == lub_by_scan(poset, mask)
+        assert poset.glb_mask(mask) == glb_by_scan(poset, mask)
+    meets, joins = poset.meets(), poset.joins()
+    for i in range(poset.n):
+        for j in range(poset.n):
+            pair = (1 << i) | (1 << j)
+            assert meets[i][j] == glb_by_scan(poset, pair)
+            assert joins[i][j] == lub_by_scan(poset, pair)
+    assert poset.bottom() == lub_by_scan(poset, 0)
+    assert poset.top() == glb_by_scan(poset, 0)
+    dual = poset.dual()
+    assert (dual.bottom(), dual.top()) == (poset.top(), poset.bottom())
+    for i in range(poset.n):
+        for j in range(poset.n):
+            assert dual.meets()[i][j] == joins[i][j]
+            assert dual.joins()[i][j] == meets[i][j]
+
+
+def fresh_greechie_square():
+    """The Greechie square's order, without the tables validate_omp built:
+    an orthomodular poset in which some pairs have no meet."""
+    from test_ortho import greechie_square
+
+    poset = greechie_square().poset
+    return FinPoset(poset.elements, poset.up)
+
+
+def omp_fixture_posets():
+    from test_ortho import CLOSURE_FIXTURES
+
+    return [
+        pytest.param(make().poset, id=name)
+        for name, make in sorted(CLOSURE_FIXTURES.items())
+    ]
+
+
 @st.composite
 def posets(draw, max_size=8):
     n = draw(st.integers(min_value=1, max_value=max_size))
@@ -349,13 +425,27 @@ class TestBounds:
         cases = [random_poset(rng, rng.randint(1, 9), p) for p in (0.1, 0.35, 0.6) * 4]
         cases.append(power_set_omp(3).poset)
         for poset in cases:
-            meets, joins = poset.meets(), poset.joins()
-            for i in range(poset.n):
-                for j in range(poset.n):
-                    pair = (1 << i) | (1 << j)
-                    assert meets[i][j] == poset.glb_mask(pair)
-                    assert joins[i][j] == poset.lub_mask(pair)
-            assert poset.meets() is meets and poset.joins() is joins
+            assert_bounds_match_scan(poset)
+            assert poset.meets() is poset.meets() and poset.joins() is poset.joins()
+
+    # e1 <= e0 <= e2: index order is neither a linear extension nor its reverse
+    @settings(max_examples=150, deadline=None)
+    @given(posets(max_size=9))
+    @example(FinPoset(["e0", "e1", "e2"], [0b101, 0b111, 0b100]))
+    def test_lookups_match_scan_on_random_posets(self, poset):
+        # random_poset draws its edges along a shuffled order of the indices
+        assert_bounds_match_scan(poset)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("orientation", [ORIENT_REFINEMENT, ORIENT_SUBALGEBRA])
+    def test_lookups_match_scan_on_partition_lattices(self, k, orientation):
+        assert_bounds_match_scan(partition_lattice(k, orientation))
+
+    @pytest.mark.parametrize("poset", omp_fixture_posets())
+    def test_lookups_match_scan_on_omp_fixtures(self, poset):
+        # validate_omp has built the tables already; compare fresh lookups too
+        assert_bounds_match_scan(poset)
+        assert_bounds_match_scan(FinPoset(poset.elements, poset.up))
 
 
 FIXED_POSETS = [
@@ -648,6 +738,33 @@ class TestDomainReport:
         broken = [list(row) for row in poset.meets()]
         broken[0][1] = broken[1][0] = 2
         assert meet_distributivity_failure(poset, broken) is not None
+
+    @pytest.mark.parametrize(
+        "make, semilattice",
+        [
+            pytest.param(lambda: partition_lattice(6, ORIENT_SUBALGEBRA), True, id="pi6"),
+            pytest.param(fresh_greechie_square, False, id="square"),
+        ],
+    )
+    def test_report_builds_no_meet_table(self, make, semilattice):
+        poset = make()
+        report = domain_report(poset)
+        assert poset._meets is None and poset._joins is None
+        missing = first_missing_meet(poset)
+        assert (missing is None) == semilattice
+        if semilattice:
+            assert report.meet_continuous is True
+        else:
+            assert report.meet_continuous is None
+            assert report.witnesses["meet_continuous"]["pair"] == missing
+
+    @settings(max_examples=60, deadline=None)
+    @given(posets(max_size=9))
+    def test_meet_witness_is_the_first_missing_pair(self, poset):
+        report = domain_report(poset)
+        witness = report.witnesses.get("meet_continuous", {}).get("pair")
+        assert witness == first_missing_meet(poset)
+        assert poset._meets is None
 
     def test_json_keys(self):
         data = domain_report(chain(2)).to_json_dict()
