@@ -14,7 +14,8 @@ the flags built on these follow from finiteness (Gierz et al., Continuous
 Lattices and Domains, 2003).  Only :func:`directed_way_below` enumerates
 directed subsets outright; acceptance criterion 3 compares it with ``up``.
 Its enumeration, :meth:`FinPoset.directed_masks`, is the one test of all
-2^n subsets in the package, one down-set table lookup per member.
+2^n subsets in the package: one down-set table lookup per member, and the
+sup read off a table of upper bounds filled in the same pass.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .errors import (
 )
 
 # Cap for directed-subset enumeration: one pass over all 2^n subsets, at most
-# n table lookups each, and a table of 2^n machine words (128 KB at 15).
+# n table lookups each, and two tables of 2^n 16-bit masks (128 KB at 15;
+# 16-bit entries hold the masks of at most 16 elements).
 ORACLE_MAX = 15
 
 PROPERTY_KEYS = (
@@ -118,15 +120,17 @@ class FinPoset:
     # -- bounds ---------------------------------------------------------
 
     def upper_bounds_mask(self, mask):
-        ubs = self.full_mask
-        for i in iter_bits(mask):
-            ubs &= self.up[i]
+        up, ubs = self.up, self.full_mask
+        while mask:
+            ubs &= up[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
         return ubs
 
     def lower_bounds_mask(self, mask):
-        lbs = self.full_mask
-        for i in iter_bits(mask):
-            lbs &= self.dn[i]
+        dn, lbs = self.dn, self.full_mask
+        while mask:
+            lbs &= dn[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
         return lbs
 
     @cached_property
@@ -167,20 +171,25 @@ class FinPoset:
 
         A nonempty mask is directed when every pair of members has an upper
         bound inside it: for each member a, every member lies below some
-        member above a.  One pass over the masks in increasing order keeps
-        ``below[m]``, the union of the down-sets of the members of m; a
-        submask is smaller than its mask, so its entry is filled before it
-        is read.  Cached; SizeLimit above ``ORACLE_MAX`` elements.
+        member above a.  One pass over the masks in increasing order fills
+        ``below[m]``, the union of the down-sets of the members of m, and
+        ``above[m]``, their common upper bounds; a submask is smaller than
+        its mask, so its entries are filled before they are read.  The sup
+        of a directed m is the element whose up-set is ``above[m]``.
+        Cached; SizeLimit above ``ORACLE_MAX`` elements.
         """
         if self._directed is None:
             if self.n > ORACLE_MAX:
                 raise SizeLimit("poset size for directed enumeration", self.n, ORACLE_MAX)
-            up, dn = self.up, self.dn
-            below = array("I", [0]) * (1 << self.n)
+            up, dn, by_up = self.up, self.dn, self._by_up
+            below = array("H", [0]) * (1 << self.n)
+            above = array("H", [self.full_mask]) * (1 << self.n)
             out = []
             for mask in range(1, self.full_mask + 1):
                 low = mask & -mask
-                below[mask] = below[mask ^ low] | dn[low.bit_length() - 1]
+                i = low.bit_length() - 1
+                below[mask] = below[mask ^ low] | dn[i]
+                above[mask] = above[mask ^ low] & up[i]
                 rest = mask
                 while rest:
                     bit = rest & -rest
@@ -188,7 +197,7 @@ class FinPoset:
                         break
                     rest ^= bit
                 else:
-                    out.append((mask, self.lub_mask(mask)))
+                    out.append((mask, by_up.get(above[mask])))
             self._directed = tuple(out)
         return self._directed
 

@@ -53,9 +53,10 @@ class EqRel:
     of first occurrence.  ``classes`` is read off the labels: each class
     sorted, classes sorted by least member.  The constructor checks outside
     input; :meth:`_from_labels` is the unchecked path for labels built
-    inside the package.  The member-to-class map behind :meth:`relates` is
-    built on first use.  Instances are immutable and compare and hash by
-    ground and classes, so structural equality is relation equality.
+    inside the package.  The member-to-class map behind :meth:`relates` and
+    the label gather behind :meth:`refines` are built on first use.
+    Instances are immutable and compare and hash by ground and classes, so
+    structural equality is relation equality.
     """
 
     def __init__(self, ground, classes):
@@ -92,24 +93,17 @@ class EqRel:
         return rel
 
     def _set(self, ground, labels):
-        members, starts = [], []
-        for i, (x, k) in enumerate(zip(ground, labels)):
+        members = []
+        for x, k in zip(ground, labels):
             if k == len(members):
                 members.append([x])
-                starts.append(i)
             else:
                 members[k].append(x)
         self.ground = ground
         self.classes = tuple(map(tuple, members))
         self._labels = tuple(labels)
         self._class_of = None
-        # a gather that reads a labelling at the first position of each
-        # position's class: self refines other when gathering other's
-        # labels leaves them unchanged.  itemgetter returns a bare item for
-        # one index; a ground of one point or none has a single relation,
-        # so nothing is gathered there
-        leads = [starts[k] for k in labels]
-        self._gather = itemgetter(*leads) if len(leads) > 1 else tuple
+        self._gather = None
 
     # -- constructors ---------------------------------------------------
 
@@ -155,6 +149,15 @@ class EqRel:
         """True when every class of self sits inside a class of other."""
         if self.ground != other.ground:
             raise GroundMismatch("relations live on different ground sets")
+        if self._gather is None:
+            # read a labelling at the first position of each position's
+            # class: self refines other when gathering other's labels leaves
+            # them unchanged.  itemgetter returns a bare item for one index;
+            # a ground of one point or none has a single relation, so
+            # nothing is gathered there
+            first = {}
+            leads = [first.setdefault(k, i) for i, k in enumerate(self._labels)]
+            self._gather = itemgetter(*leads) if len(leads) > 1 else tuple
         return self._gather(other._labels) == other._labels
 
     def __eq__(self, other):

@@ -144,6 +144,26 @@ class TestEqRel:
         assert EqRel([7], [[7]]).refines(EqRel([7], [[7]]))
         assert EqRel([], []).refines(EqRel([], []))
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_refines_matches_class_containment_on_every_pair(self, n):
+        # reference: each class of r is a subset of some class of s; the
+        # grounds of 0 and 1 point take the gather's single-relation branch
+        rels = all_partitions(range(1, n + 1))
+        assert len(rels) == bell_number(n)
+        for r, s in itertools.product(rels, repeat=2):
+            expected = all(
+                any(set(cls) <= set(other) for other in s.classes) for cls in r.classes
+            )
+            assert r.refines(s) == expected
+
+    def test_gather_is_built_on_first_refines(self):
+        r, s = rel(4, [1, 2], [3], [4]), rel(4, [1], [2], [3, 4])
+        met = meet(r, s)
+        built = [EqRel._from_labels(r.ground, r._labels), join(r, s), met,
+                 *all_partitions(range(1, 5))]
+        assert all(x._gather is None for x in built)
+        assert met.refines(r) and met._gather is not None
+
     @settings(max_examples=60, deadline=None)
     @given(grounds_and_relations())
     def test_from_labels_equals_the_checked_constructor(self, case):
