@@ -12,7 +12,8 @@ a finite poset every directed set contains its supremum, so way-below is
 the order, every element is compact and the Scott opens are the up-sets;
 the flags built on these follow from finiteness (Gierz et al., Continuous
 Lattices and Domains, 2003).  Only :func:`directed_way_below` enumerates
-directed subsets outright; acceptance criterion 3 compares it with ``up``.
+directed subsets outright; acceptance criterion 3 compares it with ``up``
+and checks that each directed subset it read holds its sup.
 Its enumeration, :meth:`FinPoset.directed_masks`, is the one test of all
 2^n subsets in the package: one down-set table lookup per member, and the
 sup read off a table of upper bounds filled in the same pass.

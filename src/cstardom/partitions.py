@@ -3,9 +3,10 @@
 A relation is stored as its sorted ground and a label vector, the class
 index of each ground position with classes numbered by first occurrence.
 The ``EqRel`` constructor and ``EqRel.from_pairs`` check outside input;
-join (union-find over class labels), meet (pairs of labels) and the grid
-restriction in ``cantor`` build their results from labels through the
-unchecked ``EqRel._from_labels`` and never hash a ground member.
+after its checks ``from_pairs`` builds from labels through the unchecked
+``EqRel._from_labels``, as join (union-find over class labels), meet (pairs
+of labels) and the grid restriction in ``cantor`` do without hashing a
+ground member.
 
 A partition doubles as the dual picture of a commutative subalgebra of the
 functions on its ground set: finer partition, larger subalgebra.  The
@@ -117,7 +118,9 @@ class EqRel:
 
     @classmethod
     def from_pairs(cls, ground, pairs):
-        """Smallest equivalence relation containing the given pairs."""
+        """Smallest equivalence relation containing the given pairs: checked
+        input, union-find, and each member labelled by its root's first
+        occurrence, the canonical labels, so the build is unchecked."""
         parent = {x: x for x in ground}
 
         def find(x):
@@ -130,10 +133,10 @@ class EqRel:
             if a not in parent or b not in parent:
                 raise OutOfRange(f"pair ({a!r}, {b!r}) leaves the ground set")
             parent[find(a)] = find(b)
-        buckets = {}
-        for x in ground:
-            buckets.setdefault(find(x), []).append(x)
-        return cls(ground, buckets.values())
+        ground = tuple(sorted(ground))
+        if len(parent) != len(ground):
+            raise BadParameters("ground set has duplicate members")
+        return cls._from_labels(ground, _first_occurrence(map(find, ground)))
 
     # -- queries ----------------------------------------------------------
 

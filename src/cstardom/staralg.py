@@ -27,6 +27,7 @@ from .errors import (
     BadParameters,
     DimMismatch,
     GeneratorNotProjection,
+    GroundMismatch,
     NotCommutative,
     NotSubalgebra,
     NotTotal,
@@ -738,42 +739,36 @@ def generated_by_projections(algebra):
     return ok, projections
 
 
-def pushforward_hom(mapping, partition, target_ground):
+def pushforward_hom(mapping, partition):
     """Image of a subalgebra under the dual of a map between finite spectra.
 
-    ``mapping`` sends each point of the target spectrum into the source
-    spectrum; the image subalgebra is the pulled-back partition: two target
-    points are identified exactly when their images are identified.
+    ``mapping`` sends each target point, its keys, into the source
+    spectrum, the ground of ``partition``; the image is the pulled-back
+    partition of the sorted keys: two target points are identified exactly
+    when their images are.  The lower adjoint of :func:`pullback_adjoint`.
     """
-    source_ground = partition.ground
-    target_ground = tuple(sorted(target_ground))
-    for y in target_ground:
-        if y not in mapping:
-            raise NotTotal(f"map is undefined at {y!r}")
-        if mapping[y] not in source_ground:
-            raise NotTotal(f"map sends {y!r} outside the source spectrum")
-    if any(a == b for a, b in zip(target_ground, target_ground[1:])):
-        raise BadParameters("ground set has duplicate members")
+    target_ground = tuple(sorted(mapping))
     # y is labelled by the class of its image, renumbered by first occurrence
-    labels = _first_occurrence(partition._class_index(mapping[y]) for y in target_ground)
+    try:
+        labels = _first_occurrence(partition._class_index(mapping[y]) for y in target_ground)
+    except KeyError as exc:
+        raise NotTotal(f"map sends a point outside the source spectrum, to {exc}") from None
     return EqRel._from_labels(target_ground, labels)
 
 
 def pullback_adjoint(mapping, partition, source_ground):
     """Upper adjoint of :func:`pushforward_hom` along the same map.
 
-    Sends a target-side subalgebra (partition of the map's domain) to the
-    largest source-side subalgebra whose pushforward it contains: the
-    relation generated by the image pairs of identified points.
+    Sends a target-side subalgebra (a partition of the map's keys, else
+    GroundMismatch) to the largest source-side subalgebra whose pushforward
+    it contains: the relation on ``source_ground`` generated by the image
+    pairs of identified points.  NotTotal when the map leaves it.
     """
+    if partition.ground != tuple(sorted(mapping)):
+        raise GroundMismatch("the partition does not live on the map's domain")
     source_ground = tuple(sorted(source_ground))
-    pairs = []
-    for cls in partition.classes:
-        base = mapping[cls[0]]
-        if base not in source_ground:
-            raise NotTotal(f"map sends {cls[0]!r} outside the source spectrum")
-        for y in cls[1:]:
-            if mapping[y] not in source_ground:
-                raise NotTotal(f"map sends {y!r} outside the source spectrum")
-            pairs.append((base, mapping[y]))
+    for y in partition.ground:
+        if mapping[y] not in source_ground:
+            raise NotTotal(f"map sends {y!r} outside the source spectrum")
+    pairs = [(mapping[cls[0]], mapping[y]) for cls in partition.classes for y in cls[1:]]
     return EqRel.from_pairs(source_ground, pairs)

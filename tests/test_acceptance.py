@@ -6,7 +6,24 @@ criterion; the same checks back the ``cstardom accept`` subcommand.
 
 import pytest
 
+from cstardom import acceptance, staralg
 from cstardom.acceptance import CRITERIA, SELECTORS, run_acceptance, run_criterion
+from cstardom.order import FinPoset
+from cstardom.partitions import ORIENT_SUBALGEBRA, EqRel, partition_lattice
+
+DETAILS = {
+    1: "element counts 2, 5, 15, 52; order certified on the Hasse covers",
+    2: "seven flags true for k = 2..5",
+    3: "200 random posets, way-below == order, all compact, directed sups attained",
+    4: "depths 1..8, exact rational arithmetic",
+    5: "86 pairs, grid join equals join of grids",
+    6: "order isomorphism with Bell(k) nodes for k = 2..5",
+    7: "fixtures validate, 3 mutations rejected, B(MO2) = 3",
+    8: "50 random ordinals below w^5*3 plus 50 oracle cross-checks below w^3",
+    9: "2^(k-1)-1 atoms equal the bottom covers for k = 2..5",
+    10: "tail chains for n <= 16 and closed-set chains with reversing duals",
+    11: "494 maps, push(c) <= d iff c <= pull(d): push is a lower adjoint",
+}
 
 
 @pytest.mark.parametrize(
@@ -19,6 +36,7 @@ def test_criterion(number):
     assert result.within_budget, (
         f"criterion {number} took {result.elapsed_s:.2f}s, budget {result.budget_s}s"
     )
+    assert result.details == DETAILS[number]
 
 
 def test_fast_selector_is_a_subset():
@@ -31,3 +49,109 @@ def test_unknown_selector_rejected():
     with pytest.raises(ValueError):
         run_acceptance("everything")
     assert SELECTORS == ("all", "fast")
+
+
+# -- criterion 11 fails when the adjunction breaks -----------------------
+
+PUSH, PULL = staralg.pushforward_hom, staralg.pullback_adjoint
+
+
+def pull_to_diagonal(mapping, partition, source_ground):
+    return EqRel.diagonal(source_ground)
+
+
+def pull_without_last_pair(mapping, partition, source_ground):
+    pairs = [(mapping[cls[0]], mapping[y]) for cls in partition.classes for y in cls[1:]]
+    return EqRel.from_pairs(source_ground, pairs[:-1])
+
+
+def push_to_full(mapping, partition):
+    return EqRel.full(sorted(mapping))
+
+
+def push_with_diagonal_and_full_swapped(mapping, partition):
+    image = PUSH(mapping, partition)
+    diagonal, full = EqRel.diagonal(image.ground), EqRel.full(image.ground)
+    return full if image == diagonal else diagonal if image == full else image
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [
+        ("pullback_adjoint", pull_to_diagonal),
+        ("pullback_adjoint", pull_without_last_pair),
+        ("pushforward_hom", push_to_full),
+        ("pushforward_hom", push_with_diagonal_and_full_swapped),
+    ],
+    ids=["pull-diagonal", "pull-drops-a-pair", "push-full", "push-swapped"],
+)
+def test_criterion_11_fails_on_a_mutation(monkeypatch, name, mutant):
+    monkeypatch.setattr(staralg, name, mutant)
+    passed, details = acceptance._criterion_11()
+    assert not passed
+    assert details.startswith("push(c) <= d and c <= pull(d) differ")
+
+
+def test_criterion_3_fails_on_a_sup_outside_its_mask(monkeypatch):
+    directed = FinPoset.directed_masks
+
+    def misplaced(self):
+        out = []
+        for mask, sup in directed(self):
+            # every element lies below a member, so directed_way_below never
+            # reads this sup: only the sup check can see it moved
+            if mask != self.full_mask and all(self.up[b] & mask for b in range(self.n)):
+                sup = (self.full_mask & ~mask).bit_length() - 1
+            out.append((mask, sup))
+        return out
+
+    monkeypatch.setattr(FinPoset, "directed_masks", misplaced)
+    passed, details = acceptance._criterion_3()
+    assert not passed
+    assert details.endswith("directed subset without attained sup")
+
+
+# -- criterion 11's work, counted ---------------------------------------
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = dict.fromkeys(
+        ("pushforward_hom", "pullback_adjoint", "directed_masks", "lub_mask", "EqRel.__init__"), 0
+    )
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(staralg, "pushforward_hom", counted("pushforward_hom", PUSH))
+    monkeypatch.setattr(staralg, "pullback_adjoint", counted("pullback_adjoint", PULL))
+    monkeypatch.setattr(
+        FinPoset, "directed_masks", counted("directed_masks", FinPoset.directed_masks)
+    )
+    monkeypatch.setattr(FinPoset, "lub_mask", counted("lub_mask", FinPoset.lub_mask))
+    monkeypatch.setattr(EqRel, "__init__", counted("EqRel.__init__", EqRel.__init__))
+    return counts
+
+
+def test_the_counters_see_the_reference(calls):
+    lattice = partition_lattice(2, ORIENT_SUBALGEBRA)
+    lattice.directed_masks()
+    lattice.lub_mask(1)
+    EqRel.full((1, 2))
+    staralg.pullback_adjoint({1: 1}, staralg.pushforward_hom({1: 1}, lattice.payloads[0]), (1, 2))
+    assert set(calls.values()) == {1}
+
+
+def test_criterion_11_work(calls):
+    assert acceptance._criterion_11()[0]
+    assert calls == {
+        "pushforward_hom": 5764,
+        "pullback_adjoint": 5880,
+        "directed_masks": 0,
+        "lub_mask": 0,
+        "EqRel.__init__": 0,
+    }

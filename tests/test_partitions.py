@@ -49,6 +49,29 @@ def refines_lattice(n, orientation):
     )
 
 
+def from_pairs_by_buckets(ground, pairs):
+    """The relation generated by ``pairs``: union-find over the members,
+    then the members bucketed by root and the buckets built through the
+    checked constructor.  The reference for ``EqRel.from_pairs``, which
+    labels the members itself."""
+    parent = {x: x for x in ground}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        if a not in parent or b not in parent:
+            raise OutOfRange(f"pair ({a!r}, {b!r}) leaves the ground set")
+        parent[find(a)] = find(b)
+    buckets = {}
+    for x in ground:
+        buckets.setdefault(find(x), []).append(x)
+    return EqRel(ground, buckets.values())
+
+
 @st.composite
 def eqrels(draw, n=5):
     assignment = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
@@ -79,6 +102,26 @@ def grounds_and_relations(draw):
             buckets.setdefault(cls, []).append(x)
         rels.append(EqRel(ground, buckets.values()))
     return ground, rels[0], rels[1]
+
+
+@st.composite
+def grounds_and_pairs(draw):
+    """A ground of ints, strings or Fractions in any order, and pairs on it."""
+    n = draw(st.integers(0, 8))
+    ground = draw(
+        st.sampled_from(
+            [
+                list(range(1, n + 1)),
+                [chr(ord("z") - i) for i in range(n)],
+                [Fraction(k, 7) for k in range(n)],
+            ]
+        )
+    )
+    ground = draw(st.permutations(ground))
+    if not ground:
+        return ground, []
+    member = st.sampled_from(ground)
+    return ground, draw(st.lists(st.tuples(member, member), max_size=12))
 
 
 @functools.total_ordering
@@ -265,6 +308,35 @@ class TestJoinMeet:
         if r.refines(s):
             assert join(r, t).refines(join(s, t))
             assert meet(r, t).refines(meet(s, t))
+
+
+class TestFromPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(grounds_and_pairs())
+    def test_matches_the_bucketed_checked_build(self, case):
+        ground, pairs = case
+        got, expected = EqRel.from_pairs(ground, pairs), from_pairs_by_buckets(ground, pairs)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.ground == expected.ground and got.classes == expected.classes
+        assert got._labels == expected._labels
+
+    def test_examples(self):
+        assert EqRel.from_pairs(range(1, 5), [(4, 2), (2, 1)]) == rel(4, [1, 2, 4], [3])
+        assert EqRel.from_pairs("cab", []) == EqRel.diagonal("abc")
+
+    @pytest.mark.parametrize(
+        "ground, pairs, error",
+        [
+            ([1, 2, 2], [(1, 2)], BadParameters),
+            ([1, 2], [(1, 3)], OutOfRange),
+            # the pairs are checked before the ground
+            ([1, 1], [(1, 3)], OutOfRange),
+        ],
+    )
+    def test_rejects_what_the_reference_rejects(self, ground, pairs, error):
+        for build in (EqRel.from_pairs, from_pairs_by_buckets):
+            with pytest.raises(error):
+                build(ground, pairs)
 
 
 class TestAllPartitions:

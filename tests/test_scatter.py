@@ -23,6 +23,7 @@ from cstardom.scatter import (
     ordinal_interval_topology,
     stone_scattered_check,
 )
+from test_partitions import from_pairs_by_buckets
 
 
 def sierpinski():
@@ -338,6 +339,14 @@ class TestSeparation:
     def test_components_partition_the_space(self):
         top = indiscrete_topology("ab")
         assert connected_components(top) == [frozenset({0, 1})]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_components_match_the_bucketed_checked_build(self, seed, n):
+        top = random_topology(random.Random(seed), n)
+        pairs = [(x, y) for x in range(top.n) for y in iter_bits(top.up[x])]
+        expected = from_pairs_by_buckets(range(top.n), pairs)
+        assert connected_components(top) == [frozenset(c) for c in expected.classes]
 
 
 class TestStoneScattered:
