@@ -159,9 +159,6 @@ class TriRel:
                 return False
         return True
 
-    def __le__(self, other):
-        return other.contains(self)
-
     def __eq__(self, other):
         return isinstance(other, TriRel) and self.den == other.den and self._pairs == other._pairs
 

@@ -19,7 +19,6 @@ from . import __version__, acceptance, cantor, order, ortho, partitions, scatter
 from .errors import (
     AssertionFailed,
     BadParameters,
-    CheckFailed,
     CstardomError,
     IsoFailure,
     ParseError,
@@ -31,7 +30,7 @@ EXIT_USAGE = 2
 
 #: errors that mean a verification check did not pass; every other package
 #: error signals unusable input or parameters and exits 2
-_CHECK_ERRORS = (AssertionFailed, CheckFailed, IsoFailure)
+_CHECK_ERRORS = (AssertionFailed, IsoFailure)
 
 
 def main(argv=None):

@@ -139,7 +139,3 @@ class IsoFailure(CstardomError):
 
 class ParseError(CstardomError):
     pass
-
-
-class CheckFailed(CstardomError):
-    pass

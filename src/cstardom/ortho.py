@@ -27,7 +27,7 @@ from .errors import (
     SizeLimit,
 )
 from .order import FinPoset, iter_bits, validate_poset
-from .staralg import Matrix, c_lattice, minimal_projections
+from .staralg import _projection_sums, c_lattice, minimal_projections
 
 #: enumeration guard for Boolean subalgebras
 OMP_MAX = 32
@@ -311,8 +311,10 @@ def verify_caf_iso(algebra):
     Both sides are enumerated independently: the subalgebra lattice from
     partitions of the spectrum, the Boolean subalgebras by closure search
     inside the projection orthomodular poset.  The map sends a subalgebra
-    to the set of its projections; the check requires it to be a bijection
-    that preserves and reflects order, and raises IsoFailure otherwise.
+    to the set of its projections, found among the 2^k sums of minimal
+    projections (all of Proj(A)) that ``staralg._projection_sums`` forms
+    once; the check requires it to be a bijection that preserves and
+    reflects order, and raises IsoFailure otherwise.
     """
     projections = minimal_projections(algebra)  # also rejects noncommutative input
     k = len(projections)
@@ -323,12 +325,7 @@ def verify_caf_iso(algebra):
     bool_poset = boolean_subalgebras(proj_omp)
     sub_poset = c_lattice(algebra)
 
-    # each subalgebra's projections: sums over unions of blocks of its
-    # partition.  The 2^k sums are formed once, one addition per mask
-    sums = [Matrix.zero(algebra.dim)]
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        sums.append(sums[mask ^ low] + projections[low.bit_length() - 1])
+    sums = _projection_sums(projections, algebra.dim)
     bool_index = {sub.mask: i for i, sub in enumerate(bool_poset.payloads)}
     assignment = []
     for i in range(sub_poset.n):

@@ -174,12 +174,6 @@ class EqRel:
     def __hash__(self):
         return hash((self.ground, self.classes))
 
-    def __or__(self, other):
-        return join(self, other)
-
-    def __and__(self, other):
-        return meet(self, other)
-
     def __repr__(self):
         return f"EqRel({label_of(self)})"
 

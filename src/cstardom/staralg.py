@@ -392,40 +392,36 @@ def rref(vectors):
     """Reduced echelon form of the span of the given coordinate vectors.
 
     Rows are fully reduced with unit pivots and sorted by pivot column, so
-    the result is a canonical basis of the span.
+    the result is a canonical basis of the span.  Each vector is reduced
+    against the rows so far, scaled to a unit pivot, and then clears its
+    pivot column from those rows; both eliminations are
+    :func:`_reduce_against`, which walks only the support of the row it
+    subtracts.
     """
-    rows = [list(v) for v in vectors if any(x.a or x.b for x in v)]
-    if not rows:
-        return ()
-    width = len(rows[0])
-    basis = []  # list of (pivot_col, row)
-    for row in rows:
-        for pivot_col, pivot_row in basis:
-            factor = row[pivot_col]
-            if factor.a or factor.b:
-                for k in range(width):
-                    prk = pivot_row[k]
-                    if prk.a or prk.b:
-                        row[k] = _sub_mul(row[k], factor, prk)
-        lead = next((k for k in range(width) if row[k].a or row[k].b), None)
-        if lead is None:
+    basis = []  # (pivot column, row, support), sorted by pivot column
+    for vector in vectors:
+        row = _reduce_against(vector, basis)
+        support = _support(row)
+        if not support:
             continue
+        lead = support[0]
         inv = row[lead]
-        row = [x / inv if x.a or x.b else x for x in row]
-        for pivot_col, pivot_row in basis:
-            factor = pivot_row[lead]
+        for k in support:
+            row[k] = row[k] / inv
+        new = (lead, row, support)
+        for i, (pivot_col, other, _) in enumerate(basis):
+            factor = other[lead]
             if factor.a or factor.b:
-                for k in range(width):
-                    rk = row[k]
-                    if rk.a or rk.b:
-                        pivot_row[k] = _sub_mul(pivot_row[k], factor, rk)
-        basis.append((lead, row))
+                other = _reduce_against(other, (new,))
+                basis[i] = (pivot_col, other, _support(other))
+        basis.append(new)
         basis.sort(key=lambda item: item[0])
-    return tuple(tuple(row) for _, row in basis)
+    return tuple(tuple(row) for _, row, _ in basis)
 
 
 def _reduce_against(vector, basis):
-    """Residue of a vector after elimination against RREF basis rows."""
+    """Residue of a vector after elimination against (pivot column, row,
+    support) triples, each row zero off its support."""
     vector = list(vector)
     for pivot_col, row, support in basis:
         factor = vector[pivot_col]
@@ -435,12 +431,9 @@ def _reduce_against(vector, basis):
     return vector
 
 
-def _basis_with_pivots(rref_rows):
-    out = []
-    for row in rref_rows:
-        support = tuple(k for k, x in enumerate(row) if x.a or x.b)
-        out.append((support[0], row, support))
-    return out
+def _support(row):
+    """Indices of the nonzero entries of a row."""
+    return tuple(k for k, x in enumerate(row) if x.a or x.b)
 
 
 def _close_once(dim, rows):
@@ -494,7 +487,7 @@ class StarAlgebra:
         self.dim = dim
         self.basis = tuple(_unvec(v, dim) for v in rows)
         self.generators = generators
-        self._pivots = _basis_with_pivots(rows)
+        self._pivots = [(s[0], row, s) for row, s in zip(rows, map(_support, rows))]
 
     @property
     def dimension(self):
@@ -649,20 +642,30 @@ def _nonzero_coordinate(matrix):
     raise BadParameters("zero matrix has no nonzero coordinate")
 
 
-def block_sum_algebra(projections, partition, dim):
+def _projection_sums(projections, dim):
+    """Every sum of minimal projections, indexed by bitmask: entry m is the
+    sum of the ``projections[i]`` with bit i set in m, so entry 0 is zero.
+    These 2^k sums are the projections of the algebra.  One addition per
+    nonzero mask: m adds its lowest piece to the entry without it."""
+    sums = [Matrix.zero(dim)]
+    for mask in range(1, 1 << len(projections)):
+        low = mask & -mask
+        sums.append(sums[mask ^ low] + projections[low.bit_length() - 1])
+    return sums
+
+
+def block_sum_algebra(sums, partition, dim):
     """Span of the block sums of minimal projections over a partition.
 
-    The block sums are nonzero orthogonal projections summing to the
-    identity, hence linearly independent: one dimension per block.  Their
-    span is a *-algebra by construction, so it is built unchecked.
+    ``sums`` is the :func:`_projection_sums` table of the minimal
+    projections, and point i of the partition's ground is bit i - 1, so
+    each block's sum is read at its mask and no matrix is added here.  The
+    block sums are nonzero orthogonal projections summing to the identity,
+    hence linearly independent: one dimension per block.  Their span is a
+    *-algebra by construction, so it is built unchecked.
     """
-    sums = []
-    for cls in partition.classes:
-        total = Matrix.zero(dim)
-        for index in cls:
-            total = total + projections[index - 1]
-        sums.append(total)
-    return StarAlgebra._from_rref(dim, rref([_vec(m) for m in sums]), tuple(sums))
+    blocks = tuple(sums[sum(1 << (i - 1) for i in cls)] for cls in partition.classes)
+    return StarAlgebra._from_rref(dim, rref([_vec(m) for m in blocks]), blocks)
 
 
 def c_lattice(algebra):
@@ -681,7 +684,8 @@ def c_lattice(algebra):
         raise SizeLimit("spectrum size", k, LATTICE_MAX)
     lattice = partition_lattice(k, ORIENT_SUBALGEBRA)
     labels = lattice.elements
-    algebras = [block_sum_algebra(projections, rel, algebra.dim) for rel in lattice.payloads]
+    sums = _projection_sums(projections, algebra.dim)
+    algebras = [block_sum_algebra(sums, rel, algebra.dim) for rel in lattice.payloads]
     poset = FinPoset(labels, lattice.up, orientation=ORIENT_SUBALGEBRA, payloads=algebras)
     for i, j in poset.covers():
         if not algebras[j].contains_algebra(algebras[i]):
@@ -701,20 +705,18 @@ def atoms(algebra):
     """Two-dimensional subalgebras spanned by a nontrivial projection.
 
     One per unordered split of the minimal projections into two nonempty
-    parts: 2^(k-1) - 1 of them for a k-point spectrum.
+    parts: 2^(k-1) - 1 of them for a k-point spectrum.  Each split is
+    named once, by its side containing piece 0, and its projection is read
+    from the :func:`_projection_sums` table.
     """
     projections = minimal_projections(algebra)
     k = len(projections)
-    out = []
-    for size in range(1, k):
-        for subset in itertools.combinations(range(k), size):
-            if 0 not in subset:
-                continue  # each split once: keep the side containing piece 0
-            total = Matrix.zero(algebra.dim)
-            for index in subset:
-                total = total + projections[index]
-            out.append(generated_algebra([total], algebra.dim))
-    return out
+    sums = _projection_sums(projections, algebra.dim)
+    return [
+        generated_algebra([sums[sum(1 << i for i in (0,) + rest)]], algebra.dim)
+        for size in range(1, k)
+        for rest in itertools.combinations(range(1, k), size - 1)
+    ]
 
 
 def csa_join(c, d, ambient):
@@ -725,18 +727,6 @@ def csa_join(c, d, ambient):
         if not ambient.contains_algebra(part):
             raise NotSubalgebra("operand is not contained in the ambient algebra")
     return generated_algebra(list(c.basis) + list(d.basis), ambient.dim)
-
-
-def generated_by_projections(algebra):
-    """Whether the algebra is regenerated by its projections.
-
-    For a commutative projection-generated algebra the minimal projections
-    always regenerate it; the checker confirms this and returns them.
-    """
-    projections = minimal_projections(algebra)
-    regenerated = generated_algebra(projections, algebra.dim)
-    ok = regenerated.basis == algebra.basis
-    return ok, projections
 
 
 def pushforward_hom(mapping, partition):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cstardom import staralg
 from cstardom.errors import (
@@ -30,6 +30,7 @@ from cstardom.partitions import (
     partition_lattice,
 )
 from cstardom.staralg import (
+    GR_ZERO,
     GaussianRational,
     Matrix,
     StarAlgebra,
@@ -37,7 +38,6 @@ from cstardom.staralg import (
     c_lattice,
     csa_join,
     generated_algebra,
-    generated_by_projections,
     gr,
     is_commutative,
     minimal_projections,
@@ -185,14 +185,16 @@ def ref_rref(vectors):
     for row in rows:
         for pivot_col, pivot_row in basis:
             factor = row[pivot_col]
-            row = [x - factor * p for x, p in zip(row, pivot_row)]
+            if not factor.is_zero():  # subtracting zero would leave the row as it is
+                row = [x - factor * p for x, p in zip(row, pivot_row)]
         lead = next((k for k, x in enumerate(row) if not x.is_zero()), None)
         if lead is None:
             continue
         inv = row[lead]
         row = [x / inv for x in row]
         basis = [
-            (pivot_col, [x - pivot_row[lead] * r for x, r in zip(pivot_row, row)])
+            (pivot_col, pivot_row if pivot_row[lead].is_zero()
+             else [x - pivot_row[lead] * r for x, r in zip(pivot_row, row)])
             for pivot_col, pivot_row in basis
         ]
         basis.append((lead, row))
@@ -275,6 +277,57 @@ def rational_rows(rng, dim, rows, spread=2):
     ]
 
 
+#: a few nonzero entries, drawn whole so that a tall row set stays cheap to draw
+ROW_ENTRIES = [GaussianRational(Fraction(a, b), Fraction(c, 2))
+               for a in (-3, -1, 1, 2) for b in (1, 3) for c in (-1, 0, 1)]
+
+
+@st.composite
+def row_sets(draw):
+    """Rows for ``rref``: width 3, or 16 or 36 with at most four nonzero
+    entries a row, where walking a row's support differs from walking its
+    full width; with zero, duplicate and dependent rows, and up to three
+    more rows than the width."""
+    width = draw(st.sampled_from([3, 16, 36]))
+    entries = st.tuples(st.integers(0, width - 1), st.sampled_from(ROW_ENTRIES))
+    rows = []
+    for _ in range(draw(st.integers(0, width + 3))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "zero", "copy", "combination"]))
+        if kind == "zero":
+            rows.append((GR_ZERO,) * width)
+        elif kind == "copy" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.sampled_from(ROW_ENTRIES))
+            rows.append(tuple(x + c * y for x, y in zip(a, b)))
+        else:
+            row = [GR_ZERO] * width
+            for k, x in draw(st.lists(entries, min_size=1, max_size=4)):
+                row[k] = x
+            rows.append(tuple(row))
+    return rows
+
+
+def _sparse_tall(width, count, rng):
+    """``count`` > ``width`` rows with two nonzero entries each, every fifth
+    row the sum of the two before it."""
+    rows = []
+    for i in range(count):
+        if i % 5 == 4:
+            rows.append(tuple(x + y for x, y in zip(rows[-1], rows[-2])))
+            continue
+        row = [GR_ZERO] * width
+        for k in rng.sample(range(width), 2):
+            row[k] = GaussianRational(Fraction(rng.randint(1, 3), rng.randint(1, 3)),
+                                      Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+        rows.append(tuple(row))
+    return rows
+
+
+SPARSE_TALL = _sparse_tall(36, 39, random.Random(7))
+
+
 class TestIntegerKernels:
     def test_from_rows_equals_the_checked_constructor(self):
         rng = random.Random(3)
@@ -309,17 +362,14 @@ class TestIntegerKernels:
                 for x in itertools.chain.from_iterable(m.rows):
                     assert_normal(x)
 
-    def test_rref_matches_the_reference_elimination(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            rows = rational_rows(rng, 3, 3)
-            if rng.random() < 0.3:  # force a dependent row
-                rows[2] = [gr(x) + gr(y) for x, y in zip(rows[0], rows[1])]
-            vectors = [tuple(gr(x) for x in row) for row in rows]
-            got = staralg.rref(vectors)
-            assert [[ref(x) for x in row] for row in got] == ref_rref(vectors)
-            for x in itertools.chain.from_iterable(got):
-                assert_normal(x)
+    @settings(max_examples=100, deadline=None)
+    @given(row_sets())
+    @example(SPARSE_TALL)
+    def test_rref_matches_the_reference_elimination(self, vectors):
+        got = staralg.rref(vectors)
+        assert [[ref(x) for x in row] for row in got] == ref_rref(vectors)
+        for x in itertools.chain.from_iterable(got):
+            assert_normal(x)
 
     def test_c_lattice_builds_no_checked_matrix(self, monkeypatch):
         # every matrix c_lattice makes is a kernel output: no entry is coerced
@@ -653,8 +703,8 @@ class TestCLatticeCertificate:
     def _break_block_sums(self, monkeypatch, swap):
         original = staralg.block_sum_algebra
 
-        def broken(projections, partition, dim):
-            return original(projections, swap(partition), dim)
+        def broken(sums, partition, dim):
+            return original(sums, swap(partition), dim)
 
         monkeypatch.setattr(staralg, "block_sum_algebra", broken)
 
@@ -698,13 +748,89 @@ class TestBoundaryCheck:
         assert generated_algebra(algebra.generators, algebra.dim) == algebra
         pieces = atoms(algebra)
         assert csa_join(pieces[0], pieces[-1], algebra).dimension == 3
-        assert generated_by_projections(algebra)[0]
         assert calls == []
         StarAlgebra(algebra.dim, algebra.basis, algebra.generators)
         assert len(calls) == 1
 
 
+class TestProjectionSums:
+    """Every sum of minimal projections comes from one 2^k table with one
+    addition per nonzero mask; these pin the additions."""
+
+    @staticmethod
+    def count_additions(monkeypatch):
+        original = Matrix.__add__
+        calls = []
+
+        def counted(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Matrix, "__add__", counted)
+        return calls
+
+    def test_table_entries_are_the_subset_sums(self):
+        pieces = minimal_projections(rotated_algebra(4))
+        sums = staralg._projection_sums(pieces, 4)
+        assert len(sums) == 16 and sums[0] == Matrix.zero(4) and sums[15] == Matrix.identity(4)
+        for mask, total in enumerate(sums):
+            want = Matrix.zero(4)
+            for i in range(4):
+                if mask >> i & 1:
+                    want = want + pieces[i]
+            assert total == want
+
+    @pytest.mark.parametrize("k,additions", [(4, 19), (5, 36), (6, 69)])
+    def test_c_lattice_additions(self, k, additions, monkeypatch):
+        # k in minimal_projections' sum check, 2^k - 1 in the table
+        algebra = diagonal_algebra(k)
+        calls = self.count_additions(monkeypatch)
+        c_lattice(algebra)
+        assert len(calls) == additions == 2 ** k - 1 + k
+
+    def test_caf_iso_and_atoms_additions(self, monkeypatch):
+        algebra = diagonal_algebra(5)
+        calls = self.count_additions(monkeypatch)
+        verify_caf_iso(algebra)
+        assert len(calls) == 72  # its own 5 + 31, and c_lattice's 36
+        calls.clear()
+        atoms(algebra)
+        assert len(calls) == 36
+
+    def test_block_sum_algebra_adds_no_matrices(self, monkeypatch):
+        algebra = rotated_algebra(4)
+        sums = staralg._projection_sums(minimal_projections(algebra), 4)
+        calls = self.count_additions(monkeypatch)
+        for rel in partition_lattice(4, ORIENT_SUBALGEBRA).payloads:
+            staralg.block_sum_algebra(sums, rel, 4)
+        assert calls == []
+
+
+def reference_atoms(algebra):
+    """Every subset of the minimal projections that holds piece 0, in
+    combinations order, each summed from zero."""
+    projections = minimal_projections(algebra)
+    k = len(projections)
+    out = []
+    for size in range(1, k):
+        for subset in itertools.combinations(range(k), size):
+            if 0 not in subset:
+                continue
+            total = Matrix.zero(algebra.dim)
+            for index in subset:
+                total = total + projections[index]
+            out.append(generated_algebra([total], algebra.dim))
+    return out
+
+
 class TestAtoms:
+    @pytest.mark.parametrize(
+        "algebra", [diagonal_algebra(k) for k in range(2, 6)] + [rotated_algebra(4)]
+    )
+    def test_matches_the_reference_build(self, algebra):
+        got, want = atoms(algebra), reference_atoms(algebra)
+        assert [a.to_json_dict() for a in got] == [a.to_json_dict() for a in want]
+
     @pytest.mark.parametrize("k,count", [(2, 1), (3, 3), (4, 7)])
     def test_counts(self, k, count):
         assert len(atoms(diagonal_algebra(k))) == count
@@ -759,20 +885,6 @@ class TestJoinInAmbient:
         other = generated_algebra([diag(1, 0, 0)], dim=3)
         with pytest.raises((NotSubalgebra, DimMismatch)):
             csa_join(other, other, ambient)
-
-
-class TestGeneratedByProjections:
-    def test_diagonal(self):
-        ok, gens = generated_by_projections(diagonal_algebra(3))
-        assert ok and len(gens) == 3
-
-    def test_scalars(self):
-        ok, gens = generated_by_projections(generated_algebra([], dim=2))
-        assert ok and gens == [Matrix.identity(2)]
-
-    def test_single_projection(self):
-        ok, gens = generated_by_projections(generated_algebra([diag(1, 0)]))
-        assert ok and len(gens) == 2
 
 
 class TestPushforward:
