@@ -63,9 +63,11 @@ class FinPoset:
 
     ``up[i]`` / ``dn[i]`` are bitmasks of the principal filter / ideal of
     element ``i``.  The constructor takes ``up`` unchecked and derives
-    ``dn``, and :meth:`dual` swaps the two; a boolean ``leq`` table from
-    outside goes through :func:`validate_poset`.  Instances are immutable
-    by convention; all derived data is cached on first use.
+    ``dn``; :meth:`_from_masks` takes both, as :meth:`dual` does when it
+    swaps them and ``staralg.c_lattice`` when it reuses a partition
+    lattice's masks.  A boolean ``leq`` table from outside goes through
+    :func:`validate_poset`.  Instances are immutable by convention; all
+    derived data is cached on first use.
     """
 
     def __init__(self, elements, up, orientation=None, payloads=None):
@@ -78,6 +80,14 @@ class FinPoset:
             for j in iter_bits(mask):
                 dn[j] |= 1 << i
         self._set(elements, up, tuple(dn), orientation, payloads)
+
+    @classmethod
+    def _from_masks(cls, elements, up, dn, orientation, payloads):
+        """Unchecked constructor: ``elements`` a nonempty tuple, ``up`` and
+        ``dn`` tuples of masks of one order, each the other's transpose."""
+        poset = cls.__new__(cls)
+        poset._set(elements, up, dn, orientation, payloads)
+        return poset
 
     def _set(self, elements, up, dn, orientation, payloads):
         self.elements = elements
@@ -220,9 +230,7 @@ class FinPoset:
     def dual(self, orientation=None):
         """The opposite order on the same elements and payloads: ``up`` and
         ``dn`` swap, and no mask is derived again."""
-        poset = FinPoset.__new__(FinPoset)
-        poset._set(self.elements, self.dn, self.up, orientation, self.payloads)
-        return poset
+        return FinPoset._from_masks(self.elements, self.dn, self.up, orientation, self.payloads)
 
     # -- serialization -----------------------------------------------------
 

@@ -27,7 +27,7 @@ from .errors import (
     SizeLimit,
 )
 from .order import FinPoset, iter_bits, validate_poset
-from .staralg import _projection_sums, c_lattice, minimal_projections
+from .staralg import _c_lattice, _projection_sums, minimal_projections
 
 #: enumeration guard for Boolean subalgebras
 OMP_MAX = 32
@@ -313,19 +313,24 @@ def verify_caf_iso(algebra):
     inside the projection orthomodular poset.  The map sends a subalgebra
     to the set of its projections, found among the 2^k sums of minimal
     projections (all of Proj(A)) that ``staralg._projection_sums`` forms
-    once; the check requires it to be a bijection that preserves and
-    reflects order, and raises IsoFailure otherwise.
+    once, and the subalgebra lattice is built from the same table; the
+    check requires the map to be a bijection that preserves and reflects
+    order, and raises IsoFailure otherwise.
     """
     projections = minimal_projections(algebra)  # also rejects noncommutative input
     k = len(projections)
     if k > CAF_MAX:
         raise SizeLimit("spectrum size", k, CAF_MAX)
-
-    proj_omp = power_set_omp(k)
-    bool_poset = boolean_subalgebras(proj_omp)
-    sub_poset = c_lattice(algebra)
-
     sums = _projection_sums(projections, algebra.dim)
+    return _caf_iso(sums, _c_lattice(sums, algebra.dim))
+
+
+def _caf_iso(sums, sub_poset):
+    """:func:`verify_caf_iso` on a built subalgebra lattice and the
+    ``_projection_sums`` table it was built from, at most ``CAF_MAX``
+    minimal projections."""
+    proj_omp = power_set_omp(len(sums).bit_length() - 1)
+    bool_poset = boolean_subalgebras(proj_omp)
     bool_index = {sub.mask: i for i, sub in enumerate(bool_poset.payloads)}
     assignment = []
     for i in range(sub_poset.n):

@@ -56,8 +56,8 @@ class EqRel:
     input; :meth:`_from_labels` is the unchecked path for labels built
     inside the package.  The member-to-class map behind :meth:`relates` and
     the label gather behind :meth:`refines` are built on first use.
-    Instances are immutable and compare and hash by ground and classes, so
-    structural equality is relation equality.
+    Instances are immutable and compare and hash by ground and labels, the
+    hash computed once, so structural equality is relation equality.
     """
 
     def __init__(self, ground, classes):
@@ -105,6 +105,7 @@ class EqRel:
         self._labels = tuple(labels)
         self._class_of = None
         self._gather = None
+        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -172,7 +173,11 @@ class EqRel:
         )
 
     def __hash__(self):
-        return hash((self.ground, self.classes))
+        # what __eq__ compares, hashed once: hashing a grid ground of
+        # Fractions costs more than building the relation
+        if self._hash is None:
+            self._hash = hash((self.ground, self._labels))
+        return self._hash
 
     def __repr__(self):
         return f"EqRel({label_of(self)})"

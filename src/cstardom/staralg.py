@@ -682,11 +682,16 @@ def c_lattice(algebra):
     k = len(projections)
     if k > LATTICE_MAX:
         raise SizeLimit("spectrum size", k, LATTICE_MAX)
-    lattice = partition_lattice(k, ORIENT_SUBALGEBRA)
+    return _c_lattice(_projection_sums(projections, algebra.dim), algebra.dim)
+
+
+def _c_lattice(sums, dim):
+    """:func:`c_lattice` from the :func:`_projection_sums` table of at most
+    ``LATTICE_MAX`` minimal projections, for callers that hold the table."""
+    lattice = partition_lattice(len(sums).bit_length() - 1, ORIENT_SUBALGEBRA)
     labels = lattice.elements
-    sums = _projection_sums(projections, algebra.dim)
-    algebras = [block_sum_algebra(sums, rel, algebra.dim) for rel in lattice.payloads]
-    poset = FinPoset(labels, lattice.up, orientation=ORIENT_SUBALGEBRA, payloads=algebras)
+    algebras = [block_sum_algebra(sums, rel, dim) for rel in lattice.payloads]
+    poset = FinPoset._from_masks(labels, lattice.up, lattice.dn, ORIENT_SUBALGEBRA, algebras)
     for i, j in poset.covers():
         if not algebras[j].contains_algebra(algebras[i]):
             raise AssertionFailed(f"subalgebra {labels[j]} does not contain {labels[i]}")
@@ -752,13 +757,36 @@ def pullback_adjoint(mapping, partition, source_ground):
     Sends a target-side subalgebra (a partition of the map's keys, else
     GroundMismatch) to the largest source-side subalgebra whose pushforward
     it contains: the relation on ``source_ground`` generated by the image
-    pairs of identified points.  NotTotal when the map leaves it.
+    pairs of identified points.  NotTotal when the map leaves it.  The
+    source ground is sorted once; a union-find over its positions joins
+    the images of each class, and each position is labelled by its root.
     """
-    if partition.ground != tuple(sorted(mapping)):
+    keys = partition.ground
+    if len(mapping) != len(keys) or not all(y in mapping for y in keys):
         raise GroundMismatch("the partition does not live on the map's domain")
     source_ground = tuple(sorted(source_ground))
-    for y in partition.ground:
-        if mapping[y] not in source_ground:
+    position = {x: i for i, x in enumerate(source_ground)}
+    parent = list(range(len(source_ground)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # link each point's image with the image of its class's first point
+    first = [None] * len(partition.classes)
+    for y, k in zip(keys, partition._labels):
+        i = position.get(mapping[y])
+        if i is None:
             raise NotTotal(f"map sends {y!r} outside the source spectrum")
-    pairs = [(mapping[cls[0]], mapping[y]) for cls in partition.classes for y in cls[1:]]
-    return EqRel.from_pairs(source_ground, pairs)
+        j = first[k]
+        if j is None:
+            first[k] = i
+            continue
+        i, j = find(i), find(j)
+        if i != j:
+            parent[max(i, j)] = min(i, j)
+    if len(position) != len(source_ground):
+        raise BadParameters("ground set has duplicate members")
+    return EqRel._from_labels(source_ground, _first_occurrence(map(find, range(len(parent)))))

@@ -155,3 +155,78 @@ def test_criterion_11_work(calls):
         "lub_mask": 0,
         "EqRel.__init__": 0,
     }
+
+
+# -- criteria 1, 2, 6 and 9 share one stage per k within a run ------------
+
+STAGE_CRITERIA = {1, 2, 6, 9}
+#: one stage per k = 2..5: Bell(k) block-sum algebras and one lattice each
+ONE_STAGE_PER_K = {"block_sum_algebra": 2 + 5 + 15 + 52, "_c_lattice": 4}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    counts = dict.fromkeys(ONE_STAGE_PER_K, 0)
+
+    def counted(name, func):
+        def wrapper(*args):
+            counts[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(staralg, name, counted(name, getattr(staralg, name)))
+    return counts
+
+
+def merge_the_last_two_blocks(monkeypatch):
+    build = staralg.block_sum_algebra
+
+    def merged(sums, partition, dim):
+        classes = partition.classes
+        if len(classes) > 1:
+            partition = EqRel(partition.ground, classes[:-2] + (classes[-2] + classes[-1],))
+        return build(sums, partition, dim)
+
+    monkeypatch.setattr(staralg, "block_sum_algebra", merged)
+
+
+def misplace_a_sum(monkeypatch):
+    table = staralg._projection_sums
+
+    def misplaced(projections, dim):
+        sums = table(projections, dim)
+        sums[0b11] = sums[0b01]  # e0 where e0 + e1 belongs
+        return sums
+
+    monkeypatch.setattr(staralg, "_projection_sums", misplaced)
+
+
+def test_one_stage_per_k_in_a_run(builds):
+    assert all(result.passed for result in run_acceptance("all"))
+    assert builds == ONE_STAGE_PER_K
+    assert acceptance._STAGES.get() is None
+
+
+@pytest.mark.parametrize("number", sorted(STAGE_CRITERIA))
+def test_a_criterion_run_alone_builds_its_own_stages(builds, number):
+    assert run_criterion(number).passed
+    assert builds == ONE_STAGE_PER_K
+
+
+def test_no_stage_outlives_its_run(monkeypatch):
+    assert all(result.passed for result in run_acceptance("fast"))
+    merge_the_last_two_blocks(monkeypatch)
+    first = run_acceptance("fast")[0]
+    assert first.number == 1 and not first.passed
+    assert first.details.endswith("has dimension 1, not 2")
+
+
+@pytest.mark.parametrize(
+    "mutate", [merge_the_last_two_blocks, misplace_a_sum], ids=["merged-blocks", "misplaced-sum"]
+)
+def test_a_broken_stage_fails_the_criteria_that_share_it(monkeypatch, mutate):
+    mutate(monkeypatch)
+    failed = {result.number for result in run_acceptance("all") if not result.passed}
+    assert failed == STAGE_CRITERIA

@@ -151,6 +151,19 @@ class TestEqRel:
         assert a == b and hash(a) == hash(b)
         assert a.classes == ((1, 2), (3,))
 
+    def test_equal_relations_hash_equal_and_once(self):
+        ground = [Counted(k) for k in range(6)]
+        classes = [ground[3:6], ground[0:2], ground[2:3]]
+        pairs = [(a, b) for cls in classes for a, b in zip(cls, cls[1:])]
+        checked = EqRel(reversed(ground), classes)
+        paired = EqRel.from_pairs(ground, pairs)
+        built = (checked, paired, EqRel._from_labels(checked.ground, checked._labels))
+        assert built[0] == built[1] == built[2]
+        Counted.hashes = 0
+        first = [hash(r) for r in built]
+        assert len(set(first)) == 1 and Counted.hashes == 3 * len(ground)
+        assert [hash(r) for r in built] == first and Counted.hashes == 3 * len(ground)
+
     def test_rejects_overlap(self):
         with pytest.raises(BadParameters):
             rel(3, [1, 2], [2, 3])

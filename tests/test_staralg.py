@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cstardom import staralg
+from cstardom import partitions, staralg
 from cstardom.errors import (
     AmbientNotCommutative,
     AssertionFailed,
@@ -21,6 +21,7 @@ from cstardom.errors import (
     ParseError,
     SizeLimit,
 )
+from cstardom.order import FinPoset
 from cstardom.ortho import verify_caf_iso
 from cstardom.partitions import (
     LATTICE_MAX,
@@ -654,6 +655,23 @@ class TestCLattice:
         assert lattice.elements == reference.elements
         assert lattice.up == reference.up
 
+    def test_reuses_the_partition_lattice_masks(self, monkeypatch):
+        # dn is derived once, for the partition lattice, and not again
+        original = FinPoset.__init__
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FinPoset, "__init__", counted)
+        lattice = c_lattice(diagonal_algebra(4))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert lattice.dn == FinPoset(lattice.elements, lattice.up).dn
+        assert lattice.dn == partition_lattice(4, ORIENT_SUBALGEBRA).dn
+        assert lattice.orientation == ORIENT_SUBALGEBRA
+
     def test_size_limit(self):
         # partition_lattice admits LATTICE_MAX points (tested there); c_lattice
         # on that many takes tens of seconds, so only one past it is run here
@@ -792,7 +810,7 @@ class TestProjectionSums:
         algebra = diagonal_algebra(5)
         calls = self.count_additions(monkeypatch)
         verify_caf_iso(algebra)
-        assert len(calls) == 72  # its own 5 + 31, and c_lattice's 36
+        assert len(calls) == 36  # 5 in minimal_projections, 31 in the one table
         calls.clear()
         atoms(algebra)
         assert len(calls) == 36
@@ -971,6 +989,41 @@ class TestPullbackAdjoint:
                     assert q.refines(push_p) == pull_q.refines(p)
                     pairs += 1
         assert pairs == 70398
+
+    def test_is_the_union_closure_of_image_pairs(self):
+        # reference: the image pairs of each class through the checked
+        # from_pairs, on every criterion 11 map with a reversed source ground
+        lattices = {n: partition_lattice(n, ORIENT_SUBALGEBRA).payloads for n in range(1, 5)}
+        built = 0
+        for nx, ny in itertools.product(range(1, 5), repeat=2):
+            xs = tuple(range(nx, 0, -1))
+            for values in itertools.product(xs, repeat=ny):
+                mapping = dict(zip(range(1, ny + 1), values))
+                for rel in lattices[ny]:
+                    pairs = [(mapping[cls[0]], mapping[y]) for cls in rel.classes for y in cls]
+                    pulled = pullback_adjoint(mapping, rel, xs)
+                    reference = EqRel.from_pairs(xs, pairs)
+                    assert pulled == reference and hash(pulled) == hash(reference)
+                    assert pulled._labels == reference._labels
+                    built += 1
+        assert built == 5880
+
+    def test_sorts_the_source_ground_once(self, monkeypatch):
+        sorts = []
+
+        def counted(iterable, **kwargs):
+            sorts.append(iterable)
+            return sorted(iterable, **kwargs)
+
+        full, expected = EqRel.full((1, 2, 3)), EqRel((1, 2, 3), [[1, 3], [2]])
+        for module in (staralg, partitions):
+            monkeypatch.setattr(module, "sorted", counted, raising=False)
+        assert pullback_adjoint({1: 3, 2: 1, 3: 3}, full, (3, 2, 1)) == expected
+        assert sorts == [(3, 2, 1)]
+
+    def test_duplicate_source_points(self):
+        with pytest.raises(BadParameters):
+            pullback_adjoint({1: 1, 2: 2}, EqRel.full((1, 2)), (1, 2, 2))
 
     def test_ground_mismatch(self):
         with pytest.raises(GroundMismatch):
