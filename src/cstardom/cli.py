@@ -4,14 +4,18 @@ One executable with subcommand groups; every input is a JSON file, every
 subcommand has a ``--json`` mode emitting a machine-readable run report,
 and DOT output goes wherever ``--dot`` points.  Exit codes: 0 all checks
 passed, 1 a verification check failed, 2 usage or input errors.
+
+Each command's parser comes from the one ``_COMMANDS`` table, is built on
+first use and is kept for the process: at most one per command, plus the
+whole tree for help and unknown paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import platform
 import sys
 import time
 
@@ -60,7 +64,7 @@ def main(argv=None):
         "command": args.command_path,
         "inputs_digest": digest.hexdigest(),
         "results": results,
-        "versions": {"cstardom": __version__, "python": platform.python_version()},
+        "versions": {"cstardom": __version__, "python": sys.version.split()[0]},
         "wall_time_s": round(time.perf_counter() - start, 6),
         "exit_code": code,
     }
@@ -445,13 +449,21 @@ _COMMANDS = {
 
 
 def _build_parser(path=()):
-    """The parser for the command that ``path`` (``argv[:2]``) names, built
-    root -> group -> leaf along that path alone; the whole tree when it
-    names no command, so that unknown paths and root or group help read the
-    same either way."""
+    """The parser for the command that ``path`` (``argv[:2]``) names; the
+    whole tree when it names no command, so that unknown paths and root or
+    group help read the same either way."""
     head = tuple(path[:2])
     # a root-level command is named by its first word alone
-    key = next((k for k in (head[:1] + (None,), head) if k in _COMMANDS), None)
+    return _parser(next((k for k in (head[:1] + (None,), head) if k in _COMMANDS), None))
+
+
+@functools.cache
+def _parser(key):
+    """The parser for one ``_COMMANDS`` key, built root -> group -> leaf along
+    that path alone, or the whole tree for ``None``; built on first use and
+    kept for the process.  argparse keeps no per-parse state on a parser and
+    reads the terminal width and ``sys.stdout``/``sys.stderr`` only when it
+    prints, so one parser serves every request for its key."""
     parser = argparse.ArgumentParser(
         prog="cstardom",
         description="subalgebra lattices, partitions, and their domain-theoretic checks",

@@ -42,9 +42,16 @@ class ElementNotInPoset(CstardomError):
 
 
 class SizeLimit(CstardomError):
-    def __init__(self, what, value, limit):
-        super().__init__(f"{what} = {value} exceeds the supported limit {limit}")
-        self.what, self.value, self.limit = what, value, limit
+    """``value`` lies outside ``minimum``..``limit``; ``limit`` is always the
+    maximum, and ``minimum`` is None where only the maximum is guarded."""
+
+    def __init__(self, what, value, limit, minimum=None):
+        if minimum is not None and value < minimum:
+            message = f"{what} = {value} is below the supported minimum {minimum}"
+        else:
+            message = f"{what} = {value} exceeds the supported limit {limit}"
+        super().__init__(message)
+        self.what, self.value, self.limit, self.minimum = what, value, limit, minimum
 
 
 class OutOfRange(CstardomError):
@@ -52,8 +59,14 @@ class OutOfRange(CstardomError):
 
 
 class DepthLimit(CstardomError):
+    """``depth`` lies outside 0..``limit``."""
+
     def __init__(self, depth, limit):
-        super().__init__(f"depth {depth} exceeds the configured maximum {limit}")
+        if depth < 0:
+            message = f"depth {depth} is below the supported minimum 0"
+        else:
+            message = f"depth {depth} exceeds the configured maximum {limit}"
+        super().__init__(message)
         self.depth, self.limit = depth, limit
 
 

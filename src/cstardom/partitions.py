@@ -264,7 +264,7 @@ def partition_lattice(n, orientation):
             f"orientation must be {ORIENT_REFINEMENT!r} or {ORIENT_SUBALGEBRA!r}"
         )
     if not 1 <= n <= LATTICE_MAX:
-        raise SizeLimit("partition lattice ground size", n, LATTICE_MAX)
+        raise SizeLimit("partition lattice ground size", n, LATTICE_MAX, minimum=1)
     rels = all_partitions(range(1, n + 1))
     index = {rel.classes: i for i, rel in enumerate(rels)}
     # rels come in block-count order, so every merge of two blocks (one

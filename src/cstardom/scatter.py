@@ -270,7 +270,7 @@ class OrdinalCNF:
         last = None
         for exponent, coefficient in self.terms:
             if exponent < 0 or exponent > EXPONENT_MAX:
-                raise SizeLimit("ordinal exponent", exponent, EXPONENT_MAX)
+                raise SizeLimit("ordinal exponent", exponent, EXPONENT_MAX, minimum=0)
             if coefficient < 1:
                 raise BadParameters("coefficients must be positive")
             if last is not None and exponent >= last:

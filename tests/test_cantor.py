@@ -211,6 +211,27 @@ class TestRelationConstruction:
                 build(MAX_DEPTH + 1)
             assert (info.value.depth, info.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
 
+    @pytest.mark.parametrize(
+        "build, limit",
+        [
+            (relation_R, MAX_DEPTH),
+            (relation_S, MAX_DEPTH),
+            (verify_counterexample, MAX_DEPTH),
+            (lambda m: sample_to_grid(FULL, m), GRID_MAX),
+        ],
+        ids=["relation_R", "relation_S", "verify_counterexample", "sample_to_grid"],
+    )
+    def test_below_the_minimum_depth(self, build, limit):
+        build(0)
+        with pytest.raises(DepthLimit) as info:
+            build(-1)
+        assert (info.value.depth, info.value.limit) == (-1, limit)
+        assert str(info.value) == "depth -1 is below the supported minimum 0"
+        # the message above the range is unchanged
+        with pytest.raises(DepthLimit) as info:
+            build(limit + 1)
+        assert str(info.value) == f"depth {limit + 1} exceeds the configured maximum {limit}"
+
     @pytest.mark.parametrize("n", range(9))
     def test_s_family_nests(self, n):
         assert relation_S(n + 1).blocks != relation_S(n).blocks

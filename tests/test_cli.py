@@ -6,9 +6,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cstardom
 from cstardom import acceptance, cli, order
@@ -106,6 +107,22 @@ class TestExitCodes:
     def test_depth_out_of_range(self, files, capsys):
         code, _ = run_json(["cantor", "verify", "--depth", "99"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cantor", "verify", "--depth", "-1"], "depth -1 is below the supported minimum 0"),
+            (["cantor", "verify", "--depth", "11"], "depth 11 exceeds the configured maximum 10"),
+            (["eqrel", "lattice", "--n", "0", "--orientation", "subalgebra"],
+             "partition lattice ground size = 0 is below the supported minimum 1"),
+            (["eqrel", "lattice", "--n", "-1", "--orientation", "refinement"],
+             "partition lattice ground size = -1 is below the supported minimum 1"),
+        ],
+    )
+    def test_guard_messages(self, argv, message, capsys):
+        code, report = run_json(argv, capsys)
+        assert code == report["exit_code"] == 2
+        assert report["results"]["error"]["message"] == message
 
     @pytest.mark.parametrize(
         "payload",
@@ -510,6 +527,12 @@ class TestTopoCheckFuzz:
 
 
 class TestDeterminism:
+    def test_python_version_is_the_platform_one(self, files, capsys):
+        import platform
+
+        _, report = run_json(["poset", "check", "--input", files["chain3"]], capsys)
+        assert report["versions"]["python"] == platform.python_version()
+
     def test_reports_identical_modulo_wall_time(self, files, capsys):
         _, first = run_json(["eqrel", "join", "--a", files["r"], "--b", files["s"]], capsys)
         _, second = run_json(["eqrel", "join", "--a", files["r"], "--b", files["s"]], capsys)
@@ -616,10 +639,74 @@ class TestParserConstructions:
         monkeypatch.setattr(acceptance, "run_acceptance", lambda selector: [])
         argv = [part for part in key if part]
         argv += [files.get(arg, arg) for arg in VALID_ARGS[key]]
+        cli._parser.cache_clear()
         code, report = run_json(argv, capsys)
         assert code == 0, report
         # root, group and leaf; root and leaf for a root-level command
-        assert parsers_built[0] <= (3 if key[1] else 2)
+        assert parsers_built[0] == (3 if key[1] else 2)
+        # a repeat of the request builds nothing
+        code, again = run_json(argv, capsys)
+        assert code == 0, again
+        assert parsers_built[0] == (3 if key[1] else 2)
+
+
+def cold_parser(path):
+    """The parser ``_build_parser(path)`` returns, built afresh past the memo."""
+    with mock.patch.object(cli, "_parser", cli._parser.__wrapped__):
+        return cli._build_parser(path)
+
+
+#: requests whose values could leak into the next request for the same
+#: command if a kept parser held any: optional flags set or left out, help,
+#: and ints that do not parse
+LEAK_PROBES = [
+    ["eqrel", "lattice", "--n", "3", "--orientation", "subalgebra", "--emit-dot"],
+    ["eqrel", "lattice", "--n", "3", "--orientation", "refinement", "--dot", "x.dot"],
+    ["eqrel", "lattice", "--n", "3", "--orientation", "refinement"],
+    ["eqrel", "lattice", "--n", "x", "--orientation", "refinement"],
+    ["calg", "lattice", "--input", "x.json", "--emit-dot", "--dot", "y.dot"],
+    ["calg", "lattice", "--input", "x.json"],
+    ["omp", "boolsub", "--input", "x.json", "--dot", "y.dot", "--json"],
+    ["omp", "boolsub", "--input", "x.json"],
+    ["poset", "hasse", "--input", "x.json", "--dot", "d.dot"],
+    ["poset", "hasse", "--input", "x.json"],
+    ["poset", "hasse", "-h"],
+    ["cantor", "verify", "--depth", "1.5"],
+    ["cantor", "verify", "--depth", "-1"],
+    ["cantor", "chain", "--n", ""],
+    ["accept", "fast", "--json"],
+    ["accept"],
+    ["poset", "-h"],
+    ["-h"],
+]
+requests = st.one_of(argv_lists, st.sampled_from(LEAK_PROBES))
+
+
+class TestKeptParsers:
+    @settings(max_examples=300, deadline=None)
+    @given(first=requests, second=requests)
+    @example(first=LEAK_PROBES[0], second=LEAK_PROBES[2])
+    @example(first=LEAK_PROBES[1], second=LEAK_PROBES[2])
+    @example(first=LEAK_PROBES[4], second=LEAK_PROBES[5])
+    @example(first=LEAK_PROBES[6], second=LEAK_PROBES[7])
+    @example(first=LEAK_PROBES[8], second=LEAK_PROBES[9])
+    @example(first=LEAK_PROBES[10], second=LEAK_PROBES[9])
+    @example(first=LEAK_PROBES[3], second=LEAK_PROBES[2])
+    @example(first=LEAK_PROBES[14], second=LEAK_PROBES[15])
+    def test_back_to_back_requests_match_a_cold_build(self, first, second):
+        for argv in (first, second):
+            warm = parse_outcome(cli._build_parser(argv[:2]), argv)
+            assert warm == parse_outcome(cold_parser(argv[:2]), argv)
+        assert cli._parser.cache_info().currsize <= len(cli._COMMANDS) + 1
+
+    def test_one_parser_per_command_plus_the_whole_tree(self):
+        cli._parser.cache_clear()
+        for path in COMMAND_PATHS + [[], ["-h"], ["nonesuch"], ["poset"], ["poset", "bogus"],
+                                     ["accept", "all"], ["accept", "--json"]]:
+            assert cli._build_parser(path) is cli._build_parser(path)
+        assert cli._parser.cache_info().currsize == len(cli._COMMANDS) + 1
+        assert cli._build_parser(["nonesuch", "x"]) is cli._build_parser()
+        assert cli._build_parser(["accept", "fast"]) is cli._build_parser(["accept"])
 
 
 def console(*args):

@@ -383,8 +383,19 @@ class TestPartitionLattice:
         with pytest.raises(SizeLimit) as info:
             partition_lattice(LATTICE_MAX + 1, ORIENT_SUBALGEBRA)
         assert (info.value.value, info.value.limit) == (LATTICE_MAX + 1, LATTICE_MAX)
-        with pytest.raises(SizeLimit):
-            partition_lattice(0, ORIENT_SUBALGEBRA)
+        assert str(info.value) == (
+            f"partition lattice ground size = {LATTICE_MAX + 1} exceeds the supported limit {LATTICE_MAX}"
+        )
+
+    def test_below_the_minimum(self):
+        assert partition_lattice(1, ORIENT_SUBALGEBRA).n == 1
+        for n in (0, -1):
+            with pytest.raises(SizeLimit) as info:
+                partition_lattice(n, ORIENT_SUBALGEBRA)
+            assert (info.value.value, info.value.minimum, info.value.limit) == (n, 1, LATTICE_MAX)
+            assert str(info.value) == (
+                f"partition lattice ground size = {n} is below the supported minimum 1"
+            )
 
     @pytest.mark.parametrize("orientation", [ORIENT_REFINEMENT, ORIENT_SUBALGEBRA])
     @pytest.mark.parametrize("n", range(1, 8))

@@ -391,8 +391,13 @@ class TestOrdinalParsing:
             OrdinalCNF.parse("w+w^2")
 
     def test_exponent_guard(self):
-        with pytest.raises(SizeLimit):
+        with pytest.raises(SizeLimit) as info:
             OrdinalCNF.parse("w^10")
+        assert str(info.value) == "ordinal exponent = 10 exceeds the supported limit 9"
+        assert OrdinalCNF(((0, 1),)) == OrdinalCNF.from_int(1)
+        with pytest.raises(SizeLimit) as info:
+            OrdinalCNF(((-1, 1),))
+        assert str(info.value) == "ordinal exponent = -1 is below the supported minimum 0"
 
 
 class TestOrdinalDerivative:
