@@ -5,13 +5,14 @@ with a time budget; the CLI ``accept`` subcommand and the test suite both
 run these functions and report one line per criterion.
 
 Criteria 1, 2, 6 and 9 check four facts about one object per k = 2..5:
-the diagonal algebra A, the sums table of its minimal projections (all of
-Proj(A)) and its subalgebra lattice C(A).  :func:`run_acceptance` builds
-each such stage once and shares it among the criteria it runs, so the
-first of them that needs a stage is charged its build in ``elapsed_s``:
-criterion 1 under ``all`` and ``fast`` alike, since ``fast`` runs 1, 2
-and 9.  The memo lives for one call and is dropped when it returns, and
-:func:`run_criterion` called alone builds its own stages.
+the diagonal algebra A, which forms its projection table (all of Proj(A))
+and its subalgebra lattice C(A) once and keeps them.  :func:`run_acceptance`
+builds each such algebra once and shares it among the criteria it runs, so
+the first of them that needs the table and lattice is charged their build
+in ``elapsed_s``: criterion 1 under ``all`` and ``fast`` alike, since
+``fast`` runs 1, 2 and 9.  The memo lives for one call and is dropped when
+it returns, taking the tables and lattices with it, and
+:func:`run_criterion` called alone builds its own algebras.
 """
 
 from __future__ import annotations
@@ -68,36 +69,20 @@ def _diagonal_algebra(k):
     return staralg.generated_algebra(generators, dim=k)
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """The k-point diagonal algebra, the ``_projection_sums`` table of its
-    minimal projections (projection i at entry 1 << i) and its subalgebra
-    lattice, built from that table."""
-
-    algebra: staralg.StarAlgebra
-    sums: list
-    lattice: order.FinPoset
-
-
-#: the stages of the :func:`run_acceptance` call in progress, by k; None
-#: outside one, so no stage outlives its run.  A context variable, so a
-#: run in another thread or a nested run keeps its own memo
+#: the diagonal algebras of the :func:`run_acceptance` call in progress,
+#: by k; None outside one, so no algebra (and so no lattice) outlives its
+#: run.  A context variable, so a run in another thread or a nested run
+#: keeps its own memo
 _STAGES = ContextVar("stages", default=None)
 
 
-def _build_stage(k):
-    algebra = _diagonal_algebra(k)
-    sums = staralg._projection_sums(staralg.minimal_projections(algebra), k)
-    return _Stage(algebra, sums, staralg._c_lattice(sums, k))
-
-
 def _stage(k):
-    """The stage for k: shared within a run, built anew outside one."""
+    """The k-point diagonal algebra: shared within a run, built anew outside one."""
     stages = _STAGES.get()
     if stages is None:
-        return _build_stage(k)
+        return _diagonal_algebra(k)
     if k not in stages:
-        stages[k] = _build_stage(k)
+        stages[k] = _diagonal_algebra(k)
     return stages[k]
 
 
@@ -105,7 +90,7 @@ def _criterion_1():
     """Subalgebra lattice of the diagonal algebra matches the partition lattice."""
     expected = {2: 2, 3: 5, 4: 15, 5: 52}
     for k in range(2, 6):
-        lattice = _stage(k).lattice
+        lattice = staralg.c_lattice(_stage(k))
         if lattice.n != expected[k]:
             return False, f"k={k}: {lattice.n} nodes, expected {expected[k]}"
     return True, "element counts 2, 5, 15, 52; order certified on the Hasse covers"
@@ -114,7 +99,7 @@ def _criterion_1():
 def _criterion_2():
     """All seven property flags are true on the subalgebra lattices."""
     for k in range(2, 6):
-        report = order.domain_report(_stage(k).lattice)
+        report = order.domain_report(staralg.c_lattice(_stage(k)))
         if not report.all_true():
             flags = report.flags()
             bad = [key for key, value in flags.items() if value is not True]
@@ -169,8 +154,7 @@ def _criterion_5():
 def _criterion_6():
     """Subalgebra lattice matches the Boolean subalgebras of the projections."""
     for k in range(2, 6):
-        stage = _stage(k)
-        report = ortho._caf_iso(stage.sums, stage.lattice)
+        report = ortho.verify_caf_iso(_stage(k))
         if report.size != partitions.bell_number(k):
             return False, f"k={k}: {report.size} nodes, expected Bell({k})"
     return True, "order isomorphism with Bell(k) nodes for k = 2..5"
@@ -266,11 +250,11 @@ def _random_cnf(rng, exponent_max, coeff_max=3, leading5_coeff_max=None):
 def _criterion_9():
     """Atoms are the covers of the bottom, one per projection split."""
     for k in range(2, 6):
-        stage = _stage(k)
-        atom_list = staralg.atoms(stage.algebra)
+        algebra = _stage(k)
+        atom_list = staralg.atoms(algebra)
         if len(atom_list) != 2 ** (k - 1) - 1:
             return False, f"k={k}: {len(atom_list)} atoms"
-        lattice = stage.lattice
+        lattice = staralg.c_lattice(algebra)
         bottom = lattice.bottom()
         cover_nodes = {
             lattice.payloads[j] for i, j in lattice.covers() if i == bottom

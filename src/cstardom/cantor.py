@@ -36,13 +36,16 @@ from functools import cache
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse
+from .errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse, SizeLimit
 from .partitions import EqRel
 
 #: cap on truncation depths (block counts grow as 2^depth)
 MAX_DEPTH = 10
 #: cap on grid resolutions m (the grid k/3^m has 3^m + 1 points)
 GRID_MAX = 8
+#: cap on dense-chain witness counts (build time and the ``cantor chain``
+#: report grow linearly in the count)
+CHAIN_MAX = 4096
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -432,6 +435,8 @@ def dense_chain_witness(n):
     """
     if n < 2:
         raise BadParameters("need at least two witnesses")
+    if n > CHAIN_MAX:
+        raise SizeLimit("chain witness count", n, CHAIN_MAX)
     return [TriRel(((Fraction(i, n + 1), ONE),)) for i in range(1, n + 1)]
 
 

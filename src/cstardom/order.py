@@ -260,7 +260,7 @@ def _pair_table(masks, index):
     return tuple(tuple(map(index.get, map(a.__and__, masks))) for a in masks)
 
 
-def validate_poset(elements, leq, orientation=None, payloads=None):
+def validate_poset(elements, leq, orientation=None):
     """Checked poset constructor.
 
     ``leq`` is a square boolean table over ``elements``, whose labels must
@@ -287,7 +287,7 @@ def validate_poset(elements, leq, orientation=None, payloads=None):
     if not all(type(cell) is bool for row in leq for cell in row):
         raise BadParameters("leq cells must be booleans")
     up = [int("".join("1" if cell else "0" for cell in reversed(row)), 2) for row in leq]
-    poset = FinPoset(elements, up, orientation=orientation, payloads=payloads)
+    poset = FinPoset(elements, up, orientation=orientation)
     dn = poset.dn
     for i in range(n):
         if not up[i] >> i & 1:

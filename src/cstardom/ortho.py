@@ -27,7 +27,7 @@ from .errors import (
     SizeLimit,
 )
 from .order import FinPoset, iter_bits, validate_poset
-from .staralg import _c_lattice, _projection_sums, minimal_projections
+from .staralg import c_lattice, projection_table
 
 #: enumeration guard for Boolean subalgebras
 OMP_MAX = 32
@@ -170,9 +170,6 @@ class BoolSub:
                 out.append(p)
         return tuple(out)
 
-    def __le__(self, other):
-        return self.mask & ~other.mask == 0
-
     def __eq__(self, other):
         return isinstance(other, BoolSub) and self.omp is other.omp and self.mask == other.mask
 
@@ -312,23 +309,14 @@ def verify_caf_iso(algebra):
     partitions of the spectrum, the Boolean subalgebras by closure search
     inside the projection orthomodular poset.  The map sends a subalgebra
     to the set of its projections, found among the 2^k sums of minimal
-    projections (all of Proj(A)) that ``staralg._projection_sums`` forms
-    once, and the subalgebra lattice is built from the same table; the
-    check requires the map to be a bijection that preserves and reflects
-    order, and raises IsoFailure otherwise.
+    projections in the algebra's ``staralg.projection_table`` (all of
+    Proj(A), at most ``CAF_MAX`` minimal projections), from which the
+    subalgebra lattice is built too; the check requires the map to be a
+    bijection that preserves and reflects order, and raises IsoFailure
+    otherwise.
     """
-    projections = minimal_projections(algebra)  # also rejects noncommutative input
-    k = len(projections)
-    if k > CAF_MAX:
-        raise SizeLimit("spectrum size", k, CAF_MAX)
-    sums = _projection_sums(projections, algebra.dim)
-    return _caf_iso(sums, _c_lattice(sums, algebra.dim))
-
-
-def _caf_iso(sums, sub_poset):
-    """:func:`verify_caf_iso` on a built subalgebra lattice and the
-    ``_projection_sums`` table it was built from, at most ``CAF_MAX``
-    minimal projections."""
+    sums = projection_table(algebra, CAF_MAX)  # also rejects noncommutative input
+    sub_poset = c_lattice(algebra)
     proj_omp = power_set_omp(len(sums).bit_length() - 1)
     bool_poset = boolean_subalgebras(proj_omp)
     bool_index = {sub.mask: i for i, sub in enumerate(bool_poset.payloads)}

@@ -430,17 +430,6 @@ class KqChainReport:
     def ok(self):
         return self.all_closed and self.strictly_increasing and self.dual_reverses
 
-    def to_json_dict(self):
-        return {
-            "points": [str(p) for p in self.points],
-            "rationals": [str(q) for q in self.chosen],
-            "sets": [sorted(str(self.points[i]) for i in s) for s in self.sets],
-            "all_closed": self.all_closed,
-            "strictly_increasing": self.strictly_increasing,
-            "dual_reverses": self.dual_reverses,
-            "pass": self.ok,
-        }
-
 
 def kq_chain_witness(m, n, rationals=None):
     """Chain of closed sets in the m-point truncation of a convergent sequence.

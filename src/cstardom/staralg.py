@@ -11,7 +11,10 @@ is checked once: ``StarAlgebra(dim, basis, generators)`` requires the span
 to be closed and to hold the generators, and the package's own builds are
 unchecked.  Spectral operations (minimal projections, characters, the
 subalgebra lattice) require the generators to be projections, which keeps
-every computation inside the rationals.
+every computation inside the rationals.  An algebra forms its projection
+table, all of Proj(A), and its subalgebra lattice C(A) at most once and
+keeps them: the lattice, the atoms and ``ortho.verify_caf_iso`` read the
+one table.
 """
 
 from __future__ import annotations
@@ -453,10 +456,12 @@ class StarAlgebra:
     """Unital *-closed span of matrices, with a canonical echelon basis.
 
     The stored basis is always re-canonicalized to reduced echelon form,
-    so two algebras are equal exactly when they have the same span.
+    so two algebras are equal exactly when they have the same span.  An
+    instance keeps its projection table and its subalgebra lattice once
+    formed, as :class:`FinPoset` keeps its bound tables.
     """
 
-    __slots__ = ("dim", "basis", "generators", "_pivots")
+    __slots__ = ("dim", "basis", "generators", "_pivots", "_sums", "_lattice")
 
     def __init__(self, dim, basis_matrices, generators=()):
         if dim > AMBIENT_MAX:
@@ -488,6 +493,7 @@ class StarAlgebra:
         self.basis = tuple(_unvec(v, dim) for v in rows)
         self.generators = generators
         self._pivots = [(s[0], row, s) for row, s in zip(rows, map(_support, rows))]
+        self._sums = self._lattice = None
 
     @property
     def dimension(self):
@@ -654,14 +660,34 @@ def _projection_sums(projections, dim):
     return sums
 
 
+def projection_table(algebra, limit):
+    """Proj(A), the projections of a commutative projection-generated algebra.
+
+    The :func:`_projection_sums` table of its k minimal projections
+    (projection i at entry 1 << i); SizeLimit when k exceeds the caller's
+    ``limit``.  Formed once per instance and kept on it.
+    """
+    sums = algebra._sums
+    if sums is None:
+        projections = minimal_projections(algebra)
+        k = len(projections)
+    else:
+        k = len(sums).bit_length() - 1
+    if k > limit:
+        raise SizeLimit("spectrum size", k, limit)
+    if sums is None:
+        sums = algebra._sums = _projection_sums(projections, algebra.dim)
+    return sums
+
+
 def block_sum_algebra(sums, partition, dim):
     """Span of the block sums of minimal projections over a partition.
 
-    ``sums`` is the :func:`_projection_sums` table of the minimal
-    projections, and point i of the partition's ground is bit i - 1, so
-    each block's sum is read at its mask and no matrix is added here.  The
-    block sums are nonzero orthogonal projections summing to the identity,
-    hence linearly independent: one dimension per block.  Their span is a
+    ``sums`` is the :func:`projection_table` of the minimal projections,
+    and point i of the partition's ground is bit i - 1, so each block's
+    sum is read at its mask and no matrix is added here.  The block sums
+    are nonzero orthogonal projections summing to the identity, hence
+    linearly independent: one dimension per block.  Their span is a
     *-algebra by construction, so it is built unchecked.
     """
     blocks = tuple(sums[sum(1 << (i - 1) for i in cls)] for cls in partition.classes)
@@ -672,22 +698,18 @@ def c_lattice(algebra):
     """Lattice of the subalgebras of a commutative projection-generated algebra.
 
     Nodes, labels and order are the spectrum's partition lattice in the
-    subalgebra orientation; each node carries its block-sum subalgebra.
-    The matrices certify the order (else AssertionFailed): each Hasse cover
-    is a containment, each algebra has one dimension per block, and no two
-    are equal.  An injective order-preserving self-map of a finite poset is
-    an automorphism, so this is as strong as checking all pairs.
+    subalgebra orientation; each node carries its block-sum subalgebra,
+    read from the :func:`projection_table` (at most ``LATTICE_MAX``
+    minimal projections).  The matrices certify the order (else
+    AssertionFailed): each Hasse cover is a containment, each algebra has
+    one dimension per block, and no two are equal.  An injective
+    order-preserving self-map of a finite poset is an automorphism, so
+    this is as strong as checking all pairs.  The certified lattice is
+    kept on the algebra.
     """
-    projections = minimal_projections(algebra)
-    k = len(projections)
-    if k > LATTICE_MAX:
-        raise SizeLimit("spectrum size", k, LATTICE_MAX)
-    return _c_lattice(_projection_sums(projections, algebra.dim), algebra.dim)
-
-
-def _c_lattice(sums, dim):
-    """:func:`c_lattice` from the :func:`_projection_sums` table of at most
-    ``LATTICE_MAX`` minimal projections, for callers that hold the table."""
+    if algebra._lattice is not None:
+        return algebra._lattice
+    sums, dim = projection_table(algebra, LATTICE_MAX), algebra.dim
     lattice = partition_lattice(len(sums).bit_length() - 1, ORIENT_SUBALGEBRA)
     labels = lattice.elements
     algebras = [block_sum_algebra(sums, rel, dim) for rel in lattice.payloads]
@@ -703,6 +725,7 @@ def _c_lattice(sums, dim):
             )
         if seen.setdefault(sub, label) != label:
             raise AssertionFailed(f"nodes {seen[sub]} and {label} have the same subalgebra")
+    algebra._lattice = poset
     return poset
 
 
@@ -710,18 +733,21 @@ def atoms(algebra):
     """Two-dimensional subalgebras spanned by a nontrivial projection.
 
     One per unordered split of the minimal projections into two nonempty
-    parts: 2^(k-1) - 1 of them for a k-point spectrum.  Each split is
-    named once, by its side containing piece 0, and its projection is read
-    from the :func:`_projection_sums` table.
+    parts: 2^(k-1) - 1 of them for a k-point spectrum, at most
+    ``LATTICE_MAX`` points.  Each split is named once, by its side
+    containing piece 0, and its projection p is read from the
+    :func:`projection_table`; span{1, p} is a *-algebra, so it is built
+    unchecked, with generator p.
     """
-    projections = minimal_projections(algebra)
-    k = len(projections)
-    sums = _projection_sums(projections, algebra.dim)
-    return [
-        generated_algebra([sums[sum(1 << i for i in (0,) + rest)]], algebra.dim)
-        for size in range(1, k)
-        for rest in itertools.combinations(range(1, k), size - 1)
-    ]
+    sums = projection_table(algebra, LATTICE_MAX)
+    k = len(sums).bit_length() - 1
+    one = _vec(Matrix.identity(algebra.dim))
+    out = []
+    for size in range(1, k):
+        for rest in itertools.combinations(range(1, k), size - 1):
+            p = sums[sum(1 << i for i in (0,) + rest)]
+            out.append(StarAlgebra._from_rref(algebra.dim, rref([one, _vec(p)]), (p,)))
+    return out
 
 
 def csa_join(c, d, ambient):

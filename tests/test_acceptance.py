@@ -157,11 +157,17 @@ def test_criterion_11_work(calls):
     }
 
 
-# -- criteria 1, 2, 6 and 9 share one stage per k within a run ------------
+# -- criteria 1, 2, 6 and 9 share one algebra per k within a run --------
 
 STAGE_CRITERIA = {1, 2, 6, 9}
-#: one stage per k = 2..5: Bell(k) block-sum algebras and one lattice each
-ONE_STAGE_PER_K = {"block_sum_algebra": 2 + 5 + 15 + 52, "_c_lattice": 4}
+#: one diagonal algebra per k = 2..5, each forming one projection table and
+#: one lattice of Bell(k) block-sum algebras; the atoms run no closure
+ONE_STAGE_PER_K = {
+    "generated_algebra": 4,
+    "_projection_sums": 4,
+    "partition_lattice": 4,
+    "block_sum_algebra": 2 + 5 + 15 + 52,
+}
 
 
 @pytest.fixture
@@ -169,12 +175,14 @@ def builds(monkeypatch):
     counts = dict.fromkeys(ONE_STAGE_PER_K, 0)
 
     def counted(name, func):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return func(*args)
+            return func(*args, **kwargs)
 
         return wrapper
 
+    # staralg's own bindings: ``partition_lattice`` counts the lattices
+    # staralg builds, not criterion 11's
     for name in counts:
         monkeypatch.setattr(staralg, name, counted(name, getattr(staralg, name)))
     return counts
@@ -213,6 +221,28 @@ def test_one_stage_per_k_in_a_run(builds):
 def test_a_criterion_run_alone_builds_its_own_stages(builds, number):
     assert run_criterion(number).passed
     assert builds == ONE_STAGE_PER_K
+
+
+def test_a_run_reaches_the_public_lattice(monkeypatch):
+    build, seen = staralg.c_lattice, []
+
+    def spy(algebra):
+        seen.append(algebra.dim)
+        return build(algebra)
+
+    monkeypatch.setattr(staralg, "c_lattice", spy)
+    assert all(result.passed for result in run_acceptance("all"))
+    assert set(seen) == {2, 3, 4, 5}
+
+
+def test_atoms_run_no_closure(monkeypatch):
+    algebra = acceptance._diagonal_algebra(5)
+
+    def closure(*args, **kwargs):
+        raise AssertionError("atoms ran a generated_algebra closure")
+
+    monkeypatch.setattr(staralg, "generated_algebra", closure)
+    assert len(staralg.atoms(algebra)) == 2 ** 4 - 1
 
 
 def test_no_stage_outlives_its_run(monkeypatch):

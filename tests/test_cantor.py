@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstardom.cantor import (
+    CHAIN_MAX,
     DIAGONAL,
     FULL,
     GRID_MAX,
@@ -25,7 +26,7 @@ from cstardom.cantor import (
     tri_join,
     verify_counterexample,
 )
-from cstardom.errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse
+from cstardom.errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse, SizeLimit
 from cstardom.partitions import EqRel, join as eqrel_join
 
 
@@ -577,3 +578,12 @@ class TestDenseChain:
     def test_needs_two(self):
         with pytest.raises(BadParameters):
             dense_chain_witness(1)
+
+    def test_size_limit(self):
+        chain = dense_chain_witness(CHAIN_MAX)
+        assert len(chain) == CHAIN_MAX
+        assert chain[-1].blocks == ((F(CHAIN_MAX, CHAIN_MAX + 1), F(1)),)
+        with pytest.raises(SizeLimit) as info:
+            dense_chain_witness(CHAIN_MAX + 1)
+        assert info.value.what == "chain witness count"
+        assert (info.value.value, info.value.limit) == (CHAIN_MAX + 1, CHAIN_MAX)

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import cstardom
 from cstardom import acceptance, cli, order
+from cstardom.cantor import CHAIN_MAX
 from cstardom.cli import main
+from cstardom.partitions import LATTICE_MAX
 from cstardom.scatter import FinTop, is_stonean_fin
 from test_scatter import scattered_by_closed_sets
 
@@ -266,6 +268,19 @@ class TestCantor:
         assert code == 0
         assert len(report["results"]["witnesses"]) == 4
 
+    @pytest.mark.parametrize("n, code", [(CHAIN_MAX, 0), (CHAIN_MAX + 1, 2)])
+    def test_chain_size_guard(self, n, code, capsys):
+        got, report = run_json(["cantor", "chain", "--n", str(n)], capsys)
+        assert got == code
+        if code:
+            error = report["results"]["error"]
+            assert error["type"] == "SizeLimit"
+            assert error["message"] == (
+                f"chain witness count = {n} exceeds the supported limit {CHAIN_MAX}"
+            )
+        else:
+            assert len(report["results"]["witnesses"]) == n
+
 
 class TestCalg:
     def test_generate(self, files, capsys):
@@ -310,6 +325,27 @@ class TestCalg:
             code, report = run_json([group, "caf-iso", "--input", files["diag3"]], capsys)
             assert code == 0
             assert report["results"]["iso"]["size"] == 5
+
+    @pytest.mark.parametrize(
+        "action, k, code",
+        [("atoms", LATTICE_MAX, 0), ("atoms", LATTICE_MAX + 1, 2), ("lattice", LATTICE_MAX + 1, 2)],
+    )
+    def test_spectrum_guard(self, action, k, code, tmp_path, capsys):
+        # the k-point diagonal algebra, generated by diag(1^(j+1) 0^(k-j-1))
+        generators = [
+            [["1" if r == c <= j else "0" for c in range(k)] for r in range(k)]
+            for j in range(k - 1)
+        ]
+        path = write_payload(tmp_path, {"dim": k, "generators": generators})
+        got, report = run_json(["calg", action, "--input", path], capsys)
+        assert got == code
+        if code:
+            assert report["results"]["error"] == {
+                "type": "SizeLimit",
+                "message": f"spectrum size = {k} exceeds the supported limit {LATTICE_MAX}",
+            }
+        else:
+            assert report["results"]["count"] == 2 ** (k - 1) - 1
 
 
     @pytest.mark.parametrize(

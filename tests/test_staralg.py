@@ -813,6 +813,8 @@ class TestProjectionSums:
         assert len(calls) == 36  # 5 in minimal_projections, 31 in the one table
         calls.clear()
         atoms(algebra)
+        assert len(calls) == 0  # the same instance keeps its table
+        atoms(diagonal_algebra(5))
         assert len(calls) == 36
 
     def test_block_sum_algebra_adds_no_matrices(self, monkeypatch):
@@ -855,6 +857,14 @@ class TestAtoms:
 
     def test_scalars_have_none(self):
         assert atoms(generated_algebra([], dim=2)) == []
+
+    def test_size_limit(self):
+        # 127 atoms at LATTICE_MAX; one point more is refused before any table
+        assert len(atoms(diagonal_algebra(LATTICE_MAX))) == 2 ** (LATTICE_MAX - 1) - 1
+        with pytest.raises(SizeLimit) as info:
+            atoms(diagonal_algebra(LATTICE_MAX + 1))
+        assert info.value.what == "spectrum size"
+        assert (info.value.value, info.value.limit) == (LATTICE_MAX + 1, LATTICE_MAX)
 
     def test_atoms_are_two_dimensional(self):
         for atom in atoms(diagonal_algebra(4)):
