@@ -280,10 +280,6 @@ class CounterexampleReport:
     r_blocks: int
     checks: list
 
-    @property
-    def passed(self):
-        return all(check.passed for check in self.checks)
-
     def to_json_dict(self):
         return {
             "depth": self.depth,
@@ -301,8 +297,8 @@ def verify_counterexample(depth):
     is not full; the S_n widths 3^-n witness the shrink to the diagonal.
     Each join is also re-derived through the explicit transitivity chain
     across stage endpoints.  Raises AssertionFailed naming the offending
-    stage as soon as any assertion breaks; returns the full report
-    otherwise.
+    stage as soon as any assertion breaks, so a returned report is one
+    whose every check passed.
     """
     if not 0 <= depth <= MAX_DEPTH:
         raise DepthLimit(depth, MAX_DEPTH)

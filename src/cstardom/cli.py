@@ -137,6 +137,9 @@ def _eqrel_from_json(data):
         raise ParseError(f"relation 'n' must be a non-negative integer, not {n!r}")
     if not _is_list_of_lists(classes) or not all(_is_int(x) for cls in classes for x in cls):
         raise ParseError("relation 'classes' must be a list of lists of integers")
+    # refused before the ground 1..n is built, so a huge n costs nothing
+    if n > sum(map(len, classes)):
+        raise BadParameters("classes do not cover the ground set")
     return partitions.EqRel(range(1, n + 1), classes)
 
 
@@ -244,12 +247,10 @@ def _cmd_cantor_verify(args, digest):
     lines = [
         f"depth {report.depth}: {report.r_blocks} block(s) in the truncated relation"
     ]
-    lines.extend(
-        f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.witness}"
-        for check in report.checks
-    )
+    # a failing check raises AssertionFailed, so every check listed passed
+    lines.extend(f"[PASS] {check.name}: {check.witness}" for check in report.checks)
     results = {"report": report.to_json_dict(), "lines": lines}
-    return results, not report.passed
+    return results, False
 
 
 def _cmd_cantor_chain(args, digest):

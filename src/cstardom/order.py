@@ -7,16 +7,18 @@ are lookups: a least upper bound c has ``up[c]`` equal to the upper bounds,
 and ``up`` masks are distinct by antisymmetry, so the lub is the element
 with that mask, if any; greatest lower bounds read ``dn`` alike.
 
-Each property flag is computed by one route, and reports record which.  On
-a finite poset every directed set contains its supremum, so way-below is
-the order, every element is compact and the Scott opens are the up-sets;
-the flags built on these follow from finiteness (Gierz et al., Continuous
-Lattices and Domains, 2003).  Only :func:`directed_way_below` enumerates
-directed subsets outright; acceptance criterion 3 compares it with ``up``
-and checks that each directed subset it read holds its sup.
-Its enumeration, :meth:`FinPoset.directed_masks`, is the one test of all
-2^n subsets in the package: one down-set table lookup per member, and the
-sup read off a table of upper bounds filled in the same pass.
+On a finite poset every directed set contains its supremum, so way-below
+is the order, every element is compact and the Scott opens are the up-sets.
+Five of the seven property flags follow from this alone (Gierz et al.,
+Continuous Lattices and Domains, 2003), so :func:`domain_report` computes
+only the two a finite poset can lack, meet-continuity and atomisticity,
+and reports the other five as ``True`` with the route that proves them.
+Only :func:`directed_way_below` enumerates directed subsets outright;
+acceptance criterion 3 compares it with ``up`` and checks that each
+directed subset it read holds its sup.  Its enumeration,
+:meth:`FinPoset.directed_masks`, is the one test of all 2^n subsets in the
+package: one down-set table lookup per member, and the sup read off a
+table of upper bounds filled in the same pass.
 """
 
 from __future__ import annotations
@@ -48,6 +50,21 @@ PROPERTY_KEYS = (
     "quasi_algebraic",
     "order_scattered",
 )
+
+#: the flags every finite poset has, with the route that proves each: every
+#: element is compact, so the approximants of c are dn[c], whose lub is c
+#: (algebraic, continuous); for a compact c, {c} is the least member of
+#: fin(c), so the family is directed and the intersection of its up-sets is
+#: up(c) (quasi-continuous, quasi-algebraic; Gierz et al., III-3); and a
+#: finite chain of two or more elements has a covering pair, so no chain is
+#: order-dense (order-scattered)
+FINITE_FLAGS = {
+    "algebraic": "theorem",
+    "continuous": "theorem",
+    "quasi_continuous": "compact-singletons",
+    "quasi_algebraic": "compact-singletons",
+    "order_scattered": "covering-pair-shortcut",
+}
 
 
 def iter_bits(mask):
@@ -364,8 +381,8 @@ def hasse_dot(poset, name="poset"):
 
 
 def _dot_escape(text, limit=40):
-    text = text.replace("\\", "\\\\").replace('"', '\\"')
-    return text[:limit]
+    # cut before escaping, so no escape sequence is cut in half
+    return text[:limit].replace("\\", "\\\\").replace('"', '\\"')
 
 
 # ---------------------------------------------------------------------------
@@ -374,29 +391,23 @@ def _dot_escape(text, limit=40):
 
 @dataclass
 class DomainReport:
-    """Outcome of the seven order-theoretic property checks.
+    """Outcome of the two property checks a finite poset can fail.
 
     ``None`` flags mean the property is not applicable: meet-continuity on
     a poset that is not a meet-semilattice, atomisticity on a poset with no
     least element.  Every False flag carries a witness under the property's
-    key in ``witnesses``.  ``paths`` records which route computed each flag.
+    key in ``witnesses``.  ``paths`` records which route gave each flag;
+    :meth:`flags` adds the five of ``FINITE_FLAGS`` as ``True``.
     """
 
-    algebraic: bool = True
-    continuous: bool = True
     meet_continuous: bool | None = True
     atomistic: bool | None = True
-    quasi_continuous: bool = True
-    quasi_algebraic: bool = True
-    order_scattered: bool = True
     witnesses: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
+    paths: dict = field(default_factory=lambda: {"way_below": "theorem", **FINITE_FLAGS})
 
     def flags(self):
-        return {key: getattr(self, key) for key in PROPERTY_KEYS}
-
-    def all_true(self):
-        return all(getattr(self, key) is True for key in PROPERTY_KEYS)
+        """All seven flags, in ``PROPERTY_KEYS`` order."""
+        return {key: key in FINITE_FLAGS or getattr(self, key) for key in PROPERTY_KEYS}
 
     def to_json_dict(self):
         data = dict(self.flags())
@@ -406,33 +417,10 @@ class DomainReport:
 
 
 def domain_report(poset):
-    """Run all seven property checks and collect witnesses for failures."""
+    """Check meet-continuity and atomisticity, collecting witnesses for failures."""
     report = DomainReport()
-    report.paths["way_below"] = "theorem"
-
-    # algebraic and continuous: every element is compact (way-below is the
-    # order), so the approximants of c are dn[c], whose lub is c itself
-    report.algebraic = True
-    report.paths["algebraic"] = "theorem"
-    report.continuous = True
-    report.paths["continuous"] = "theorem"
-
     _meet_continuity(poset, report)
     _atomistic(poset, report)
-
-    # quasi-continuous and quasi-algebraic: for a compact c, {c} is the least
-    # member of fin(c), so the family is directed and the intersection of
-    # its upsets is up(c) (Gierz et al., Continuous Lattices and Domains,
-    # III-3); every element is compact.
-    report.quasi_continuous = True
-    report.paths["quasi_continuous"] = "compact-singletons"
-    report.quasi_algebraic = True
-    report.paths["quasi_algebraic"] = "compact-singletons"
-
-    # order-scattered: a finite chain of two or more elements always has a
-    # covering pair, so no order-dense chain can exist.
-    report.order_scattered = True
-    report.paths["order_scattered"] = "covering-pair-shortcut"
     return report
 
 

@@ -6,15 +6,15 @@ criterion; the same checks back the ``cstardom accept`` subcommand.
 
 import pytest
 
-from cstardom import acceptance, staralg
+from cstardom import acceptance, scatter, staralg
 from cstardom.acceptance import CRITERIA, SELECTORS, run_acceptance, run_criterion
 from cstardom.order import FinPoset
 from cstardom.partitions import ORIENT_SUBALGEBRA, EqRel, partition_lattice
 
 DETAILS = {
     1: "element counts 2, 5, 15, 52; order certified on the Hasse covers",
-    2: "seven flags true for k = 2..5",
-    3: "200 random posets, way-below == order, all compact, directed sups attained",
+    2: "meet-semilattices and atomistic for k = 2..5",
+    3: "200 random posets, way-below == order, directed sups attained",
     4: "depths 1..8, exact rational arithmetic",
     5: "86 pairs, grid join equals join of grids",
     6: "order isomorphism with Bell(k) nodes for k = 2..5",
@@ -109,6 +109,31 @@ def test_criterion_3_fails_on_a_sup_outside_its_mask(monkeypatch):
     passed, details = acceptance._criterion_3()
     assert not passed
     assert details.endswith("directed subset without attained sup")
+
+
+# -- criteria 2 and 10 fail when what they check breaks ------------------
+
+CHAIN_3 = FinPoset(range(3), [0b111, 0b110, 0b100])
+ANTICHAIN_2 = FinPoset(range(2), [0b01, 0b10])
+
+
+@pytest.mark.parametrize(
+    "lattice, bad",
+    [(CHAIN_3, ["atomistic"]), (ANTICHAIN_2, ["meet_continuous", "atomistic"])],
+    ids=["chain", "antichain"],
+)
+def test_criterion_2_names_the_flags_that_fail(monkeypatch, lattice, bad):
+    monkeypatch.setattr(staralg, "c_lattice", lambda *args, **kwargs: lattice)
+    passed, details = acceptance._criterion_2()
+    assert not passed
+    assert details == f"k=2: flags {bad} not true"
+
+
+def test_criterion_10_fails_when_the_duals_do_not_reverse(monkeypatch):
+    monkeypatch.setattr(scatter, "collapse", lambda n, subset: EqRel.diagonal(range(1, n + 1)))
+    passed, details = acceptance._criterion_10()
+    assert not passed
+    assert details == "closed-set chain report failed"
 
 
 # -- criterion 11's work, counted ---------------------------------------

@@ -355,17 +355,17 @@ class TestCanonicalForm:
 class TestCounterexample:
     def test_depth_one(self):
         report = verify_counterexample(1)
-        assert report.passed and report.r_blocks == 3
+        assert all(c.passed for c in report.checks) and report.r_blocks == 3
 
     def test_depth_zero_vacuous(self):
         report = verify_counterexample(0)
-        assert report.passed and report.r_blocks == 1
+        assert all(c.passed for c in report.checks) and report.r_blocks == 1
         assert [c.name for c in report.checks] == ["join_diagonal_is_r"]
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_mid_depths(self, depth):
         report = verify_counterexample(depth)
-        assert report.passed
+        assert all(c.passed for c in report.checks)
         names = [c.name for c in report.checks]
         assert f"join_full:n={depth}" in names
         assert f"chain_level:{depth - 1}" in names
@@ -377,7 +377,7 @@ class TestCounterexample:
 
     def test_at_the_depth_limit(self):
         report = verify_counterexample(MAX_DEPTH)
-        assert report.passed and report.r_blocks == 2 ** (MAX_DEPTH + 1) - 1
+        assert all(c.passed for c in report.checks) and report.r_blocks == 2 ** (MAX_DEPTH + 1) - 1
         assert len(report.checks) == 3 * MAX_DEPTH + 1
 
     def test_broken_family_aborts_with_the_offending_stage(self, monkeypatch):
@@ -443,7 +443,7 @@ class TestCounterexample:
             return relation_S(n)
 
         monkeypatch.setattr(cantor_module, "relation_S", counted)
-        assert cantor_module.verify_counterexample(4).passed
+        cantor_module.verify_counterexample(4)
         assert built == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("depth", [0, 1, 4])
@@ -457,7 +457,7 @@ class TestCounterexample:
             return tri_join(x, y)
 
         monkeypatch.setattr(cantor_module, "tri_join", counted)
-        assert cantor_module.verify_counterexample(depth).passed
+        cantor_module.verify_counterexample(depth)
         assert len(joined) == depth + 1
 
     def test_json_schema(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cstardom
-from cstardom import acceptance, cli, order
+from cstardom import acceptance, cantor, cli, order, partitions
 from cstardom.cantor import CHAIN_MAX
 from cstardom.cli import main
 from cstardom.partitions import LATTICE_MAX
@@ -253,6 +253,31 @@ class TestEqrel:
         assert code == 2
         assert report["results"]["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"n": 4, "classes": [[1]]}, {"n": 4, "classes": [[]]}],
+        ids=["one-member", "empty-class"],
+    )
+    def test_uncovered_ground_is_refused_before_it_is_built(
+        self, files, payload, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        init = partitions.EqRel.__init__
+
+        def spy(self, ground, classes):
+            built.append(ground)
+            init(self, ground, classes)
+
+        monkeypatch.setattr(partitions.EqRel, "__init__", spy)
+        bad = write_payload(tmp_path, payload)
+        code, report = run_json(["eqrel", "join", "--a", bad, "--b", files["s"]], capsys)
+        assert code == 2
+        assert report["results"]["error"] == {
+            "type": "BadParameters",
+            "message": "classes do not cover the ground set",
+        }
+        assert built == []
+
 
 class TestCantor:
     def test_verify(self, files, capsys):
@@ -262,6 +287,15 @@ class TestCantor:
         assert payload["depth"] == 3
         assert payload["r_blocks"] == 15
         assert all(check["pass"] for check in payload["checks"])
+        assert all(line.startswith("[PASS] ") for line in report["results"]["lines"][1:])
+
+    def test_a_failing_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cantor, "relation_S", lambda n: cantor.DIAGONAL)
+        code, report = run_json(["cantor", "verify", "--depth", "2"], capsys)
+        assert code == 1
+        error = report["results"]["error"]
+        assert error["type"] == "AssertionFailed"
+        assert error["message"].startswith("verification assertion failed: join_full:n=1: ")
 
     def test_chain(self, files, capsys):
         code, report = run_json(["cantor", "chain", "--n", "4"], capsys)

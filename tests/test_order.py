@@ -686,11 +686,16 @@ class TestHasse:
         poset = validate_poset(["x" * 100], [[True]])
         assert "x" * 41 not in hasse_dot(poset)
 
+    @pytest.mark.parametrize("last", ['"', "\\"])
+    def test_dot_label_cut_keeps_the_escape_whole(self, last):
+        poset = validate_poset(["x" * 39 + last], [[True]])
+        assert f'  n0 [label="{"x" * 39}\\{last}"];' in hasse_dot(poset).splitlines()
+
 
 class TestDomainReport:
     def test_partition_lattice_all_true(self):
         report = domain_report(partition_lattice(3, ORIENT_SUBALGEBRA))
-        assert report.all_true()
+        assert all(value is True for value in report.flags().values())
         assert not report.witnesses
 
     def test_bottom_plus_antichain(self):
@@ -700,7 +705,7 @@ class TestDomainReport:
         )
         report = domain_report(poset)
         assert report.atomistic is True
-        assert report.algebraic is True
+        assert report.flags()["algebraic"] is True
 
     def test_chain_is_not_atomistic(self):
         report = domain_report(chain(3))
@@ -719,7 +724,7 @@ class TestDomainReport:
     @settings(max_examples=30, deadline=None)
     @given(posets())
     def test_order_scattered_always(self, poset):
-        assert domain_report(poset).order_scattered is True
+        assert domain_report(poset).flags()["order_scattered"] is True
 
     @settings(max_examples=25, deadline=None)
     @given(posets(max_size=7))
@@ -736,7 +741,8 @@ class TestDomainReport:
         wb = directed_way_below(poset) if route == "definitional" else list(poset.up)
         assert all(wb[c] >> c & 1 for c in range(poset.n))
         report = domain_report(poset)
-        assert report.quasi_continuous is True and report.quasi_algebraic is True
+        flags = report.flags()
+        assert flags["quasi_continuous"] is True and flags["quasi_algebraic"] is True
         assert report.paths["quasi_continuous"] == "compact-singletons"
         assert report.paths["quasi_algebraic"] == "compact-singletons"
         assert "bounded" not in report.to_json_dict()

@@ -81,7 +81,7 @@ def stages_by_subspaces(topology):
         if not isolated:
             return rank, frozenset(current.points), stages
         for i in isolated:
-            stages[current.points[i]] = (rank, current.is_closed({i}))
+            stages[current.points[i]] = (rank, current.closure({i}) == {i})
         current = current.subspace(set(range(current.n)) - isolated)
         rank += 1
     return rank, frozenset(), stages
@@ -235,7 +235,7 @@ class TestFinTop:
 
     @pytest.mark.parametrize("index", [2, -1, "a"])
     def test_queries_reject_unknown_indices(self, index):
-        for query in (sierpinski().is_open, sierpinski().is_closed, sierpinski().closure):
+        for query in (sierpinski().is_open, sierpinski().closure):
             with pytest.raises(BadParameters):
                 query({0, index})
 
@@ -485,8 +485,18 @@ class TestKqChain:
             assert earlier.refines(later) and earlier != later
 
     def test_all_members_closed(self):
-        report = kq_chain_witness(7, 4)
-        assert report.all_closed and report.strictly_increasing
+        # the library does not check this: every witness set holds the limit
+        # point, and every such set is closed, its complement being isolated
+        m = 7
+        report = kq_chain_witness(m, 4)
+        up = [1 << i for i in range(m)] + [(1 << (m + 1)) - 1]
+        space = FinTop._from_masks(report.points, up)
+        assert all(space.closure(s) == s for s in report.sets)
+        assert report.strictly_increasing
+
+    def test_rationals_between_the_same_labels_do_not_increase(self):
+        report = kq_chain_witness(2, 2, rationals=[Fraction(1, 10), Fraction(1, 5)])
+        assert not report.strictly_increasing and not report.ok
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameters):
