@@ -57,7 +57,7 @@ def main(argv=None):
         # remaining package errors indicate unusable input or parameters
         results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_USAGE
     report = {
@@ -90,7 +90,7 @@ def _read_json(path, digest):
     digest.update(raw)
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -4,9 +4,9 @@ A relation is stored as its sorted ground and a label vector, the class
 index of each ground position with classes numbered by first occurrence.
 The ``EqRel`` constructor and ``EqRel.from_pairs`` check outside input;
 after its checks ``from_pairs`` builds from labels through the unchecked
-``EqRel._from_labels``, as join (union-find over class labels), meet (pairs
-of labels) and the grid restriction in ``cantor`` do without hashing a
-ground member.
+``EqRel._from_labels``, as join, meet (pairs of labels) and the grid
+restriction in ``cantor`` do without hashing a ground member; from_pairs,
+join and ``staralg.pullback_adjoint`` share one union-find.
 
 A partition doubles as the dual picture of a commutative subalgebra of the
 functions on its ground set: finer partition, larger subalgebra.  The
@@ -120,24 +120,20 @@ class EqRel:
     @classmethod
     def from_pairs(cls, ground, pairs):
         """Smallest equivalence relation containing the given pairs: checked
-        input, union-find, and each member labelled by its root's first
-        occurrence, the canonical labels, so the build is unchecked."""
-        parent = {x: x for x in ground}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            if a not in parent or b not in parent:
-                raise OutOfRange(f"pair ({a!r}, {b!r}) leaves the ground set")
-            parent[find(a)] = find(b)
+        input, linked at ground positions by :func:`_linked_labels`, whose
+        labels are canonical, so the build is unchecked."""
         ground = tuple(sorted(ground))
-        if len(parent) != len(ground):
+        position = {x: i for i, x in enumerate(ground)}
+        links = []
+        for a, b in pairs:
+            i, j = position.get(a), position.get(b)
+            if i is None or j is None:
+                raise OutOfRange(f"pair ({a!r}, {b!r}) leaves the ground set")
+            if i != j:
+                links.append((i, j))
+        if len(position) != len(ground):
             raise BadParameters("ground set has duplicate members")
-        return cls._from_labels(ground, _first_occurrence(map(find, ground)))
+        return cls._from_labels(ground, _linked_labels(len(ground), links))
 
     # -- queries ----------------------------------------------------------
 
@@ -192,6 +188,24 @@ def _first_occurrence(keys):
     return [number.setdefault(key, len(number)) for key in keys]
 
 
+def _linked_labels(size, links):
+    """First-occurrence labels of 0..size-1 under the equivalence generated
+    by the index pairs ``links``: union-find with each root kept at the
+    least index of its component."""
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        i, j = find(i), find(j)
+        parent[max(i, j)] = min(i, j)
+    return _first_occurrence(map(find, range(size)))
+
+
 def label_of(rel):
     """Canonical human-readable label, e.g. ``{1,2}|{3}``."""
     return "|".join("{" + ",".join(str(x) for x in cls) + "}" for cls in rel.classes)
@@ -200,31 +214,22 @@ def label_of(rel):
 def join(r, s):
     """Smallest equivalence relation containing both (transitive closure).
 
-    Union-find over the classes of ``r``: each position links its r-class
-    with the r-class where its s-class first occurs.  Roots are kept at the
-    least r-class index of their component, so they come in order of first
-    occurrence.
+    :func:`_linked_labels` over the classes of ``r``: each position links
+    its r-class with the r-class where its s-class first occurs; r-class
+    labels are first-occurrence, so reading them per position keeps that.
     """
     if r.ground != s.ground:
         raise GroundMismatch("join needs a common ground set")
-    parent = list(range(len(r.classes)))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
     anchor = [None] * len(s.classes)
+    links = []
     for a, b in zip(r._labels, s._labels):
         c = anchor[b]
         if c is None:
             anchor[b] = a
-            continue
-        a, c = find(a), find(c)
-        if a != c:
-            parent[max(a, c)] = min(a, c)
-    return EqRel._from_labels(r.ground, _first_occurrence(map(find, r._labels)))
+        elif c != a:
+            links.append((a, c))
+    merged = _linked_labels(len(r.classes), links)
+    return EqRel._from_labels(r.ground, [merged[a] for a in r._labels])
 
 
 def meet(r, s):

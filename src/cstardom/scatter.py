@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParameters, ParseError, SizeLimit
-from .order import iter_bits, upsets
+from .order import iter_bits, transpose, upsets
 from .partitions import EqRel, collapse
 
 #: ordinal exponents stay below this (desk scale)
@@ -136,11 +136,7 @@ def _cb_walk(topology):
     ``residue`` masks the points never removed, empty exactly for scattered
     spaces.
     """
-    up = topology.up
-    dn = [0] * len(up)
-    for y, mask in enumerate(up):
-        for x in iter_bits(mask):
-            dn[x] |= 1 << y
+    up, dn = topology.up, transpose(topology.up)
     live, stages = (1 << len(up)) - 1, []
     while live:
         stage = {x: dn[x] & live == 1 << x for x in iter_bits(live) if up[x] & live == 1 << x}
@@ -308,12 +304,12 @@ class OrdinalCNF:
             match = _TERM_RE.match(chunk)
             if not match:
                 raise ParseError(f"bad ordinal term {chunk!r}")
-            if match.group(3) is not None:
-                exponent, coefficient = 0, int(match.group(3))
-            else:
-                exponent = int(match.group(1)) if match.group(1) else 1
-                coefficient = int(match.group(2)) if match.group(2) else 1
-            terms.append((exponent, coefficient))
+            exponent, coefficient, constant = match.groups()
+            try:
+                terms.append((0, int(constant)) if constant is not None
+                             else (int(exponent or 1), int(coefficient or 1)))
+            except ValueError as exc:  # a number past Python's digit limit
+                raise ParseError(f"bad ordinal term: {exc}") from exc
         return cls(tuple(terms))
 
     @classmethod

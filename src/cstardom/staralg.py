@@ -37,12 +37,17 @@ from .errors import (
     ParseError,
     SizeLimit,
 )
-from .order import FinPoset
-from .partitions import LATTICE_MAX, ORIENT_SUBALGEBRA, EqRel, _first_occurrence, partition_lattice
+from .order import FinPoset, subset_table
+from .partitions import (LATTICE_MAX, ORIENT_SUBALGEBRA, EqRel, _first_occurrence,
+                         _linked_labels, partition_lattice)
 
 #: ambient matrix size / algebra dimension guards
 AMBIENT_MAX = 16
 ALGEBRA_DIM_MAX = 64
+#: digits above and below the bar of a parsed entry: Python's int-string limit
+ENTRY_DIGITS_MAX = 4300
+_ENTRY_BOUND = 10**ENTRY_DIGITS_MAX
+
 
 
 def _ratio(value):
@@ -171,30 +176,31 @@ class GaussianRational:
 
     @classmethod
     def from_string(cls, text):
-        """Parse ``a/b``, ``c/d i`` or ``a/b+c/d i`` (optionally spaced)."""
+        """Parse ``a/b``, ``c/d i`` or ``a/b+c/d i`` (optionally spaced).  A
+        part past ``ENTRY_DIGITS_MAX`` digits above or below its bar is refused,
+        and so is an exponent past three times that, before it is expanded."""
         compact = text.replace(" ", "")
         if not compact:
             raise ParseError("empty Gaussian rational")
-        try:
-            if not compact.endswith("i"):
-                return cls(Fraction(compact), Fraction(0))
+        re_text, im_text = compact, "0"
+        if compact.endswith("i"):
             body = compact[:-1]
             # the sign separating the real part from the imaginary
             # coefficient is the last one not at the front
-            split = max(body.rfind("+"), body.rfind("-"))
-            if split <= 0:
-                re_text, im_text = "", body
-            else:
-                re_text, im_text = body[:split], body[split:]
-            if im_text in ("", "+"):
-                im_part = Fraction(1)
-            elif im_text == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(im_text)
-            re_part = Fraction(re_text) if re_text else Fraction(0)
+            split = max(body.rfind("+"), body.rfind("-"), 0)
+            re_text, im_text = body[:split] or "0", body[split:]
+            if im_text in ("", "+", "-"):
+                im_text += "1"
+        try:
+            for part in (re_text, im_text):
+                _, e, exponent = part.lower().rpartition("e")
+                if e and abs(int(exponent)) > 3 * ENTRY_DIGITS_MAX:
+                    raise ValueError(f"exponent {exponent} out of range")
+            re_part, im_part = Fraction(re_text), Fraction(im_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot parse Gaussian rational {text!r}") from exc
+        if max(map(abs, re_part.as_integer_ratio() + im_part.as_integer_ratio())) >= _ENTRY_BOUND:
+            raise ParseError(f"a part of {text!r} exceeds {ENTRY_DIGITS_MAX} digits")
         return cls(re_part, im_part)
 
 
@@ -649,15 +655,10 @@ def _nonzero_coordinate(matrix):
 
 
 def _projection_sums(projections, dim):
-    """Every sum of minimal projections, indexed by bitmask: entry m is the
-    sum of the ``projections[i]`` with bit i set in m, so entry 0 is zero.
-    These 2^k sums are the projections of the algebra.  One addition per
-    nonzero mask: m adds its lowest piece to the entry without it."""
-    sums = [Matrix.zero(dim)]
-    for mask in range(1, 1 << len(projections)):
-        low = mask & -mask
-        sums.append(sums[mask ^ low] + projections[low.bit_length() - 1])
-    return sums
+    """The 2^k projections of the algebra: the :func:`order.subset_table`
+    of its minimal projections under addition, so entry m sums the
+    ``projections[i]`` with bit i set in m and entry 0 is zero."""
+    return subset_table(projections, Matrix.__add__, Matrix.zero(dim))
 
 
 def projection_table(algebra, limit):
@@ -784,24 +785,17 @@ def pullback_adjoint(mapping, partition, source_ground):
     GroundMismatch) to the largest source-side subalgebra whose pushforward
     it contains: the relation on ``source_ground`` generated by the image
     pairs of identified points.  NotTotal when the map leaves it.  The
-    source ground is sorted once; a union-find over its positions joins
-    the images of each class, and each position is labelled by its root.
+    source ground is sorted once, and the images of each class are linked
+    at their positions by :func:`partitions._linked_labels`.
     """
     keys = partition.ground
     if len(mapping) != len(keys) or not all(y in mapping for y in keys):
         raise GroundMismatch("the partition does not live on the map's domain")
     source_ground = tuple(sorted(source_ground))
     position = {x: i for i, x in enumerate(source_ground)}
-    parent = list(range(len(source_ground)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # link each point's image with the image of its class's first point
     first = [None] * len(partition.classes)
+    links = []
     for y, k in zip(keys, partition._labels):
         i = position.get(mapping[y])
         if i is None:
@@ -809,10 +803,8 @@ def pullback_adjoint(mapping, partition, source_ground):
         j = first[k]
         if j is None:
             first[k] = i
-            continue
-        i, j = find(i), find(j)
-        if i != j:
-            parent[max(i, j)] = min(i, j)
+        elif j != i:
+            links.append((i, j))
     if len(position) != len(source_ground):
         raise BadParameters("ground set has duplicate members")
-    return EqRel._from_labels(source_ground, _first_occurrence(map(find, range(len(parent)))))
+    return EqRel._from_labels(source_ground, _linked_labels(len(source_ground), links))

@@ -72,6 +72,13 @@ def files(tmp_path):
     }
 
 
+#: Python's limit on int-string conversion, which refuses integer literals
+#: of more than 4300 digits
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
+)
+
+
 def run_json(argv, capsys):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
@@ -154,6 +161,34 @@ class TestExitCodes:
         assert code == 1
         (seventh,) = [c for c in report["results"]["criteria"] if c["number"] == 7]
         assert seventh["pass"] is True and seventh["within_budget"] is False
+
+    @pytest.mark.parametrize(
+        "argv, raw",
+        [
+            (["poset", "check", "--input", "{}"], b'{"elements": ["\xff"], "leq": [[true]]}'),
+            pytest.param(
+                ["eqrel", "join", "--a", "{}", "--b", "{}"],
+                b'{"n": 1' + b"0" * 5000 + b', "classes": [[1]]}',
+                marks=NEEDS_DIGIT_LIMIT,
+            ),
+            (["calg", "generate", "--input", "{}"], b'{"dim": 1, "generators": [[["1e5000"]]]}'),
+            (["calg", "generate", "--input", "{}"],
+             b'{"dim": 1, "generators": [[["1e10000000"]]]}'),
+            pytest.param(["cb", "rank", "--ordinal", "w*" + "9" * 5000], None,
+                         marks=NEEDS_DIGIT_LIMIT),
+        ],
+        ids=["invalid-utf8", "long-integer", "entry-1e5000", "entry-1e10000000",
+             "ordinal-coefficient"],
+    )
+    def test_unreadable_input_is_a_parse_error(self, argv, raw, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if raw is not None:
+            path.write_bytes(raw)
+        code, report = run_json([str(path) if arg == "{}" else arg for arg in argv], capsys)
+        assert code == report["exit_code"] == 2
+        assert report["results"]["error"]["type"] == "ParseError"
+        # an exponent is refused before Fraction expands the power
+        assert report["wall_time_s"] < 1
 
 
 class TestPoset:
@@ -594,6 +629,87 @@ class TestTopoCheckFuzz:
             topology = FinTop(payload["points"], payload["opens"])
             assert report["results"]["scattered"] == scattered_by_closed_sets(topology)
             assert report["results"]["stonean"] == is_stonean_fin(topology)
+
+
+labels = st.sampled_from(["a", "b", "c", 0, 1, True, None])
+matrix_entries = st.sampled_from(
+    ["0", "1", "-1", "1/2", "i", "1+i", "2/3-1/3 i", "1e5000", "1e-5000", "0e99999", "x", "",
+     0, 1, True, None]
+)
+
+
+def square_of(inner, n):
+    return st.lists(st.lists(inner, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def generators_of(dim):
+    return st.lists(square_of(matrix_entries, dim), max_size=2)
+
+
+#: payloads per input format: well-formed ones, near misses and any JSON
+INPUT_PAYLOADS = {
+    "poset": st.one_of(json_values, st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+        "elements": st.lists(labels, min_size=n, max_size=n),
+        "leq": square_of(st.booleans(), n),
+    }))),
+    "eqrel": st.one_of(json_values, st.fixed_dictionaries({
+        "n": st.integers(-1, 4),
+        "classes": st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=4),
+    })),
+    "calg": st.one_of(json_values, st.integers(0, 2).flatmap(lambda dim: st.fixed_dictionaries(
+        {"dim": st.just(dim), "generators": generators_of(dim)},
+        optional={"basis": generators_of(dim)},
+    ))),
+    "omp": st.one_of(json_values, st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
+        "elements": st.lists(labels, min_size=n, max_size=n),
+        "leq": square_of(st.booleans(), n),
+        "ortho": st.lists(st.integers(-1, n), min_size=n, max_size=n),
+    }))),
+    "topo": topology_payloads,
+}
+#: every command that reads a file, with the format it reads
+FILE_FLAGS = ("--input", "--a", "--b")
+INPUT_COMMANDS = {
+    key: "calg" if handler is cli._cmd_caf_iso else key[0]
+    for key, (handler, specs, _) in cli._COMMANDS.items()
+    if any(flags[0] in FILE_FLAGS for flags, _ in specs)
+}
+#: byte-level mutations of the serialised payload
+MUTATIONS = ("none", "invalid-utf8", "long-integer")
+
+
+class TestInputFuzz:
+    """The exit-code contract on every command that reads a file: exit 0, 1
+    or 2 with a JSON report and no traceback, an error reported exactly
+    when the exit is not 0, and ParseError for bytes that are not UTF-8
+    and for an integer literal past Python's digit limit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(sorted(INPUT_COMMANDS)), mutation=st.sampled_from(MUTATIONS),
+           data=st.data())
+    def test_exit_code_contract(self, tmp_path_factory, key, mutation, data):
+        raw = json.dumps(data.draw(INPUT_PAYLOADS[INPUT_COMMANDS[key]])).encode()
+        at = data.draw(st.integers(0, len(raw)))
+        if mutation == "invalid-utf8":
+            raw = raw[:at] + b"\xff" + raw[at:]
+        elif mutation == "long-integer":
+            # a JSON value starts at offset 0; elsewhere the digits may land
+            # inside a number, a string or between tokens
+            raw = raw[:at] + b"1" * 4301 + raw[at:]
+        path = tmp_path_factory.getbasetemp() / "input-fuzz.json"
+        path.write_bytes(raw)
+        argv = list(key)
+        for flags, _ in cli._COMMANDS[key][1]:
+            if flags[0] in FILE_FLAGS:
+                argv += [flags[0], str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--json"])
+        report = json.loads(out.getvalue())
+        assert code in (0, 1, 2) and report["exit_code"] == code
+        assert ("error" in report["results"]) == (code != 0)
+        if mutation == "invalid-utf8" or (mutation == "long-integer" and at == 0):
+            assert code == 2 and report["results"]["error"]["type"] == "ParseError"
 
 
 class TestDeterminism:

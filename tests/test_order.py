@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -18,11 +19,15 @@ from cstardom.order import (
     directed_way_below,
     domain_report,
     hasse_dot,
+    iter_bits,
     random_poset,
+    subset_table,
+    transpose,
     validate_poset,
 )
 from cstardom.partitions import ORIENT_REFINEMENT, ORIENT_SUBALGEBRA, partition_lattice
 from cstardom.scatter import FinTop, cb_rank_fin
+from cstardom.staralg import Matrix
 
 
 def chain(n):
@@ -520,6 +525,44 @@ class TestDirectedSubsets:
         poset = partition_lattice(4, ORIENT_SUBALGEBRA)
         assert len(poset.directed_masks()) == 16495
         assert calls == {"lub_mask": 0, "upper_bounds_mask": 0}
+
+
+square_masks = st.integers(0, 9).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+)
+small_matrices = st.lists(
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=2, max_size=2
+).map(Matrix)
+
+
+def fold_over_bits(items, op, empty, mask):
+    """``op`` folded from ``empty`` over the items whose bits ``mask`` sets."""
+    return functools.reduce(op, (items[i] for i in iter_bits(mask)), empty)
+
+
+class TestBitmaskPrimitives:
+    @settings(max_examples=100, deadline=None)
+    @given(square_masks)
+    def test_transpose_is_the_converse_and_its_own_inverse(self, masks):
+        n, out = len(masks), transpose(masks)
+        assert len(out) == n
+        assert all(out[j] >> i & 1 == masks[i] >> j & 1 for i in range(n) for j in range(n))
+        assert transpose(out) == tuple(masks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 255), max_size=7))
+    def test_subset_table_folds_or_and_and(self, items):
+        for op, empty in ((int.__or__, 0), (int.__and__, 255)):
+            table = subset_table(items, op, empty)
+            assert len(table) == 1 << len(items)
+            assert table == [fold_over_bits(items, op, empty, m) for m in range(len(table))]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(small_matrices, max_size=4))
+    def test_subset_table_sums_matrices(self, items):
+        zero = Matrix.zero(2)
+        table = subset_table(items, Matrix.__add__, zero)
+        assert table == [fold_over_bits(items, Matrix.__add__, zero, m) for m in range(1 << len(items))]
 
 
 class TestWayBelow:

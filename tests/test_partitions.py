@@ -50,8 +50,9 @@ def refines_lattice(n, orientation):
 def from_pairs_by_buckets(ground, pairs):
     """The relation generated by ``pairs``: union-find over the members,
     then the members bucketed by root and the buckets built through the
-    checked constructor.  The reference for ``EqRel.from_pairs``, which
-    labels the members itself."""
+    checked constructor.  The reference for the one union-find of
+    ``partitions``, behind ``EqRel.from_pairs``, ``join`` and
+    ``staralg.pullback_adjoint``, which label positions themselves."""
     parent = {x: x for x in ground}
 
     def find(x):
@@ -294,7 +295,7 @@ class TestJoinMeet:
         buckets = {}
         for x in ground:
             buckets.setdefault((class_of(r, x), class_of(s, x)), []).append(x)
-        expected_join = EqRel.from_pairs(ground, pairs)
+        expected_join = from_pairs_by_buckets(ground, pairs)
         expected_meet = EqRel(ground, buckets.values())
         for got, expected in ((join(r, s), expected_join), (meet(r, s), expected_meet)):
             assert got == expected and hash(got) == hash(expected)

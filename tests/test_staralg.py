@@ -47,7 +47,7 @@ from cstardom.staralg import (
     spectrum,
 )
 from test_order import lub
-from test_partitions import class_of
+from test_partitions import class_of, from_pairs_by_buckets
 
 
 def diag(*values):
@@ -122,6 +122,22 @@ class TestGaussianRational:
         assert v == GaussianRational(Fraction(1, 2), Fraction(3, 4))
         assert GaussianRational.from_string("2/3 i").re == 0
         for text in ("one half", "1/0", "1/0 i", "1+1/0 i"):
+            with pytest.raises(ParseError):
+                GaussianRational.from_string(text)
+
+    def test_parts_are_held_to_the_digit_limit(self):
+        # 4300 digits above and below the bar pass; one more is refused, on
+        # the real path and on the imaginary one alike
+        limit = staralg.ENTRY_DIGITS_MAX
+        assert GaussianRational.from_string(f"1e{limit - 1}").re == 10 ** (limit - 1)
+        assert GaussianRational.from_string(f"1e-{limit - 1}").re == Fraction(1, 10 ** (limit - 1))
+        assert GaussianRational.from_string(f"1+1e{limit - 1} i").im == 10 ** (limit - 1)
+        # an exponent past the limit is fine when the mantissa cancels it
+        assert GaussianRational.from_string(f"1{'0' * 600}e-{limit + 500}").re == Fraction(
+            1, 10 ** (limit - 100)
+        )
+        for text in (f"1e{limit}", f"1e-{limit}", f"1+1e{limit} i", f"2/{'3' * limit}1 i",
+                     "1e10000000", "1e" + "9" * 4000, "1/2e99999", "1e1e99999", "0e99999"):
             with pytest.raises(ParseError):
                 GaussianRational.from_string(text)
 
@@ -1001,8 +1017,9 @@ class TestPullbackAdjoint:
         assert pairs == 70398
 
     def test_is_the_union_closure_of_image_pairs(self):
-        # reference: the image pairs of each class through the checked
-        # from_pairs, on every criterion 11 map with a reversed source ground
+        # reference: the image pairs of each class through the bucket build,
+        # which shares no union-find with pullback_adjoint, on every
+        # criterion 11 map with a reversed source ground
         lattices = {n: partition_lattice(n, ORIENT_SUBALGEBRA).payloads for n in range(1, 5)}
         built = 0
         for nx, ny in itertools.product(range(1, 5), repeat=2):
@@ -1012,7 +1029,7 @@ class TestPullbackAdjoint:
                 for rel in lattices[ny]:
                     pairs = [(mapping[cls[0]], mapping[y]) for cls in rel.classes for y in cls]
                     pulled = pullback_adjoint(mapping, rel, xs)
-                    reference = EqRel.from_pairs(xs, pairs)
+                    reference = from_pairs_by_buckets(xs, pairs)
                     assert pulled == reference and hash(pulled) == hash(reference)
                     assert pulled._labels == reference._labels
                     built += 1
