@@ -36,7 +36,7 @@ from functools import cache
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse, SizeLimit
+from .errors import AssertionFailed, BadParameters, GridTooCoarse, SizeLimit
 from .partitions import EqRel
 
 #: cap on truncation depths (block counts grow as 2^depth)
@@ -216,7 +216,7 @@ def relation_R(depth):
     string twice), which the constructor re-checks.
     """
     if not 0 <= depth <= MAX_DEPTH:
-        raise DepthLimit(depth, MAX_DEPTH)
+        raise SizeLimit("depth", depth, MAX_DEPTH, minimum=0)
     pairs = []
     for length in range(depth + 1):
         k = 3 ** (depth - length)
@@ -227,7 +227,7 @@ def relation_R(depth):
 def relation_S(n):
     """First-and-last-thirds relation: one block [a, d] per string of length n."""
     if not 0 <= n <= MAX_DEPTH:
-        raise DepthLimit(n, MAX_DEPTH)
+        raise SizeLimit("depth", n, MAX_DEPTH, minimum=0)
     return TriRel._from_ints(3 ** (n + 1), tuple((a, d) for a, _, _, d in _stage_level(n)))
 
 
@@ -298,10 +298,8 @@ def verify_counterexample(depth):
     Each join is also re-derived through the explicit transitivity chain
     across stage endpoints.  Raises AssertionFailed naming the offending
     stage as soon as any assertion breaks, so a returned report is one
-    whose every check passed.
+    whose every check passed.  ``relation_R`` guards the depth.
     """
-    if not 0 <= depth <= MAX_DEPTH:
-        raise DepthLimit(depth, MAX_DEPTH)
     r = relation_R(depth)
     family = {n: relation_S(n) for n in range(1, depth + 1)}
     checks = []
@@ -390,7 +388,7 @@ def sample_to_grid(x, m):
     joins of block relations into joins of finite relations.
     """
     if not 0 <= m <= GRID_MAX:
-        raise DepthLimit(m, GRID_MAX)
+        raise SizeLimit("grid resolution", m, GRID_MAX, minimum=0)
     scale = 3**m
     factor, off_grid = divmod(scale, x.den)
     if off_grid:
@@ -429,10 +427,8 @@ def dense_chain_witness(n):
     constructor builds a further one, which is the finite stage of an
     order-dense chain.
     """
-    if n < 2:
-        raise BadParameters("need at least two witnesses")
-    if n > CHAIN_MAX:
-        raise SizeLimit("chain witness count", n, CHAIN_MAX)
+    if not 2 <= n <= CHAIN_MAX:
+        raise SizeLimit("chain witness count", n, CHAIN_MAX, minimum=2)
     return [TriRel(((Fraction(i, n + 1), ONE),)) for i in range(1, n + 1)]
 
 

@@ -5,9 +5,9 @@ subcommand has a ``--json`` mode emitting a machine-readable run report,
 and DOT output goes wherever ``--dot`` points.  Exit codes: 0 all checks
 passed, 1 a verification check failed, 2 usage or input errors.
 
-Each command's parser comes from the one ``_COMMANDS`` table, is built on
-first use and is kept for the process: at most one per command, plus the
-whole tree for help and unknown paths.
+The one parser tree comes from the ``_COMMANDS`` table, is built on first
+use and is kept for the process.  Every request but help ends in one report,
+usage errors included: with ``--json`` it is printed as JSON.
 """
 
 from __future__ import annotations
@@ -40,26 +40,20 @@ _CHECK_ERRORS = (AssertionFailed, IsoFailure)
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[:2])
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     start = time.perf_counter()
     digest = hashlib.sha256()
+    # what a request that does not parse leaves: a report with no command
+    args = argparse.Namespace(command_path=None, json=False)
     try:
+        args = _parser().parse_args(argv)
         results, failed = args.handler(args, digest)
         code = EXIT_CHECK_FAILED if failed else EXIT_OK
-    except _CHECK_ERRORS as exc:
+    except SystemExit:
+        # help, which argparse has printed; every parse failure raises ParseError
+        return EXIT_OK
+    except (CstardomError, OSError) as exc:
         results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = EXIT_CHECK_FAILED
-    except CstardomError as exc:
-        # remaining package errors indicate unusable input or parameters
-        results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = EXIT_USAGE
-    except OSError as exc:
-        results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = EXIT_USAGE
+        code = EXIT_CHECK_FAILED if isinstance(exc, _CHECK_ERRORS) else EXIT_USAGE
     report = {
         "command": args.command_path,
         "inputs_digest": digest.hexdigest(),
@@ -68,14 +62,14 @@ def main(argv=None):
         "wall_time_s": round(time.perf_counter() - start, 6),
         "exit_code": code,
     }
-    if getattr(args, "json", False):
+    if args.json or "--json" in argv:
         print(json.dumps(report, sort_keys=True))
     else:
-        _print_human(results, code)
+        _print_human(results)
     return code
 
 
-def _print_human(results, code):
+def _print_human(results):
     if "error" in results:
         error = results["error"]
         print(f"error ({error['type']}): {error['message']}", file=sys.stderr)
@@ -219,7 +213,7 @@ def _cmd_poset_hasse(args, digest):
 def _cmd_eqrel_binop(args, digest):
     a = _eqrel_from_json(_read_json(args.a, digest))
     b = _eqrel_from_json(_read_json(args.b, digest))
-    out = partitions.join(a, b) if args.op == "join" else partitions.meet(a, b)
+    out = partitions.join(a, b) if args.action == "join" else partitions.meet(a, b)
     results = dict(out.to_json_dict())
     results["lines"] = [partitions.label_of(out)]
     return results, False
@@ -411,17 +405,14 @@ _INPUT = _required("--input")
 _DOT = (("--dot",), {"default": None})
 _EMIT_DOT = (("--emit-dot",), {"action": "store_true", "dest": "emit_dot"})
 
-#: (group, action) -> (handler, argument specs, extra defaults), in the order
-#: that usage and help list them; ``accept`` sits at the root, so its action
-#: is None
+#: (group, action) -> (handler, argument specs), in the order that usage
+#: and help list them; ``accept`` sits at the root, so its action is None
 _COMMANDS = {
-    ("poset", "check"): (_cmd_poset_check, [_JSON, _INPUT], {}),
-    ("poset", "report"): (_cmd_poset_report, [_JSON, _INPUT], {}),
-    ("poset", "hasse"): (_cmd_poset_hasse, [_JSON, _INPUT, _DOT], {}),
-    ("eqrel", "join"): (_cmd_eqrel_binop, [_JSON, _required("--a"), _required("--b")],
-                        {"op": "join"}),
-    ("eqrel", "meet"): (_cmd_eqrel_binop, [_JSON, _required("--a"), _required("--b")],
-                        {"op": "meet"}),
+    ("poset", "check"): (_cmd_poset_check, [_JSON, _INPUT]),
+    ("poset", "report"): (_cmd_poset_report, [_JSON, _INPUT]),
+    ("poset", "hasse"): (_cmd_poset_hasse, [_JSON, _INPUT, _DOT]),
+    ("eqrel", "join"): (_cmd_eqrel_binop, [_JSON, _required("--a"), _required("--b")]),
+    ("eqrel", "meet"): (_cmd_eqrel_binop, [_JSON, _required("--a"), _required("--b")]),
     ("eqrel", "lattice"): (_cmd_eqrel_lattice, [
         _JSON,
         _required("--n", type=int),
@@ -429,52 +420,47 @@ _COMMANDS = {
                   choices=[partitions.ORIENT_REFINEMENT, partitions.ORIENT_SUBALGEBRA]),
         _DOT,
         _EMIT_DOT,
-    ], {}),
-    ("cantor", "verify"): (_cmd_cantor_verify, [_JSON, _required("--depth", type=int)], {}),
-    ("cantor", "chain"): (_cmd_cantor_chain, [_JSON, _required("--n", type=int)], {}),
-    ("calg", "generate"): (_cmd_calg_generate, [_JSON, _INPUT], {}),
-    ("calg", "atoms"): (_cmd_calg_atoms, [_JSON, _INPUT], {}),
-    ("calg", "spectrum"): (_cmd_calg_spectrum, [_JSON, _INPUT], {}),
-    ("calg", "caf-iso"): (_cmd_caf_iso, [_JSON, _INPUT], {}),
-    ("calg", "lattice"): (_cmd_calg_lattice, [_JSON, _INPUT, _DOT, _EMIT_DOT], {}),
-    ("omp", "validate"): (_cmd_omp_validate, [_JSON, _INPUT], {}),
-    ("omp", "boolsub"): (_cmd_omp_boolsub, [_JSON, _INPUT, _DOT, _EMIT_DOT], {}),
-    ("omp", "caf-iso"): (_cmd_caf_iso, [_JSON, _INPUT], {}),
-    ("cb", "rank"): (_cmd_cb_rank, [_JSON, _required("--ordinal")], {}),
-    ("topo", "check"): (_cmd_topo_check, [_JSON, _INPUT], {}),
+    ]),
+    ("cantor", "verify"): (_cmd_cantor_verify, [_JSON, _required("--depth", type=int)]),
+    ("cantor", "chain"): (_cmd_cantor_chain, [_JSON, _required("--n", type=int)]),
+    ("calg", "generate"): (_cmd_calg_generate, [_JSON, _INPUT]),
+    ("calg", "atoms"): (_cmd_calg_atoms, [_JSON, _INPUT]),
+    ("calg", "spectrum"): (_cmd_calg_spectrum, [_JSON, _INPUT]),
+    ("calg", "caf-iso"): (_cmd_caf_iso, [_JSON, _INPUT]),
+    ("calg", "lattice"): (_cmd_calg_lattice, [_JSON, _INPUT, _DOT, _EMIT_DOT]),
+    ("omp", "validate"): (_cmd_omp_validate, [_JSON, _INPUT]),
+    ("omp", "boolsub"): (_cmd_omp_boolsub, [_JSON, _INPUT, _DOT, _EMIT_DOT]),
+    ("omp", "caf-iso"): (_cmd_caf_iso, [_JSON, _INPUT]),
+    ("cb", "rank"): (_cmd_cb_rank, [_JSON, _required("--ordinal")]),
+    ("topo", "check"): (_cmd_topo_check, [_JSON, _INPUT]),
     ("accept", None): (_cmd_accept, [
         (("selector",), {"nargs": "?", "default": "all"}),
         (("--json",), {"action": "store_true"}),
-    ], {}),
+    ]),
 }
 
 
-def _build_parser(path=()):
-    """The parser for the command that ``path`` (``argv[:2]``) names; the
-    whole tree when it names no command, so that unknown paths and root or
-    group help read the same either way."""
-    head = tuple(path[:2])
-    # a root-level command is named by its first word alone
-    return _parser(next((k for k in (head[:1] + (None,), head) if k in _COMMANDS), None))
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so they leave through the report."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 @functools.cache
-def _parser(key):
-    """The parser for one ``_COMMANDS`` key, built root -> group -> leaf along
-    that path alone, or the whole tree for ``None``; built on first use and
-    kept for the process.  argparse keeps no per-parse state on a parser and
-    reads the terminal width and ``sys.stdout``/``sys.stderr`` only when it
-    prints, so one parser serves every request for its key."""
-    parser = argparse.ArgumentParser(
+def _parser():
+    """The whole command tree, built from ``_COMMANDS`` on first use and kept
+    for the process.  argparse keeps no per-parse state on a parser and reads
+    the terminal width and ``sys.stdout``/``sys.stderr`` only when it prints,
+    so one parser serves every request."""
+    parser = _Parser(
         prog="cstardom",
         description="subalgebra lattices, partitions, and their domain-theoretic checks",
     )
-    # a narrow root still names every group in the usage line of its errors
-    metavar = "{" + ",".join(dict.fromkeys(g for g, _ in _COMMANDS)) + "}" if key else None
-    subparsers = parser.add_subparsers(dest="group", required=True, metavar=metavar)
+    # subparsers are built with the class of their parent, so each is a _Parser
+    subparsers = parser.add_subparsers(dest="group", required=True)
     actions = {}
-    for group, action in [key] if key else _COMMANDS:
-        handler, specs, extra = _COMMANDS[group, action]
+    for (group, action), (handler, specs) in _COMMANDS.items():
         if action is None:
             leaf = subparsers.add_parser(group)
         else:
@@ -486,7 +472,7 @@ def _parser(key):
         for flags, options in specs:
             leaf.add_argument(*flags, **options)
         command_path = group if action is None else f"{group} {action}"
-        leaf.set_defaults(handler=handler, command_path=command_path, **extra)
+        leaf.set_defaults(handler=handler, command_path=command_path)
     return parser
 
 

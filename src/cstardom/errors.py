@@ -58,18 +58,6 @@ class OutOfRange(CstardomError):
     pass
 
 
-class DepthLimit(CstardomError):
-    """``depth`` lies outside 0..``limit``."""
-
-    def __init__(self, depth, limit):
-        if depth < 0:
-            message = f"depth {depth} is below the supported minimum 0"
-        else:
-            message = f"depth {depth} exceeds the configured maximum {limit}"
-        super().__init__(message)
-        self.depth, self.limit = depth, limit
-
-
 class BadParameters(CstardomError):
     pass
 

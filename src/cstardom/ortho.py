@@ -170,12 +170,6 @@ class BoolSub:
                 out.append(p)
         return tuple(out)
 
-    def __eq__(self, other):
-        return isinstance(other, BoolSub) and self.omp is other.omp and self.mask == other.mask
-
-    def __hash__(self):
-        return hash((id(self.omp), self.mask))
-
 
 def _close_boolean(omp, seed_mask, closed=0):
     """Close a subset under complement, meet and join.

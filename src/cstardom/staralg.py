@@ -186,8 +186,13 @@ class GaussianRational:
         if compact.endswith("i"):
             body = compact[:-1]
             # the sign separating the real part from the imaginary
-            # coefficient is the last one not at the front
-            split = max(body.rfind("+"), body.rfind("-"), 0)
+            # coefficient is the last one neither at the front nor an
+            # exponent's
+            split = next(
+                (k for k in range(len(body) - 1, 0, -1)
+                 if body[k] in "+-" and body[k - 1] not in "eE"),
+                0,
+            )
             re_text, im_text = body[:split] or "0", body[split:]
             if im_text in ("", "+", "-"):
                 im_text += "1"

@@ -26,7 +26,7 @@ from cstardom.cantor import (
     tri_join,
     verify_counterexample,
 )
-from cstardom.errors import AssertionFailed, BadParameters, DepthLimit, GridTooCoarse, SizeLimit
+from cstardom.errors import AssertionFailed, BadParameters, GridTooCoarse, SizeLimit
 from cstardom.partitions import EqRel, join as eqrel_join
 
 
@@ -199,39 +199,38 @@ class TestRelationConstruction:
         assert is_full(relation_S(0))
 
     def test_depth_limit(self):
-        with pytest.raises(DepthLimit):
+        with pytest.raises(SizeLimit):
             relation_R(11)
-        with pytest.raises(DepthLimit):
+        with pytest.raises(SizeLimit):
             relation_S(-1)
 
     def test_at_and_past_the_depth_limit(self):
         assert len(relation_R(MAX_DEPTH).blocks) == 2 ** (MAX_DEPTH + 1) - 1
         assert len(relation_S(MAX_DEPTH).blocks) == 2**MAX_DEPTH
         for build in (relation_R, relation_S):
-            with pytest.raises(DepthLimit) as info:
+            with pytest.raises(SizeLimit) as info:
                 build(MAX_DEPTH + 1)
-            assert (info.value.depth, info.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
+            assert (info.value.value, info.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
 
     @pytest.mark.parametrize(
-        "build, limit",
+        "build, what, limit",
         [
-            (relation_R, MAX_DEPTH),
-            (relation_S, MAX_DEPTH),
-            (verify_counterexample, MAX_DEPTH),
-            (lambda m: sample_to_grid(FULL, m), GRID_MAX),
+            (relation_R, "depth", MAX_DEPTH),
+            (relation_S, "depth", MAX_DEPTH),
+            (verify_counterexample, "depth", MAX_DEPTH),
+            (lambda m: sample_to_grid(FULL, m), "grid resolution", GRID_MAX),
         ],
         ids=["relation_R", "relation_S", "verify_counterexample", "sample_to_grid"],
     )
-    def test_below_the_minimum_depth(self, build, limit):
+    def test_below_the_minimum_depth(self, build, what, limit):
         build(0)
-        with pytest.raises(DepthLimit) as info:
+        with pytest.raises(SizeLimit) as info:
             build(-1)
-        assert (info.value.depth, info.value.limit) == (-1, limit)
-        assert str(info.value) == "depth -1 is below the supported minimum 0"
-        # the message above the range is unchanged
-        with pytest.raises(DepthLimit) as info:
+        assert (info.value.value, info.value.minimum, info.value.limit) == (-1, 0, limit)
+        assert str(info.value) == f"{what} = -1 is below the supported minimum 0"
+        with pytest.raises(SizeLimit) as info:
             build(limit + 1)
-        assert str(info.value) == f"depth {limit + 1} exceeds the configured maximum {limit}"
+        assert str(info.value) == f"{what} = {limit + 1} exceeds the supported limit {limit}"
 
     @pytest.mark.parametrize("n", range(9))
     def test_s_family_nests(self, n):
@@ -371,9 +370,9 @@ class TestCounterexample:
         assert f"chain_level:{depth - 1}" in names
 
     def test_depth_limit(self):
-        with pytest.raises(DepthLimit) as info:
+        with pytest.raises(SizeLimit) as info:
             verify_counterexample(MAX_DEPTH + 1)
-        assert (info.value.depth, info.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
+        assert (info.value.value, info.value.limit) == (MAX_DEPTH + 1, MAX_DEPTH)
 
     def test_at_the_depth_limit(self):
         report = verify_counterexample(MAX_DEPTH)
@@ -546,9 +545,9 @@ class TestGrid:
 
     def test_past_the_finest_grid(self):
         for m in (-1, GRID_MAX + 1):
-            with pytest.raises(DepthLimit) as info:
+            with pytest.raises(SizeLimit) as info:
                 sample_to_grid(FULL, m)
-            assert (info.value.depth, info.value.limit) == (m, GRID_MAX)
+            assert (info.value.value, info.value.limit) == (m, GRID_MAX)
 
 
 class TestDenseChain:
@@ -576,8 +575,10 @@ class TestDenseChain:
         assert midpoint_witness(a, b).blocks == ((F(1, 2), F(1)),)
 
     def test_needs_two(self):
-        with pytest.raises(BadParameters):
+        with pytest.raises(SizeLimit) as info:
             dense_chain_witness(1)
+        assert (info.value.value, info.value.minimum) == (1, 2)
+        assert str(info.value) == "chain witness count = 1 is below the supported minimum 2"
 
     def test_size_limit(self):
         chain = dense_chain_witness(CHAIN_MAX)

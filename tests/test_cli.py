@@ -15,6 +15,7 @@ import cstardom
 from cstardom import acceptance, cantor, cli, order, partitions
 from cstardom.cantor import CHAIN_MAX
 from cstardom.cli import main
+from cstardom.errors import ParseError
 from cstardom.partitions import LATTICE_MAX
 from cstardom.scatter import FinTop, is_stonean_fin
 from test_scatter import scattered_by_closed_sets
@@ -108,6 +109,26 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, files, capsys):
         assert main(["poset", "frobnicate"]) == 2
+        # one line in the human form, not argparse's usage block
+        err = capsys.readouterr().err
+        assert err.startswith("error (ParseError): cstardom poset: argument action: invalid choice")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poset", "check"],
+            ["cantor", "verify", "--depth", "x"],
+            ["eqrel", "lattice", "--n", "3", "--orientation", "up"],
+            ["poset", "frob"],
+        ],
+        ids=" ".join,
+    )
+    def test_argparse_failure_is_a_parse_error(self, argv, capsys):
+        code, report = run_json(argv, capsys)
+        assert code == report["exit_code"] == 2
+        assert report["command"] is None
+        assert report["results"]["error"]["type"] == "ParseError"
 
     def test_unknown_selector(self, files, capsys):
         code, report = run_json(["accept", "bogus"], capsys)
@@ -120,8 +141,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["cantor", "verify", "--depth", "-1"], "depth -1 is below the supported minimum 0"),
-            (["cantor", "verify", "--depth", "11"], "depth 11 exceeds the configured maximum 10"),
+            (["cantor", "verify", "--depth", "-1"], "depth = -1 is below the supported minimum 0"),
+            (["cantor", "verify", "--depth", "11"], "depth = 11 exceeds the supported limit 10"),
             (["eqrel", "lattice", "--n", "0", "--orientation", "subalgebra"],
              "partition lattice ground size = 0 is below the supported minimum 1"),
             (["eqrel", "lattice", "--n", "-1", "--orientation", "refinement"],
@@ -337,7 +358,7 @@ class TestCantor:
         assert code == 0
         assert len(report["results"]["witnesses"]) == 4
 
-    @pytest.mark.parametrize("n, code", [(CHAIN_MAX, 0), (CHAIN_MAX + 1, 2)])
+    @pytest.mark.parametrize("n, code", [(1, 2), (2, 0), (CHAIN_MAX, 0), (CHAIN_MAX + 1, 2)])
     def test_chain_size_guard(self, n, code, capsys):
         got, report = run_json(["cantor", "chain", "--n", str(n)], capsys)
         assert got == code
@@ -345,7 +366,8 @@ class TestCantor:
             error = report["results"]["error"]
             assert error["type"] == "SizeLimit"
             assert error["message"] == (
-                f"chain witness count = {n} exceeds the supported limit {CHAIN_MAX}"
+                "chain witness count = 1 is below the supported minimum 2" if n < 2
+                else f"chain witness count = {n} exceeds the supported limit {CHAIN_MAX}"
             )
         else:
             assert len(report["results"]["witnesses"]) == n
@@ -671,7 +693,7 @@ INPUT_PAYLOADS = {
 FILE_FLAGS = ("--input", "--a", "--b")
 INPUT_COMMANDS = {
     key: "calg" if handler is cli._cmd_caf_iso else key[0]
-    for key, (handler, specs, _) in cli._COMMANDS.items()
+    for key, (handler, specs) in cli._COMMANDS.items()
     if any(flags[0] in FILE_FLAGS for flags, _ in specs)
 }
 #: byte-level mutations of the serialised payload
@@ -728,7 +750,7 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# the parser built along the requested path only
+# the one parser tree
 
 
 def parse_outcome(parser, argv):
@@ -738,6 +760,8 @@ def parse_outcome(parser, argv):
             return vars(parser.parse_args(argv)), None, out.getvalue(), err.getvalue()
         except SystemExit as exc:
             return None, exc.code, out.getvalue(), err.getvalue()
+        except ParseError as exc:
+            return None, str(exc), out.getvalue(), err.getvalue()
 
 
 COMMAND_PATHS = [[part for part in key if part] for key in cli._COMMANDS]
@@ -745,7 +769,7 @@ GROUPS = list(dict.fromkeys(path[0] for path in COMMAND_PATHS))
 ACTIONS = list(dict.fromkeys(path[1] for path in COMMAND_PATHS if len(path) == 2))
 FLAGS = sorted({
     flag
-    for _, specs, _ in cli._COMMANDS.values()
+    for _, specs in cli._COMMANDS.values()
     for flags, _ in specs
     for flag in flags
     if flag.startswith("-")
@@ -763,23 +787,46 @@ argv_lists = st.one_of(
 
 
 class TestNarrowParser:
-    @settings(max_examples=300, deadline=None)
-    @given(argv=argv_lists)
-    def test_same_outcome_as_the_whole_tree(self, argv):
-        assert parse_outcome(cli._build_parser(argv[:2]), argv) == parse_outcome(
-            cli._build_parser(), argv
-        )
+    """Help, printed by the one parser tree."""
 
     @pytest.mark.parametrize(
         "path", [[]] + [[group] for group in GROUPS] + COMMAND_PATHS, ids=" ".join
     )
-    def test_help_is_that_of_the_whole_tree(self, path):
-        argv = path + ["-h"]
-        outcome = parse_outcome(cli._build_parser(argv[:2]), argv)
-        assert outcome == parse_outcome(cli._build_parser(), argv)
-        _, code, out, _ = outcome
-        assert code == 0
+    def test_help_is_that_of_the_whole_tree(self, path, capsys):
+        # help exits 0 and prints no report, even under --json
+        assert main(path + ["-h", "--json"]) == 0
+        out = capsys.readouterr().out
         assert out.startswith(" ".join(["usage: cstardom"] + path + ["[-h]"]))
+        assert '"exit_code"' not in out
+
+
+@contextlib.contextmanager
+def inside(directory):
+    """Run in ``directory``, where a request's ``--dot`` file lands."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+class TestOneReport:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=argv_lists)
+    def test_every_json_request_ends_in_one_report_or_help(self, tmp_path_factory, argv):
+        out = io.StringIO()
+        with mock.patch.object(acceptance, "run_acceptance", lambda selector: []), \
+                inside(tmp_path_factory.getbasetemp()), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--json"])
+        if out.getvalue().startswith("usage: cstardom"):
+            assert code == 0 and '"exit_code"' not in out.getvalue()
+        else:
+            (line,) = out.getvalue().splitlines()
+            report = json.loads(line)
+            assert code in (0, 1, 2) and report["exit_code"] == code
+            assert ("error" in report["results"]) == (code != 0)
 
 
 VALID_ARGS = {
@@ -822,29 +869,24 @@ class TestParserConstructions:
     @pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: " ".join(filter(None, key)))
     def test_one_parser_per_level_of_the_path(self, key, files, capsys, monkeypatch,
                                               parsers_built):
+        """Whichever request comes first builds the whole tree, one parser
+        per level of every path, and a repeat builds none."""
         monkeypatch.setattr(acceptance, "run_acceptance", lambda selector: [])
         argv = [part for part in key if part]
         argv += [files.get(arg, arg) for arg in VALID_ARGS[key]]
         cli._parser.cache_clear()
         code, report = run_json(argv, capsys)
         assert code == 0, report
-        # root, group and leaf; root and leaf for a root-level command
-        assert parsers_built[0] == (3 if key[1] else 2)
-        # a repeat of the request builds nothing
+        # one root, 8 groups (accept among them) and 18 action leaves
+        assert parsers_built[0] == 27
         code, again = run_json(argv, capsys)
         assert code == 0, again
-        assert parsers_built[0] == (3 if key[1] else 2)
+        assert parsers_built[0] == 27
+        assert cli._parser.cache_info().currsize == 1
 
 
-def cold_parser(path):
-    """The parser ``_build_parser(path)`` returns, built afresh past the memo."""
-    with mock.patch.object(cli, "_parser", cli._parser.__wrapped__):
-        return cli._build_parser(path)
-
-
-#: requests whose values could leak into the next request for the same
-#: command if a kept parser held any: optional flags set or left out, help,
-#: and ints that do not parse
+#: requests whose values could leak into the next request if the kept parser
+#: held any: optional flags set or left out, help, and ints that do not parse
 LEAK_PROBES = [
     ["eqrel", "lattice", "--n", "3", "--orientation", "subalgebra", "--emit-dot"],
     ["eqrel", "lattice", "--n", "3", "--orientation", "refinement", "--dot", "x.dot"],
@@ -881,18 +923,9 @@ class TestKeptParsers:
     @example(first=LEAK_PROBES[14], second=LEAK_PROBES[15])
     def test_back_to_back_requests_match_a_cold_build(self, first, second):
         for argv in (first, second):
-            warm = parse_outcome(cli._build_parser(argv[:2]), argv)
-            assert warm == parse_outcome(cold_parser(argv[:2]), argv)
-        assert cli._parser.cache_info().currsize <= len(cli._COMMANDS) + 1
-
-    def test_one_parser_per_command_plus_the_whole_tree(self):
-        cli._parser.cache_clear()
-        for path in COMMAND_PATHS + [[], ["-h"], ["nonesuch"], ["poset"], ["poset", "bogus"],
-                                     ["accept", "all"], ["accept", "--json"]]:
-            assert cli._build_parser(path) is cli._build_parser(path)
-        assert cli._parser.cache_info().currsize == len(cli._COMMANDS) + 1
-        assert cli._build_parser(["nonesuch", "x"]) is cli._build_parser()
-        assert cli._build_parser(["accept", "fast"]) is cli._build_parser(["accept"])
+            warm = parse_outcome(cli._parser(), argv)
+            assert warm == parse_outcome(cli._parser.__wrapped__(), argv)
+        assert cli._parser.cache_info().currsize == 1
 
 
 def console(*args):

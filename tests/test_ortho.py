@@ -209,6 +209,14 @@ class TestBooleanSubalgebras:
     def test_singleton_bool_poset(self):
         assert boolean_subalgebras(power_set_omp(1)).n == 1
 
+    def test_equal_only_over_the_same_omp(self):
+        # OMP defines no equality, so two builds of one power set stay apart
+        first, second = power_set_omp(2), power_set_omp(2)
+        assert ortho.BoolSub(first, 5) == ortho.BoolSub(first, 5) != ortho.BoolSub(first, 3)
+        assert ortho.BoolSub(first, 5) != ortho.BoolSub(second, 5)
+        subs = {ortho.BoolSub(first, 5), ortho.BoolSub(first, 5), ortho.BoolSub(second, 5)}
+        assert len(subs) == 2
+
     @pytest.mark.parametrize(
         "make",
         [

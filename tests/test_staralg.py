@@ -125,6 +125,25 @@ class TestGaussianRational:
             with pytest.raises(ParseError):
                 GaussianRational.from_string(text)
 
+    @pytest.mark.parametrize(
+        "text, re, im",
+        [
+            ("1e-5 i", 0, Fraction(1, 10**5)),
+            ("2+1e-5 i", 2, Fraction(1, 10**5)),
+            ("2-3e-2i", 2, Fraction(-3, 100)),
+            ("1E+3i", 0, 1000),
+            ("-1e-2-1e-2 i", Fraction(-1, 100), Fraction(-1, 100)),
+        ],
+        ids=["1e-5 i", "2+1e-5 i", "2-3e-2i", "1E+3i", "-1e-2-1e-2 i"],
+    )
+    def test_an_exponent_sign_is_not_the_split(self, text, re, im):
+        value = GaussianRational.from_string(text)
+        assert (value.re, value.im) == (re, im)
+
+    def test_an_exponent_needs_digits(self):
+        with pytest.raises(ParseError):
+            GaussianRational.from_string("1e i")
+
     def test_parts_are_held_to_the_digit_limit(self):
         # 4300 digits above and below the bar pass; one more is refused, on
         # the real path and on the imaginary one alike
@@ -136,7 +155,8 @@ class TestGaussianRational:
         assert GaussianRational.from_string(f"1{'0' * 600}e-{limit + 500}").re == Fraction(
             1, 10 ** (limit - 100)
         )
-        for text in (f"1e{limit}", f"1e-{limit}", f"1+1e{limit} i", f"2/{'3' * limit}1 i",
+        for text in (f"1e{limit}", f"1e-{limit}", f"1+1e{limit} i", f"1-1e-{limit} i",
+                     f"2/{'3' * limit}1 i",
                      "1e10000000", "1e" + "9" * 4000, "1/2e99999", "1e1e99999", "0e99999"):
             with pytest.raises(ParseError):
                 GaussianRational.from_string(text)
