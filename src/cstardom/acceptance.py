@@ -166,16 +166,14 @@ def _criterion_7():
     ortho.mo_omp(3)
 
     mutations = 0
-    elements = list(mo2.elements)
-    leq = mo2.poset.to_json_dict()["leq"]
 
     # self-orthocomplement pair: excluded middle must fail on that element
     bad_ortho = list(mo2.ortho)
-    a1 = elements.index("a1")
-    a1p = elements.index("a1'")
+    a1 = mo2.poset.index("a1")
+    a1p = mo2.poset.index("a1'")
     bad_ortho[a1], bad_ortho[a1p] = a1, a1p
     try:
-        ortho.validate_omp(elements, leq, bad_ortho)
+        ortho.validate_omp(mo2.poset, bad_ortho)
         return False, "self-orthocomplement mutation validated"
     except AxiomViolated as exc:
         if exc.axiom != "excluded-middle" or exc.witness not in ((a1,), (a1p,)):
@@ -184,12 +182,12 @@ def _criterion_7():
 
     # cycle the four middle elements: still a permutation, not an involution
     bad_ortho = list(mo2.ortho)
-    a2 = elements.index("a2")
-    a2p = elements.index("a2'")
+    a2 = mo2.poset.index("a2")
+    a2p = mo2.poset.index("a2'")
     bad_ortho[a1], bad_ortho[a1p] = a1p, a2
     bad_ortho[a2], bad_ortho[a2p] = a2p, a1
     try:
-        ortho.validate_omp(elements, leq, bad_ortho)
+        ortho.validate_omp(mo2.poset, bad_ortho)
         return False, "non-involutive mutation validated"
     except AxiomViolated as exc:
         if exc.axiom != "double-complement" or bad_ortho[bad_ortho[exc.witness[0]]] == exc.witness[0]:
@@ -198,9 +196,8 @@ def _criterion_7():
 
     # identity complement on the square: antitonicity must fail
     square = ortho.power_set_omp(2)
-    sq_leq = square.poset.to_json_dict()["leq"]
     try:
-        ortho.validate_omp(list(square.elements), sq_leq, list(range(square.n)))
+        ortho.validate_omp(square.poset, list(range(square.n)))
         return False, "identity-complement mutation validated"
     except AxiomViolated as exc:
         i, j = exc.witness

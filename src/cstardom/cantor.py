@@ -11,8 +11,10 @@ the dense-chain witnesses keep their i/(n+1) endpoints, and their midpoints
 halve those again, which is why ``den`` belongs to each relation rather
 than being one power of three.  Two relations are compared over the lcm of
 their denominators and a point p/q against a block by cross-multiplying,
-so every comparison is between integers and stays exact.  The ``Fraction``
-form of the blocks is built only when asked for.
+so every comparison is between integers and stays exact.  Every relation
+is built from numerators by the one constructor ``TriRel(den, pairs)``;
+a ``Fraction`` is made only from numerators, for output: the ``blocks``
+property, widths, grid points and check witnesses.
 
 A relation keeps the sorted lower numerators of its blocks; since blocks
 are disjoint and do not touch, the only block that can hold a point is the
@@ -47,72 +49,37 @@ GRID_MAX = 8
 #: report grow linearly in the count)
 CHAIN_MAX = 4096
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class TriRel:
-    """Diagonal plus squares of disjoint closed blocks with rational endpoints.
+    """Diagonal plus squares of disjoint closed blocks [l/den, u/den].
 
-    Invariants enforced on construction: blocks sorted, each l < u, and no
-    two blocks share even an endpoint (touching blocks must have been
-    merged, since transitivity through the shared point would glue them).
-    Blocks that already satisfy all three in the given order are kept as
-    given; any others are sorted first and then checked.
-
-    The stored form is ``den`` and the numerator pairs ``_pairs``;
-    ``blocks`` is the same list as ``Fraction`` pairs.  The package's own
-    builds pass numerators to ``TriRel._from_ints``, which runs the same
-    checks.
+    ``TriRel(den, pairs)`` is the one constructor: it takes a positive
+    denominator and integer numerator pairs (l, u), sorts the pairs, checks
+    that each block is a proper subinterval (0 <= l < u <= den) and that
+    no two blocks share even an endpoint (touching blocks must have been
+    merged, since transitivity through the shared point would glue them),
+    then reduces ``den`` and the numerators by their common factor.
+    ``blocks`` is the same list as ``Fraction`` pairs, built for output.
     """
 
     __slots__ = ("den", "_pairs", "_lows", "_blocks")
 
-    def __init__(self, blocks):
-        blocks = tuple(
-            (l if type(l) is Fraction else Fraction(l), u if type(u) is Fraction else Fraction(u))
-            for l, u in blocks
-        )
-        den = lcm(*(end.denominator for block in blocks for end in block))
-        self._set(
-            den,
-            tuple(
-                (l.numerator * (den // l.denominator), u.numerator * (den // u.denominator))
-                for l, u in blocks
-            ),
-            blocks,
-        )
-
-    @classmethod
-    def _from_ints(cls, den, pairs):
-        """The relation with blocks [l/den, u/den] for the (l, u) in ``pairs``."""
-        rel = object.__new__(cls)
-        rel._set(den, pairs)
-        return rel
-
-    def _set(self, den, pairs, blocks=None):
-        """Check the numerator pairs over ``den``, reduce and store them;
-        ``blocks``, their ``Fraction`` form, is kept if they are in order."""
-        # proper, strictly separated blocks in the given order are sorted
-        if not (
-            all(0 <= l < u <= den for l, u in pairs)
-            and all(u1 < l2 for (_, u1), (l2, _) in zip(pairs, pairs[1:]))
-        ):
-            pairs, blocks = tuple(sorted(pairs)), None
-            for l, u in pairs:
-                if not 0 <= l < u <= den:
-                    raise BadParameters(
-                        f"block [{Fraction(l, den)}, {Fraction(u, den)}] "
-                        "is not a proper subinterval of [0,1]"
-                    )
-            for (_, u1), (l2, _) in zip(pairs, pairs[1:]):
-                if l2 <= u1:
-                    raise BadParameters(f"blocks touching at {Fraction(l2, den)} must be merged")
+    def __init__(self, den, pairs):
+        pairs = tuple(sorted(pairs))
+        for l, u in pairs:
+            if not 0 <= l < u <= den:
+                raise BadParameters(
+                    f"block [{Fraction(l, den)}, {Fraction(u, den)}] "
+                    "is not a proper subinterval of [0,1]"
+                )
+        for (_, u1), (l2, _) in zip(pairs, pairs[1:]):
+            if l2 <= u1:
+                raise BadParameters(f"blocks touching at {Fraction(l2, den)} must be merged")
         common = gcd(den, *chain.from_iterable(pairs))
         if common > 1:
             den //= common
             pairs = tuple((l // common, u // common) for l, u in pairs)
-        self.den, self._pairs, self._blocks = den, pairs, blocks
+        self.den, self._pairs, self._blocks = den, pairs, None
         self._lows = [l for l, _ in pairs]
 
     @property
@@ -143,16 +110,6 @@ class TriRel:
         i = self._find(x, den)
         return i >= 0 and self._find(y, den) == i
 
-    def relates(self, x, y):
-        """Whether the rationals x and y are related."""
-        p, q = x.numerator, x.denominator
-        r, s = y.numerator, y.denominator
-        return self._relates(p * s, r * q, q * s)
-
-    def block_containing(self, x):
-        i = self._find(x.numerator, x.denominator)
-        return self.blocks[i] if i >= 0 else None
-
     def contains(self, other):
         """Relation containment: every block of other inside a block of self."""
         pairs, den, other_den = self._pairs, self.den, other.den
@@ -176,8 +133,8 @@ class TriRel:
         return [[str(l), str(u)] for l, u in self.blocks]
 
 
-DIAGONAL = TriRel(())
-FULL = TriRel(((ZERO, ONE),))
+DIAGONAL = TriRel(1, ())
+FULL = TriRel(1, ((0, 1),))
 
 
 def _stages(length):
@@ -221,14 +178,14 @@ def relation_R(depth):
     for length in range(depth + 1):
         k = 3 ** (depth - length)
         pairs.extend((b * k, c * k) for _, b, c, _ in _stage_level(length))
-    return TriRel._from_ints(3 ** (depth + 1), tuple(pairs))
+    return TriRel(3 ** (depth + 1), pairs)
 
 
 def relation_S(n):
     """First-and-last-thirds relation: one block [a, d] per string of length n."""
     if not 0 <= n <= MAX_DEPTH:
         raise SizeLimit("depth", n, MAX_DEPTH, minimum=0)
-    return TriRel._from_ints(3 ** (n + 1), tuple((a, d) for a, _, _, d in _stage_level(n)))
+    return TriRel(3 ** (n + 1), ((a, d) for a, _, _, d in _stage_level(n)))
 
 
 def tri_join(x, y):
@@ -248,7 +205,7 @@ def tri_join(x, y):
             top = u
         elif u > top:
             top = merged[-1][1] = u
-    return TriRel._from_ints(den, tuple(map(tuple, merged)))
+    return TriRel(den, map(tuple, merged))
 
 
 def max_offdiag_width(x):
@@ -429,19 +386,24 @@ def dense_chain_witness(n):
     """
     if not 2 <= n <= CHAIN_MAX:
         raise SizeLimit("chain witness count", n, CHAIN_MAX, minimum=2)
-    return [TriRel(((Fraction(i, n + 1), ONE),)) for i in range(1, n + 1)]
+    return [TriRel(n + 1, ((i, n + 1),)) for i in range(1, n + 1)]
 
 
 def midpoint_witness(x, y):
-    """A tail-block relation strictly between two nested tail-block ones."""
-    lx, ly = _tail_start(x), _tail_start(y)
+    """A tail-block relation strictly between two nested tail-block ones.
+
+    The two starts are compared and averaged over the product of the
+    denominators, on numerators alone.
+    """
+    lx, ly = _tail_start(x) * y.den, _tail_start(y) * x.den
     if lx == ly:
         raise BadParameters("witnesses coincide")
-    mid = (lx + ly) / 2
-    return TriRel(((mid, ONE),))
+    den = 2 * x.den * y.den
+    return TriRel(den, ((lx + ly, den),))
 
 
 def _tail_start(x):
-    if len(x.blocks) != 1 or x.blocks[0][1] != ONE:
+    """The numerator l of a tail-block relation [l/den, 1]."""
+    if len(x._pairs) != 1 or x._pairs[0][1] != x.den:
         raise BadParameters("not a tail-block relation [x, 1]")
-    return x.blocks[0][0]
+    return x._pairs[0][0]

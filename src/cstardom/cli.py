@@ -163,7 +163,7 @@ def _omp_from_json(data):
     for key in ("elements", "leq", "ortho"):
         if key not in data:
             raise ParseError("orthomodular poset JSON needs 'elements', 'leq' and 'ortho'")
-    return ortho.validate_omp(data["elements"], data["leq"], data["ortho"])
+    return ortho.validate_omp(order.validate_poset(data["elements"], data["leq"]), data["ortho"])
 
 
 def _topology_from_json(data):
@@ -435,7 +435,7 @@ _COMMANDS = {
     ("topo", "check"): (_cmd_topo_check, [_JSON, _INPUT]),
     ("accept", None): (_cmd_accept, [
         (("selector",), {"nargs": "?", "default": "all"}),
-        (("--json",), {"action": "store_true"}),
+        _JSON,
     ]),
 }
 

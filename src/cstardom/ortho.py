@@ -1,7 +1,10 @@
 """Finite orthomodular posets and their Boolean subalgebras.
 
-An orthomodular poset bundles a bounded poset with an order-reversing
-involution subject to five axioms, all machine-checked on construction.
+An orthomodular poset bundles a bounded ``FinPoset`` with an
+order-reversing involution subject to five axioms, all machine-checked on
+construction by walking the poset's ``up``/``dn`` masks; a boolean ``leq``
+table from outside becomes a ``FinPoset`` through ``order.validate_poset``
+before it gets here.
 Boolean subalgebras are subsets closed under the involution whose pairwise
 meets and joins exist in the ambient poset, land back in the subset, and
 obey distributivity; they are enumerated by closing generator sets rather
@@ -26,7 +29,7 @@ from .errors import (
     NotBoolean,
     SizeLimit,
 )
-from .order import FinPoset, iter_bits, validate_poset
+from .order import FinPoset, iter_bits
 from .staralg import c_lattice, projection_table
 
 #: enumeration guard for Boolean subalgebras
@@ -66,13 +69,15 @@ class OMP:
         return f"OMP({self.n} elements)"
 
 
-def validate_omp(elements, leq, ortho):
-    """Checked constructor: poset axioms plus the five involution axioms.
+def validate_omp(poset, ortho):
+    """Checked constructor: the five involution axioms over a ``FinPoset``.
 
     Raises AxiomViolated carrying the axiom id and the witnessing
-    elements; the poset table itself is validated first.
+    elements.  The axioms are read off the ``up``/``dn`` masks; once the
+    complement is an antitone involution, p <= q' exactly when q <= p', so
+    the orthogonal-join and orthomodular walks visit the pairs of the
+    definitions in the same order.
     """
-    poset = validate_poset(elements, leq)
     n = poset.n
     ints = isinstance(ortho, (list, tuple)) and all(type(p) is int for p in ortho)
     if not ints or sorted(ortho) != list(range(n)):
@@ -83,9 +88,10 @@ def validate_omp(elements, leq, ortho):
     for p in range(n):
         if ortho[ortho[p]] != p:
             raise AxiomViolated("double-complement", (p,))
+    up, dn = poset.up, poset.dn
     for p in range(n):
-        for q in iter_bits(poset.up[p] & ~(1 << p)):
-            if not poset.leq(ortho[q], ortho[p]):
+        for q in iter_bits(up[p] & ~(1 << p)):
+            if not up[ortho[q]] >> ortho[p] & 1:
                 raise AxiomViolated("antitone", (p, q))
     omp = OMP(poset, ortho, one)
     joins = poset.joins()
@@ -93,13 +99,15 @@ def validate_omp(elements, leq, ortho):
         if joins[p][ortho[p]] != one:
             raise AxiomViolated("excluded-middle", (p,))
     for p in range(n):
-        for q in range(n):
-            if poset.leq(p, ortho[q]) and joins[p][q] is None:
+        # q <= p' iff p <= q'
+        for q in iter_bits(dn[ortho[p]]):
+            if joins[p][q] is None:
                 raise AxiomViolated("orthogonal-join", (p, q))
     meets = poset.meets()
     for p in range(n):
-        for q in range(n):
-            if poset.leq(ortho[q], p) and meets[p][q] == omp.zero and p != ortho[q]:
+        # q' <= p iff p' <= q, and q' != p iff q != p'
+        for q in iter_bits(up[ortho[p]] & ~(1 << ortho[p])):
+            if meets[p][q] == omp.zero:
                 raise AxiomViolated("orthomodular", (p, q))
     return omp
 
@@ -114,9 +122,9 @@ def power_set_omp(k):
         raise BadParameters("need k >= 0")
     size = 1 << k
     elements = [_subset_label(mask, k) for mask in range(size)]
-    leq = [[(a & b) == a for b in range(size)] for a in range(size)]
+    up = [sum(1 << b for b in range(size) if a & b == a) for a in range(size)]
     ortho = [(size - 1) ^ a for a in range(size)]
-    return validate_omp(elements, leq, ortho)
+    return validate_omp(FinPoset(elements, up), ortho)
 
 
 def _subset_label(mask, k):
@@ -131,15 +139,12 @@ def mo_omp(n):
     elements = ["0"] + [f"a{i}{suffix}" for i in range(1, n + 1) for suffix in ("", "'")] + ["1"]
     size = len(elements)
     one = size - 1
-    leq = [[i == j for j in range(size)] for i in range(size)]
-    for i in range(size):
-        leq[0][i] = True
-        leq[i][one] = True
+    up = [(1 << size) - 1] + [(1 << i) | (1 << one) for i in range(1, size)]
     ortho = list(range(size))
     ortho[0], ortho[one] = one, 0
     for i in range(1, size - 1, 2):
         ortho[i], ortho[i + 1] = i + 1, i
-    return validate_omp(elements, leq, ortho)
+    return validate_omp(FinPoset(elements, up), ortho)
 
 
 # ---------------------------------------------------------------------------

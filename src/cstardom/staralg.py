@@ -231,10 +231,11 @@ GR_ONE = _exact(1, 0, 1)
 
 
 def gr(value):
-    """Coerce ints / Fractions / strings to GaussianRational."""
+    """Coerce ints / Fractions / strings to GaussianRational; a ``bool``,
+    though an ``int``, is refused like any other non-numeric entry."""
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return GaussianRational(value)
     if isinstance(value, str):
         return GaussianRational.from_string(value)

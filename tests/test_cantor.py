@@ -34,6 +34,26 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def tri(blocks):
+    """The relation with the given rational blocks, built from their
+    numerators over the lcm of their denominators."""
+    blocks = [(F(l), F(u)) for l, u in blocks]
+    den = math.lcm(*(end.denominator for block in blocks for end in block))
+    return TriRel(den, [(int(l * den), int(u * den)) for l, u in blocks])
+
+
+def relates(rel, x, y):
+    """Whether the rationals x and y are related, through ``_relates``."""
+    den = math.lcm(x.denominator, y.denominator)
+    return rel._relates(int(x * den), int(y * den), den)
+
+
+def block_containing(rel, x):
+    """The block holding the rational x, through ``_find``, or None."""
+    i = rel._find(x.numerator, x.denominator)
+    return rel.blocks[i] if i >= 0 else None
+
+
 @st.composite
 def triadic_relations(draw, resolution=3):
     """Random block relation with endpoints on the 3^resolution grid."""
@@ -46,7 +66,7 @@ def triadic_relations(draw, resolution=3):
     for a, b in zip(cuts[::2], cuts[1::2]):
         if a < b:
             blocks.append((F(a, grid), F(b, grid)))
-    return TriRel(blocks)
+    return tri(blocks)
 
 
 def scan_block_containing(rel, x):
@@ -109,9 +129,9 @@ class TestBisectLookup:
     def test_lookups_match_linear_scans(self, rel, other):
         points = probe_points(rel) + probe_points(other)
         for x in points:
-            assert rel.block_containing(x) == scan_block_containing(rel, x)
+            assert block_containing(rel, x) == scan_block_containing(rel, x)
             for y in points:
-                assert rel.relates(x, y) == scan_relates(rel, x, y)
+                assert relates(rel, x, y) == scan_relates(rel, x, y)
         assert rel.contains(other) == scan_contains(rel, other)
         assert other.contains(rel) == scan_contains(other, rel)
 
@@ -121,9 +141,9 @@ class TestBisectLookup:
         points = probe_points(r) + probe_points(s)
         for rel in (r, s, tri_join(r, s), DIAGONAL, FULL):
             for x in points:
-                assert rel.block_containing(x) == scan_block_containing(rel, x)
+                assert block_containing(rel, x) == scan_block_containing(rel, x)
                 for y in points:
-                    assert rel.relates(x, y) == scan_relates(rel, x, y)
+                    assert relates(rel, x, y) == scan_relates(rel, x, y)
             for other in (r, s, DIAGONAL, FULL):
                 assert rel.contains(other) == scan_contains(rel, other)
 
@@ -239,26 +259,21 @@ class TestRelationConstruction:
 
     def test_touching_blocks_rejected(self):
         with pytest.raises(BadParameters):
-            TriRel([(F(0), F(1, 3)), (F(1, 3), F(1, 2))])
+            tri([(F(0), F(1, 3)), (F(1, 3), F(1, 2))])
 
     def test_degenerate_block_rejected(self):
         with pytest.raises(BadParameters):
-            TriRel([(F(1, 2), F(1, 2))])
+            tri([(F(1, 2), F(1, 2))])
 
     def test_unsorted_blocks_are_sorted(self):
-        rel = TriRel([(F(2, 3), 1), (0, F(1, 3))])
+        rel = TriRel(3, [(2, 3), (0, 1)])
+        assert rel._pairs == ((0, 1), (2, 3))
         assert rel.blocks == ((F(0), F(1, 3)), (F(2, 3), F(1)))
         assert all(type(end) is Fraction for block in rel.blocks for end in block)
 
     def test_unsorted_touching_blocks_rejected(self):
         with pytest.raises(BadParameters, match="touching at 1/3"):
-            TriRel([(F(1, 3), F(1, 2)), (F(0), F(1, 3))])
-
-    def test_sorted_fraction_blocks_are_kept(self):
-        blocks = ((F(0), F(1, 9)), (F(2, 9), F(1, 3)))
-        rel = TriRel(blocks)
-        assert rel.blocks == blocks
-        assert all(a is b for old, new in zip(blocks, rel.blocks) for a, b in zip(old, new))
+            tri([(F(1, 3), F(1, 2)), (F(0), F(1, 3))])
 
 
 class TestJoinMeet:
@@ -283,7 +298,7 @@ class TestJoinMeet:
         assert is_full(FULL)
         assert not is_full(relation_R(1))
         # a block [0, 1/3] is stored as (0, 1) over 3
-        assert not is_full(TriRel([(0, F(1, 3))]))
+        assert not is_full(tri([(0, F(1, 3))]))
         assert is_full(tri_join(relation_R(1), relation_S(1)))
 
     @settings(max_examples=60, deadline=None)
@@ -310,7 +325,7 @@ class TestJoinMeet:
     def test_join_matches_the_sorted_sweep_across_denominators(self, x, y):
         joined = tri_join(x, y)
         assert joined.blocks == sorted_sweep(x, y)
-        assert joined == TriRel(sorted_sweep(x, y))
+        assert joined == tri(sorted_sweep(x, y))
 
     @settings(max_examples=50, deadline=None)
     @given(triadic_relations(2), triadic_relations(2))
@@ -329,16 +344,16 @@ class TestCanonicalForm:
         assert (joined.den, joined._pairs) == (1, ((0, 1),))
 
     def test_unreduced_endpoints(self):
-        rel = TriRel([(F(3, 9), F(6, 9))])
+        rel = TriRel(9, ((3, 6),))
         assert rel == relation_R(0) and hash(rel) == hash(relation_R(0))
         assert rel.den == 3
-        scaled = TriRel._from_ints(27, ((9, 18),))
+        scaled = TriRel(27, ((9, 18),))
         assert scaled == rel and hash(scaled) == hash(rel) and scaled.den == 3
 
     @settings(max_examples=60, deadline=None)
     @given(relations_for_lookup, st.integers(2, 30))
     def test_any_common_denominator_gives_the_same_relation(self, rel, k):
-        scaled = TriRel._from_ints(rel.den * k, tuple((l * k, u * k) for l, u in rel._pairs))
+        scaled = TriRel(rel.den * k, tuple((l * k, u * k) for l, u in rel._pairs))
         assert scaled == rel and hash(scaled) == hash(rel)
         assert (scaled.den, scaled._pairs) == (rel.den, rel._pairs)
         assert scaled.blocks == rel.blocks
@@ -396,7 +411,7 @@ class TestCounterexample:
 
         # S_1 widened to [0, 1/2], [2/3, 1]: every join stays full, so only
         # the exact 3^-n width check can catch it
-        widened = TriRel([(0, F(1, 2)), (F(2, 3), 1)])
+        widened = tri([(0, F(1, 2)), (F(2, 3), 1)])
         monkeypatch.setattr(
             cantor_module, "relation_S", lambda n: widened if n == 1 else relation_S(n)
         )
@@ -418,7 +433,7 @@ class TestCounterexample:
 
         # R_3 without the middle block [7/9, 8/9] of stage "1"; the joins
         # are passed full, as for the intact R, so only R's steps can fail
-        broken = TriRel([b for b in relation_R(3).blocks if b != (F(7, 9), F(8, 9))])
+        broken = tri([b for b in relation_R(3).blocks if b != (F(7, 9), F(8, 9))])
         s1, s2 = relation_S(1), relation_S(2)
         # as the parent stage's middle block at length 1
         assert _chain_level(broken, 1, s2, FULL) == (False, "1")
@@ -504,8 +519,8 @@ class TestGrid:
         "rel, m, endpoint",
         [
             (relation_S(2), 1, F(1, 9)),
-            (TriRel([(0, F(1, 3)), (F(1, 2), 1)]), 1, F(1, 2)),
-            (TriRel([(F(1, 9), F(1, 4))]), 2, F(1, 4)),
+            (tri([(0, F(1, 3)), (F(1, 2), 1)]), 1, F(1, 2)),
+            (tri([(F(1, 9), F(1, 4))]), 2, F(1, 4)),
             (dense_chain_witness(3)[1], 5, F(1, 2)),
         ],
     )
@@ -518,7 +533,7 @@ class TestGrid:
     def test_finest_grid_stays_fast(self):
         # 3^8 + 1 = 6562 grid points in one class
         start = time.perf_counter()
-        sampled = sample_to_grid(TriRel([(0, 1)]), GRID_MAX)
+        sampled = sample_to_grid(tri([(0, 1)]), GRID_MAX)
         assert len(sampled.ground) == 6562 and len(sampled.classes) == 1
         assert EqRel.diagonal(sampled.ground).refines(sampled)
         assert time.perf_counter() - start < 2.0
@@ -550,6 +565,10 @@ class TestGrid:
             assert (info.value.value, info.value.limit) == (m, GRID_MAX)
 
 
+#: starts of tail blocks [a, 1], 0 <= a < 1
+tail_starts = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda a: a < 1)
+
+
 class TestDenseChain:
     def test_two_witnesses(self):
         first, second = dense_chain_witness(2)
@@ -570,9 +589,28 @@ class TestDenseChain:
             assert middle not in (earlier, later)
 
     def test_midpoint_of_named_pair(self):
-        a = TriRel(((F(1, 3), F(1)),))
-        b = TriRel(((F(2, 3), F(1)),))
+        a = TriRel(3, ((1, 3),))
+        b = TriRel(3, ((2, 3),))
         assert midpoint_witness(a, b).blocks == ((F(1, 2), F(1)),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail_starts, tail_starts)
+    def test_midpoint_matches_the_fraction_midpoint(self, a, b):
+        # nested tails [a, 1] and [b, 1], in either order
+        x, y = tri([(a, 1)]), tri([(b, 1)])
+        if a == b:
+            with pytest.raises(BadParameters):
+                midpoint_witness(x, y)
+            return
+        middle = midpoint_witness(x, y)
+        assert middle.blocks == (((a + b) / 2, F(1)),)
+        assert middle == tri([((a + b) / 2, 1)]) == midpoint_witness(y, x)
+
+    def test_midpoint_needs_tails(self):
+        with pytest.raises(BadParameters, match="not a tail-block"):
+            midpoint_witness(relation_S(1), FULL)
+        with pytest.raises(BadParameters, match="not a tail-block"):
+            midpoint_witness(FULL, relation_R(0))
 
     def test_needs_two(self):
         with pytest.raises(SizeLimit) as info:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cstardom
-from cstardom import acceptance, cantor, cli, order, partitions
+from cstardom import acceptance, cantor, cli, order, ortho, partitions
 from cstardom.cantor import CHAIN_MAX
 from cstardom.cli import main
 from cstardom.errors import ParseError
@@ -128,6 +128,15 @@ class TestExitCodes:
         code, report = run_json(argv, capsys)
         assert code == report["exit_code"] == 2
         assert report["command"] is None
+        assert report["results"]["error"]["type"] == "ParseError"
+
+    def test_boolean_matrix_entry_is_a_parse_error(self, tmp_path, capsys):
+        # bool is an int subclass; JSON true must not read as the entry 1
+        payload = {"dim": 2, "generators": [[[True, False], [False, False]]]}
+        code, report = run_json(
+            ["calg", "generate", "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert code == report["exit_code"] == 2
         assert report["results"]["error"]["type"] == "ParseError"
 
     def test_unknown_selector(self, files, capsys):
@@ -416,6 +425,14 @@ class TestCalg:
             code, report = run_json([group, "caf-iso", "--input", files["diag3"]], capsys)
             assert code == 0
             assert report["results"]["iso"]["size"] == 5
+
+    def test_caf_iso_failure_is_a_failed_check(self, files, capsys, monkeypatch):
+        # an order-reversed subalgebra lattice cannot match the projections
+        real = ortho.c_lattice
+        monkeypatch.setattr(ortho, "c_lattice", lambda algebra: real(algebra).dual())
+        code, report = run_json(["calg", "caf-iso", "--input", files["diag3"]], capsys)
+        assert code == report["exit_code"] == 1
+        assert report["results"]["error"]["type"] == "IsoFailure"
 
     @pytest.mark.parametrize(
         "action, k, code",
@@ -798,6 +815,11 @@ class TestNarrowParser:
         out = capsys.readouterr().out
         assert out.startswith(" ".join(["usage: cstardom"] + path + ["[-h]"]))
         assert '"exit_code"' not in out
+
+    @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+    def test_every_leaf_describes_json(self, path, capsys):
+        assert main(path + ["-h"]) == 0
+        assert "emit a JSON run report" in capsys.readouterr().out
 
 
 @contextlib.contextmanager

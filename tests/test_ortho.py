@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstardom import ortho
-from cstardom.errors import AxiomViolated, BadParameters, SizeLimit
+from cstardom.errors import AxiomViolated, BadParameters, IsoFailure, SizeLimit
 from cstardom.ortho import (
     CAF_MAX,
     OMP_MAX,
@@ -16,14 +16,9 @@ from cstardom.ortho import (
     validate_omp,
     verify_caf_iso,
 )
+from cstardom.order import FinPoset, validate_poset
 from cstardom.partitions import ORIENT_SUBALGEBRA, bell_number, partition_lattice
-from cstardom.staralg import Matrix, generated_algebra
-
-
-def tables_of(omp):
-    elements = list(omp.elements)
-    leq = [[omp.leq(i, j) for j in range(omp.n)] for i in range(omp.n)]
-    return elements, leq, list(omp.ortho)
+from cstardom.staralg import Matrix, c_lattice, generated_algebra, projection_table
 
 
 def brute_force_boolean_subalgebras(omp):
@@ -93,7 +88,63 @@ def greechie_square():
         if any(atoms[x] in block and atoms[y] in block for block in blocks):
             leq[1 + x][1 + a + y] = True
     ortho_table = [n - 1] + [1 + a + x for x in range(a)] + [1 + x for x in range(a)] + [0]
-    return validate_omp(elements, leq, ortho_table)
+    return validate_omp(validate_poset(elements, leq), ortho_table)
+
+
+def hexagon():
+    """The benzene ring 0 < a < b < 1, 0 < b' < a' < 1, with its complement:
+    an orthocomplemented lattice that is not orthomodular."""
+    elements = ["0", "a", "b", "b'", "a'", "1"]
+    pairs = {("a", "b"), ("b'", "a'")}
+    leq = [[x == y or x == "0" or y == "1" or (x, y) in pairs for y in elements] for x in elements]
+    return validate_poset(elements, leq), [5, 4, 3, 2, 1, 0]
+
+
+def two_joins():
+    """Orthogonal atoms a <= b' with two minimal upper bounds x and y, each
+    with its complement: every axiom but orthogonal-join holds."""
+    below = {"a": {"x", "y", "b'"}, "b": {"x", "y", "a'"}, "x'": {"a'", "b'"}, "y'": {"a'", "b'"}}
+    elements = ["0", "a", "b", "x'", "y'", "x", "y", "a'", "b'", "1"]
+    leq = [
+        [x == y or x == "0" or y == "1" or y in below.get(x, ()) for y in elements]
+        for x in elements
+    ]
+    return validate_poset(elements, leq), [9, 7, 8, 5, 6, 3, 4, 1, 2, 0]
+
+
+def pairwise_violation(poset, ortho_table):
+    """The first failed axiom and its witness, or None: the five axioms
+    checked pair by pair through ``poset.leq``, the reference for the
+    mask walks of ``validate_omp``."""
+    n = poset.n
+    one = poset.top()
+    if one is None:
+        return "greatest-element", ()
+    for p in range(n):
+        if ortho_table[ortho_table[p]] != p:
+            return "double-complement", (p,)
+    for p, q in itertools.product(range(n), repeat=2):
+        if p != q and poset.leq(p, q) and not poset.leq(ortho_table[q], ortho_table[p]):
+            return "antitone", (p, q)
+    meets, joins, zero = poset.meets(), poset.joins(), ortho_table[one]
+    for p in range(n):
+        if joins[p][ortho_table[p]] != one:
+            return "excluded-middle", (p,)
+    for p, q in itertools.product(range(n), repeat=2):
+        if poset.leq(p, ortho_table[q]) and joins[p][q] is None:
+            return "orthogonal-join", (p, q)
+    for p, q in itertools.product(range(n), repeat=2):
+        if poset.leq(ortho_table[q], p) and meets[p][q] == zero and p != ortho_table[q]:
+            return "orthomodular", (p, q)
+    return None
+
+
+def mask_violation(poset, ortho_table):
+    try:
+        validate_omp(poset, ortho_table)
+    except AxiomViolated as exc:
+        return exc.axiom, exc.witness
+    return None
 
 
 CLOSURE_FIXTURES = {
@@ -129,70 +180,118 @@ class TestValidation:
         assert mo_omp(n).n == 2 * n + 2
 
     def test_self_complement_fails_excluded_middle(self):
-        elements, leq, ortho = tables_of(mo_omp(2))
-        a1 = elements.index("a1")
-        a1p = elements.index("a1'")
-        ortho[a1], ortho[a1p] = a1, a1p
+        omp = mo_omp(2)
+        ortho_table = list(omp.ortho)
+        a1, a1p = omp.poset.index("a1"), omp.poset.index("a1'")
+        ortho_table[a1], ortho_table[a1p] = a1, a1p
         with pytest.raises(AxiomViolated) as info:
-            validate_omp(elements, leq, ortho)
+            validate_omp(omp.poset, ortho_table)
         assert info.value.axiom == "excluded-middle"
         assert info.value.witness in ((a1,), (a1p,))
 
     def test_identity_complement_fails_antitone(self):
         omp = power_set_omp(2)
-        elements, leq, _ = tables_of(omp)
         with pytest.raises(AxiomViolated) as info:
-            validate_omp(elements, leq, list(range(omp.n)))
+            validate_omp(omp.poset, list(range(omp.n)))
         assert info.value.axiom == "antitone"
         p, q = info.value.witness
         assert omp.leq(p, q) and not omp.leq(q, p)
 
     def test_four_cycle_fails_involution(self):
-        elements, leq, ortho = tables_of(mo_omp(2))
-        a1, a1p = elements.index("a1"), elements.index("a1'")
-        a2, a2p = elements.index("a2"), elements.index("a2'")
-        ortho[a1], ortho[a1p], ortho[a2], ortho[a2p] = a1p, a2, a2p, a1
+        omp = mo_omp(2)
+        ortho_table = list(omp.ortho)
+        a1, a1p = omp.poset.index("a1"), omp.poset.index("a1'")
+        a2, a2p = omp.poset.index("a2"), omp.poset.index("a2'")
+        ortho_table[a1], ortho_table[a1p], ortho_table[a2], ortho_table[a2p] = a1p, a2, a2p, a1
         with pytest.raises(AxiomViolated) as info:
-            validate_omp(elements, leq, ortho)
+            validate_omp(omp.poset, ortho_table)
         assert info.value.axiom == "double-complement"
 
     def test_missing_top_fails(self):
-        elements = ["a", "b"]
-        leq = [[True, False], [False, True]]
+        antichain = FinPoset(["a", "b"], [0b01, 0b10])
         with pytest.raises(AxiomViolated) as info:
-            validate_omp(elements, leq, [1, 0])
+            validate_omp(antichain, [1, 0])
         assert info.value.axiom == "greatest-element"
 
     def test_non_permutation_rejected(self):
-        elements, leq, _ = tables_of(power_set_omp(1))
         with pytest.raises(BadParameters):
-            validate_omp(elements, leq, [0, 0])
+            validate_omp(power_set_omp(1).poset, [0, 0])
 
     def test_hexagon_fails_orthomodularity(self):
-        # benzene ring: 0 < a < b < 1 and 0 < b' < a' < 1 with a-a', b-b'
-        # complementary; b dominates a = b' ⊥-complement... the witness is
-        # p = b >= a = q⊥ with meet(b, a') = 0 yet b != a
-        elements = ["0", "a", "b", "b'", "a'", "1"]
-        order_pairs = {
-            ("0", x) for x in elements
-        } | {(x, x) for x in elements} | {(x, "1") for x in elements} | {
-            ("a", "b"),
-            ("b'", "a'"),
-        }
-        leq = [[(x, y) in order_pairs for y in elements] for x in elements]
-        ortho = [5, 4, 3, 2, 1, 0]
+        # a-a', b-b' complementary and a < b: the witness is p = b >= a = q⊥
+        # with meet(b, a') = 0 yet b != a
+        poset, ortho = hexagon()
         with pytest.raises(AxiomViolated) as info:
-            validate_omp(elements, leq, ortho)
+            validate_omp(poset, ortho)
         assert info.value.axiom == "orthomodular"
         # re-check the witness: p above q⊥ with zero meet yet p != q⊥
-        from cstardom.order import validate_poset
         from test_order import glb
 
-        poset = validate_poset(elements, leq)
         p, q = info.value.witness
         assert poset.leq(ortho[q], p)
-        assert glb(poset, [p, q]) == elements.index("0")
+        assert glb(poset, [p, q]) == poset.index("0")
         assert p != ortho[q]
+
+    def test_two_minimal_upper_bounds_fail_orthogonal_join(self):
+        poset, ortho = two_joins()
+        with pytest.raises(AxiomViolated) as info:
+            validate_omp(poset, ortho)
+        assert info.value.axiom == "orthogonal-join"
+        p, q = info.value.witness
+        assert poset.leq(p, ortho[q]) and poset.joins()[p][q] is None
+
+
+def poset_and_complement(omp):
+    return omp.poset, list(omp.ortho)
+
+
+#: posets with the complement they were built with
+REFERENCE_FIXTURES = {
+    "P2": lambda: poset_and_complement(power_set_omp(2)),
+    "P3": lambda: poset_and_complement(power_set_omp(3)),
+    "MO2": lambda: poset_and_complement(mo_omp(2)),
+    "MO3": lambda: poset_and_complement(mo_omp(3)),
+    "square": lambda: poset_and_complement(greechie_square()),
+    "hexagon": hexagon,
+    "two-joins": two_joins,
+}
+
+
+@st.composite
+def posets_and_complements(draw):
+    """A fixture poset with a permutation of its elements as complement:
+    any permutation, an involution from random pairs, or the fixture's own
+    complement conjugated by a relabelling, which stays an involution."""
+    poset, own = REFERENCE_FIXTURES[draw(st.sampled_from(sorted(REFERENCE_FIXTURES)))]()
+    perm = draw(st.permutations(range(poset.n)))
+    kind = draw(st.sampled_from(["permutation", "pairs", "conjugate", "own"]))
+    if kind == "permutation":
+        return poset, list(perm)
+    if kind == "pairs":
+        table = list(range(poset.n))
+        fixed = draw(st.integers(0, poset.n // 2))
+        for a, b in zip(perm[fixed::2], perm[fixed + 1 :: 2]):
+            table[a], table[b] = b, a
+        return poset, table
+    if kind == "conjugate":
+        table = [0] * poset.n
+        for p in range(poset.n):
+            table[perm[p]] = perm[own[p]]
+        return poset, table
+    return poset, own
+
+
+class TestMaskWalksMatchThePairwiseAxioms:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FIXTURES))
+    def test_own_complement(self, name):
+        poset, own = REFERENCE_FIXTURES[name]()
+        assert mask_violation(poset, own) == pairwise_violation(poset, own)
+
+    @settings(max_examples=300, deadline=None)
+    @given(posets_and_complements())
+    def test_first_violation_and_witness(self, case):
+        poset, table = case
+        assert mask_violation(poset, table) == pairwise_violation(poset, table)
 
 
 class TestBooleanSubalgebras:
@@ -375,6 +474,72 @@ class TestCafIso:
             verify_caf_iso(self.diagonal(6))
         assert info.value.what == "spectrum size"
         assert (info.value.value, info.value.limit) == (6, 5)
+
+
+class HeldProjections:
+    """A stand-in subalgebra holding exactly the given projection matrices."""
+
+    def __init__(self, members):
+        self.members = members
+
+    def contains(self, candidate):
+        return any(candidate is member for member in self.members)
+
+
+class TestCafIsoFailures:
+    """``verify_caf_iso`` against a subalgebra lattice broken three ways."""
+
+    def broken(self, monkeypatch, change):
+        algebra = TestCafIso().diagonal(3)
+        real = c_lattice(algebra)
+        monkeypatch.setattr(ortho, "c_lattice", lambda alg: change(alg, real))
+        return algebra, real
+
+    def test_dual_order_is_not_preserved(self, monkeypatch):
+        algebra, real = self.broken(monkeypatch, lambda alg, lattice: lattice.dual())
+        with pytest.raises(IsoFailure) as info:
+            verify_caf_iso(algebra)
+        # the first pair in the order of the scan that is comparable
+        i, j = next(
+            (i, j)
+            for i, j in itertools.product(range(real.n), repeat=2)
+            if i != j and (real.leq(i, j) or real.leq(j, i))
+        )
+        assert info.value.witness == {
+            "pair": [real.elements[i], real.elements[j]],
+            "reason": "order not preserved and reflected",
+        }
+
+    def test_repeated_payload_is_not_a_bijection(self, monkeypatch):
+        def repeat_first(alg, lattice):
+            payloads = list(lattice.payloads)
+            payloads[-1] = payloads[0]
+            return FinPoset._from_masks(
+                lattice.elements, lattice.up, lattice.dn, lattice.orientation, payloads
+            )
+
+        algebra, _ = self.broken(monkeypatch, repeat_first)
+        with pytest.raises(IsoFailure) as info:
+            verify_caf_iso(algebra)
+        assert info.value.witness == {"reason": "not a bijection"}
+
+    def test_projections_not_closed_under_complement(self, monkeypatch):
+        def stub_last(alg, lattice):
+            sums = projection_table(alg, CAF_MAX)
+            # 0, the first minimal projection and 1, without its complement
+            payloads = list(lattice.payloads)
+            payloads[-1] = HeldProjections([sums[0], sums[1], sums[-1]])
+            return FinPoset._from_masks(
+                lattice.elements, lattice.up, lattice.dn, lattice.orientation, payloads
+            )
+
+        algebra, real = self.broken(monkeypatch, stub_last)
+        with pytest.raises(IsoFailure) as info:
+            verify_caf_iso(algebra)
+        assert info.value.witness == {
+            "subalgebra": real.elements[-1],
+            "projections": "not a Boolean subalgebra",
+        }
 
 
 class TestStoneSpace:
