@@ -3,7 +3,8 @@
 One executable with subcommand groups; every input is a JSON file, every
 subcommand has a ``--json`` mode emitting a machine-readable run report,
 and DOT output goes wherever ``--dot`` points.  Exit codes: 0 all checks
-passed, 1 a verification check failed, 2 usage or input errors.
+passed, 1 a verification check failed, 2 usage or input errors; a reader
+that closes stdout early leaves the code as it was.
 
 The one parser tree comes from the ``_COMMANDS`` table, is built on first
 use and is kept for the process.  Every request but help ends in one report,
@@ -16,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -62,10 +64,18 @@ def main(argv=None):
         "wall_time_s": round(time.perf_counter() - start, 6),
         "exit_code": code,
     }
-    if args.json or "--json" in argv:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        _print_human(results)
+    try:
+        if args.json or "--json" in argv:
+            print(json.dumps(report, sort_keys=True))
+        else:
+            _print_human(results)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; stdout now goes to devnull, so
+        # the flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 
@@ -356,15 +366,18 @@ def _cmd_cb_rank(args, digest):
 def _cmd_topo_check(args, digest):
     topology = _topology_from_json(_read_json(args.input, digest))
     stone = scatter.stone_scattered_check(topology)
+    hausdorff = scatter.is_hausdorff_fin(topology)
     results = {
         "valid": True,
         "points": [str(p) for p in topology.points],
         "scattered": stone.scattered,
         "rank": stone.rank,
         "residue": sorted(str(p) for p in stone.residue),
-        "hausdorff": scatter.is_hausdorff_fin(topology),
+        "hausdorff": hausdorff,
         "stonean": stone.stonean,
-        "totally_disconnected": scatter.is_totally_disconnected_fin(topology),
+        # each minimal open is connected, so the components are singletons
+        # exactly when the minimal opens are: the Hausdorff test
+        "totally_disconnected": hausdorff,
         "stone_scattered": stone.to_json_dict(),
     }
     results["lines"] = [

@@ -102,14 +102,6 @@ class GeneratorNotProjection(CstardomError):
         self.generator = generator
 
 
-class NotSubalgebra(CstardomError):
-    pass
-
-
-class AmbientNotCommutative(CstardomError):
-    pass
-
-
 class NotTotal(CstardomError):
     pass
 
@@ -122,10 +114,6 @@ class AxiomViolated(CstardomError):
     def __init__(self, axiom, witness):
         super().__init__(f"axiom {axiom!r} violated by {witness!r}")
         self.axiom, self.witness = axiom, witness
-
-
-class NotBoolean(CstardomError):
-    pass
 
 
 class IsoFailure(CstardomError):

@@ -8,7 +8,9 @@ before it gets here.
 Boolean subalgebras are subsets closed under the involution whose pairwise
 meets and joins exist in the ambient poset, land back in the subset, and
 obey distributivity; they are enumerated by closing generator sets rather
-than scanning the power set.  A closure is evaluated semi-naively, as a
+than scanning the power set, from the base {0, 1}: ``validate_omp``
+makes 0 = 1' the bottom, since the complement is antitone and onto, so
+the base is closed and Boolean.  A closure is evaluated semi-naively, as a
 worklist in which each new member is combined only with the members
 processed before it (Bancilhon & Ramakrishnan, An amateur's introduction
 to recursive query processing strategies, SIGMOD 1986), and it grows an
@@ -22,13 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    AxiomViolated,
-    BadParameters,
-    IsoFailure,
-    NotBoolean,
-    SizeLimit,
-)
+from .errors import AxiomViolated, BadParameters, IsoFailure, SizeLimit
 from .order import FinPoset, iter_bits
 from .staralg import c_lattice, projection_table
 
@@ -164,17 +160,6 @@ class BoolSub:
     def labels(self):
         return tuple(self.omp.elements[i] for i in self.members())
 
-    def atoms(self):
-        """Minimal nonzero members."""
-        out = []
-        for p in self.members():
-            if p == self.omp.zero:
-                continue
-            below = self.omp.poset.dn[p] & self.mask & ~(1 << self.omp.zero) & ~(1 << p)
-            if below == 0:
-                out.append(p)
-        return tuple(out)
-
 
 def _close_boolean(omp, seed_mask, closed=0):
     """Close a subset under complement, meet and join.
@@ -240,9 +225,8 @@ def boolean_subalgebras(omp):
     """
     if omp.n > OMP_MAX:
         raise SizeLimit("orthomodular poset size", omp.n, OMP_MAX)
+    # validate_omp makes zero the bottom, so the base closes to {zero, one}
     base = _close_boolean(omp, 0)
-    if base is None or not _is_boolean_mask(omp, base):
-        raise NotBoolean("the bounds {0, 1} do not span a Boolean subalgebra")
     found = {base}
     frontier = [base]
     rejected = set()
@@ -264,16 +248,6 @@ def boolean_subalgebras(omp):
     up = [sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks]
     labels = ["{" + ",".join(str(lbl) for lbl in sub.labels()) + "}" for sub in subs]
     return FinPoset(labels, up, payloads=subs)
-
-
-def blocks(omp):
-    """Maximal Boolean subalgebras."""
-    poset = boolean_subalgebras(omp)
-    return [
-        poset.payloads[i]
-        for i in range(poset.n)
-        if poset.up[i] == 1 << i  # nothing strictly above
-    ]
 
 
 # ---------------------------------------------------------------------------

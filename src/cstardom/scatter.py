@@ -5,9 +5,10 @@ A finite topology is the family of up-sets of its specialization preorder
 open containing that point.  Scatteredness is decided by iterating the
 derivative that removes isolated points, in one walk over these masks: a
 mask of live points shrinks stage by stage, and no subspace is built.
-Ordinal intervals [0, a] are handled symbolically through their normal
-forms, with an independent layer-counting oracle for the small range where
-it applies.
+Total disconnectedness is the Hausdorff test: each minimal open is
+connected, so the components are singletons exactly when every minimal
+open is.  Ordinal intervals [0, a] are handled symbolically through their
+normal forms.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from fractions import Fraction
 
 from .errors import BadParameters, ParseError, SizeLimit
 from .order import iter_bits, transpose, upsets
-from .partitions import EqRel, collapse
+from .partitions import collapse
 
 #: ordinal exponents stay below this (desk scale)
 EXPONENT_MAX = 9
-#: the layer-counting oracle applies below w^3, to coefficients up to 3
-ORACLE_EXPONENT_MAX = 2
-ORACLE_COEFFICIENT_MAX = 3
 
 
 class FinTop:
@@ -166,7 +164,10 @@ def is_hausdorff_fin(topology):
     """The minimal opens are pairwise disjoint.
 
     Each up[x] holds x and they cover the space, so they are pairwise
-    disjoint exactly when their sizes add up to the number of points.
+    disjoint exactly when their sizes add up to the number of points.  This
+    is also total disconnectedness: every open holding x contains up[x], so
+    up[x] is connected, and the components are all singletons exactly when
+    every up[x] is {x}, which is when the minimal opens are disjoint.
     """
     return sum(mask.bit_count() for mask in topology.up) == topology.n
 
@@ -178,21 +179,6 @@ def is_stonean_fin(topology):
     unions, so checking the minimal opens suffices.
     """
     return all(topology.is_open(topology.closure(iter_bits(mask))) for mask in topology.up)
-
-
-def is_totally_disconnected_fin(topology):
-    """Connected components are singletons."""
-    return all(len(c) == 1 for c in connected_components(topology))
-
-
-def connected_components(topology):
-    """Components, ordered by least point.
-
-    In a finite space the component of x is its class under the
-    equivalence generated by "y lies in the minimal open of x".
-    """
-    pairs = [(x, y) for x in range(topology.n) for y in iter_bits(topology.up[x])]
-    return [frozenset(c) for c in EqRel.from_pairs(range(topology.n), pairs).classes]
 
 
 @dataclass
@@ -344,41 +330,6 @@ def cb_rank_ord(alpha):
         current = cb_derivative_ord(current)
         rank += 1
     return rank
-
-
-def cb_derivative_ord_oracle(alpha):
-    """Independent derivative for ordinals below w^3.
-
-    Counts the limit ordinals directly: they come in runs indexed by the
-    w^2 coefficient, every full run having order type w and the last one
-    being the explicitly enumerated finite list of multiples of w that
-    still fit.  The run count and tail length then name the interval the
-    layer presents, with no reference to the symbolic quotient rule.
-    """
-    if alpha.is_zero:
-        return None
-    if alpha.leading_exponent() > ORACLE_EXPONENT_MAX:
-        raise SizeLimit("oracle exponent", alpha.leading_exponent(), ORACLE_EXPONENT_MAX)
-    by_exp = dict(alpha.terms)
-    # only the infinite terms feed the run enumeration; the finite part
-    # contributes no limit ordinals and may be arbitrarily large
-    enumerated = [c for e, c in alpha.terms if e >= 1]
-    if any(c > ORACLE_COEFFICIENT_MAX for c in enumerated):
-        raise SizeLimit("oracle coefficient", max(enumerated), ORACLE_COEFFICIENT_MAX)
-    a, b = by_exp.get(2, 0), by_exp.get(1, 0)
-    if a == 0:
-        # finite layer: enumerate the multiples of w up to the bound
-        layer = [OrdinalCNF(((1, k),)) for k in range(1, b + 1)]
-        if not layer:
-            return None
-        return OrdinalCNF.from_int(len(layer) - 1)
-    # a full run of limit ordinals for every w^2 coefficient below a,
-    # then the enumerated tail w^2*a + w*k for k = 0..b
-    tail = [OrdinalCNF(((2, a),) if k == 0 else ((2, a), (1, k))) for k in range(b + 1)]
-    terms = [(1, a)]
-    if len(tail) - 1 > 0:
-        terms.append((0, len(tail) - 1))
-    return OrdinalCNF(tuple(terms))
 
 
 def ordinal_interval_topology(value):

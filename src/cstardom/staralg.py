@@ -25,14 +25,12 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    AmbientNotCommutative,
     AssertionFailed,
     BadParameters,
     DimMismatch,
     GeneratorNotProjection,
     GroundMismatch,
     NotCommutative,
-    NotSubalgebra,
     NotTotal,
     ParseError,
     SizeLimit,
@@ -755,16 +753,6 @@ def atoms(algebra):
             p = sums[sum(1 << i for i in (0,) + rest)]
             out.append(StarAlgebra._from_rref(algebra.dim, rref([one, _vec(p)]), (p,)))
     return out
-
-
-def csa_join(c, d, ambient):
-    """Least upper bound of two subalgebras inside a commutative ambient."""
-    if not is_commutative(ambient):
-        raise AmbientNotCommutative("ambient algebra is not commutative")
-    for part in (c, d):
-        if not ambient.contains_algebra(part):
-            raise NotSubalgebra("operand is not contained in the ambient algebra")
-    return generated_algebra(list(c.basis) + list(d.basis), ambient.dim)
 
 
 def pushforward_hom(mapping, partition):

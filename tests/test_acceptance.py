@@ -19,7 +19,7 @@ DETAILS = {
     5: "86 pairs, grid join equals join of grids",
     6: "order isomorphism with Bell(k) nodes for k = 2..5",
     7: "fixtures validate, 3 mutations rejected, B(MO2) = 3",
-    8: "50 random ordinals below w^5*3 plus 50 oracle cross-checks below w^3",
+    8: "50 random ordinals below w^5*3",
     9: "2^(k-1)-1 atoms equal the bottom covers for k = 2..5",
     10: "tail chains for n <= 16 and closed-set chains with reversing duals",
     11: "494 maps, push(c) <= d iff c <= pull(d): push is a lower adjoint",

@@ -978,3 +978,28 @@ class TestConsoleEntry:
         proc = console("nonesuch")
         assert proc.returncode == 2
         assert "invalid choice: 'nonesuch'" in proc.stderr
+
+
+class TestClosedPipe:
+    """A reader that stops early, as ``| head -c 10`` does, leaves the exit
+    code that of the request and prints no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        # a 291 KB JSON report and 110 KB of DOT lines: both far larger than
+        # a pipe buffer, so the write must fail once the reader has gone
+        ["eqrel", "lattice", "--n", "6", "--orientation", "subalgebra", "--json"],
+        ["eqrel", "lattice", "--n", "7", "--orientation", "subalgebra", "--emit-dot"],
+    ], ids=["json", "human"])
+    def test_reader_closes_the_pipe_early(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cstardom.__file__)))
+        code = "import sys; from cstardom.cli import main; sys.exit(main())"
+        with subprocess.Popen(
+            [sys.executable, "-c", code, *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 0, stderr
+        assert stderr == ""

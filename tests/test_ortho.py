@@ -2,21 +2,20 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cstardom import ortho
 from cstardom.errors import AxiomViolated, BadParameters, IsoFailure, SizeLimit
 from cstardom.ortho import (
     CAF_MAX,
     OMP_MAX,
-    blocks,
     boolean_subalgebras,
     mo_omp,
     power_set_omp,
     validate_omp,
     verify_caf_iso,
 )
-from cstardom.order import FinPoset, validate_poset
+from cstardom.order import FinPoset, iter_bits, validate_poset
 from cstardom.partitions import ORIENT_SUBALGEBRA, bell_number, partition_lattice
 from cstardom.staralg import Matrix, c_lattice, generated_algebra, projection_table
 
@@ -48,6 +47,18 @@ def brute_force_boolean_subalgebras(omp):
         if distributive:
             found.append(mask)
     return sorted(found)
+
+
+def atoms(sub):
+    """Minimal nonzero members of a Boolean subalgebra."""
+    nonzero = sub.mask & ~(1 << sub.omp.zero)
+    return tuple(p for p in iter_bits(nonzero) if sub.omp.poset.dn[p] & nonzero == 1 << p)
+
+
+def blocks(omp):
+    """Maximal Boolean subalgebras: nothing lies strictly above them."""
+    poset = boolean_subalgebras(omp)
+    return [poset.payloads[i] for i in range(poset.n) if poset.up[i] == 1 << i]
 
 
 def all_pairs_closure(omp, seed_mask):
@@ -294,6 +305,58 @@ class TestMaskWalksMatchThePairwiseAxioms:
         assert mask_violation(poset, table) == pairwise_violation(poset, table)
 
 
+@st.composite
+def random_posets_and_involutions(draw):
+    """A random poset on at most 7 points, from random pairs along the
+    linear order 0 < 1 < ... closed transitively, with a random involution
+    of its points; in half the draws 0 and n - 1 are made the bounds and
+    the involution swaps them."""
+    n = draw(st.integers(1, 7))
+    up = [1 << x for x in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if draw(st.booleans()):
+                up[x] |= 1 << y
+    bounded = draw(st.booleans())
+    if bounded:
+        up[0] = (1 << n) - 1
+        up = [mask | 1 << (n - 1) for mask in up]
+    for x in reversed(range(n)):
+        for y in list(iter_bits(up[x])):
+            up[x] |= up[y]
+    table, inner = list(range(n)), list(range(n))
+    if bounded and n > 1:
+        # an OMP's complement swaps its bounds
+        table[0], table[n - 1] = n - 1, 0
+        inner = inner[1:-1]
+    perm = draw(st.permutations(inner))
+    fixed = draw(st.integers(0, len(perm) // 2))
+    for a, b in zip(perm[fixed::2], perm[fixed + 1 :: 2]):
+        table[a], table[b] = b, a
+    return FinPoset([f"e{x}" for x in range(n)], up), table
+
+
+class TestBaseIsTheBounds:
+    """``validate_omp`` makes zero = one' the bottom, so the closure of the
+    empty seed, the base of the Boolean-subalgebra search, is {zero, one}
+    and Boolean."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(random_posets_and_involutions(), posets_and_complements()))
+    # no bottom, and a complement that fixes the top: only antitone rejects it
+    @example((FinPoset(["e0", "e1", "e2"], [0b101, 0b110, 0b100]), [1, 0, 2]))
+    def test_base_of_every_accepted_omp(self, case):
+        poset, table = case
+        try:
+            omp = validate_omp(poset, table)
+        except AxiomViolated:
+            return
+        assert omp.zero == omp.poset.bottom()
+        base = ortho._close_boolean(omp, 0)
+        assert base == (1 << omp.zero) | (1 << omp.one)
+        assert ortho._is_boolean_mask(omp, base)
+
+
 class TestBooleanSubalgebras:
     def test_mo2_has_three(self):
         poset = boolean_subalgebras(mo_omp(2))
@@ -364,7 +427,7 @@ class TestBooleanSubalgebras:
             assert poset.n == reference.n
 
             def partition_label(sub):
-                atom_masks = sorted(sub.atoms())
+                atom_masks = sorted(atoms(sub))
                 classes = []
                 for mask in atom_masks:
                     classes.append(tuple(i + 1 for i in range(k) if mask >> i & 1))
@@ -552,20 +615,20 @@ class TestStoneSpace:
     def test_three_atoms(self):
         omp = power_set_omp(3)
         assert ortho._is_boolean_mask(omp, (1 << omp.n) - 1)
-        assert len(self.whole(omp).atoms()) == 3
+        assert len(atoms(self.whole(omp))) == 3
 
     def test_two_element_algebra(self):
         omp = power_set_omp(1)
         assert ortho._is_boolean_mask(omp, 0b11)
-        assert len(self.whole(omp).atoms()) == 1
+        assert len(atoms(self.whole(omp))) == 1
 
     def test_sixteen_clopens(self):
         omp = power_set_omp(4)
         assert ortho._is_boolean_mask(omp, (1 << 16) - 1)
-        atoms = self.whole(omp).atoms()
+        minimal = atoms(self.whole(omp))
         # each element is the join of a distinct set of atoms below it
-        below = {sum(1 << a for a in atoms if omp.leq(a, p)) for p in range(omp.n)}
-        assert len(atoms) == 4 and len(below) == 16
+        below = {sum(1 << a for a in minimal if omp.leq(a, p)) for p in range(omp.n)}
+        assert len(minimal) == 4 and len(below) == 16
 
     def test_bool_sub_input(self):
         omp = mo_omp(2)
@@ -573,7 +636,7 @@ class TestStoneSpace:
             s for s in boolean_subalgebras(omp).payloads if len(s.members()) == 4
         )
         assert ortho._is_boolean_mask(omp, sub.mask)
-        assert len(sub.atoms()) == 2
+        assert len(atoms(sub)) == 2
 
     def test_rejects_non_boolean(self):
         omp = mo_omp(2)

@@ -8,17 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cstardom.errors import BadParameters, ParseError, SizeLimit
 from cstardom.order import iter_bits, upsets
 from cstardom.scatter import (
-    ORACLE_COEFFICIENT_MAX,
     FinTop,
     OrdinalCNF,
     cb_derivative_ord,
-    cb_derivative_ord_oracle,
     cb_rank_fin,
     cb_rank_ord,
-    connected_components,
     is_hausdorff_fin,
     is_stonean_fin,
-    is_totally_disconnected_fin,
     kq_chain_witness,
     ordinal_interval_topology,
     stone_scattered_check,
@@ -122,6 +118,13 @@ def stonean_over_all_opens(n, family):
     return all(closure_by_avoided_opens(n, family, o) in family for o in family)
 
 
+def components_by_minimal_opens(top):
+    """Reference components: the classes of the equivalence generated by
+    "y lies in the minimal open of x", ordered by least point."""
+    pairs = [(x, y) for x in range(top.n) for y in iter_bits(top.up[x])]
+    return [frozenset(c) for c in from_pairs_by_buckets(range(top.n), pairs).classes]
+
+
 def components_by_clopens(n, family):
     full = frozenset(range(n))
     clopens = [o for o in family if full - o in family]
@@ -188,7 +191,8 @@ class TestMaskRouteMatchesOpenFamilies:
         assert top.opens == family
         assert is_hausdorff_fin(top) == hausdorff_by_open_pairs(n, family)
         assert is_stonean_fin(top) == stonean_over_all_opens(n, family)
-        assert connected_components(top) == components_by_clopens(n, family)
+        # total disconnectedness, which topo check reads off the Hausdorff test
+        assert is_hausdorff_fin(top) == all(len(c) == 1 for c in components_by_clopens(n, family))
         for size in range(n + 1):
             for subset in itertools.combinations(range(n), size):
                 subset = frozenset(subset)
@@ -311,12 +315,12 @@ class TestSeparation:
         top = discrete_topology("abc")
         assert is_hausdorff_fin(top)
         assert is_stonean_fin(top)
-        assert is_totally_disconnected_fin(top)
+        assert components_by_minimal_opens(top) == [frozenset({x}) for x in range(3)]
 
     def test_indiscrete_profile(self):
         top = indiscrete_topology("ab")
         assert is_stonean_fin(top)
-        assert not is_totally_disconnected_fin(top)
+        assert components_by_minimal_opens(top) == [frozenset({0, 1})]
         assert not is_hausdorff_fin(top)
 
     def test_sierpinski_is_stonean(self):
@@ -334,19 +338,22 @@ class TestSeparation:
     def test_scattered_hausdorff_implies_totally_disconnected(self, seed, n):
         top = random_topology(random.Random(seed), n)
         if is_scattered(top) and is_hausdorff_fin(top):
-            assert is_totally_disconnected_fin(top)
+            assert all(len(c) == 1 for c in components_by_minimal_opens(top))
 
     def test_components_partition_the_space(self):
         top = indiscrete_topology("ab")
-        assert connected_components(top) == [frozenset({0, 1})]
+        assert components_by_minimal_opens(top) == components_by_clopens(2, top.opens)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     def test_components_match_the_bucketed_checked_build(self, seed, n):
+        # each minimal open is connected, so the Hausdorff test, which topo
+        # check also reports as total disconnectedness, holds exactly when
+        # every component of the bucketed build is a singleton
         top = random_topology(random.Random(seed), n)
-        pairs = [(x, y) for x in range(top.n) for y in iter_bits(top.up[x])]
-        expected = from_pairs_by_buckets(range(top.n), pairs)
-        assert connected_components(top) == [frozenset(c) for c in expected.classes]
+        components = components_by_minimal_opens(top)
+        assert components == components_by_clopens(top.n, top.opens)
+        assert is_hausdorff_fin(top) == all(len(c) == 1 for c in components)
 
 
 class TestStoneScattered:
@@ -434,29 +441,6 @@ class TestOrdinalDerivative:
 
     def test_boundary_case(self):
         assert cb_rank_ord(OrdinalCNF(((5, 3),))) == 6
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 2), st.integers(1, 3)),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    def test_oracle_agreement_below_w_cubed(self, raw_terms):
-        exponents = sorted({e for e, _ in raw_terms}, reverse=True)
-        terms = tuple((e, dict(raw_terms)[e]) for e in exponents)
-        alpha = OrdinalCNF(terms)
-        assert cb_derivative_ord(alpha) == cb_derivative_ord_oracle(alpha)
-
-    def test_oracle_coefficient_guard(self):
-        limit = ORACLE_COEFFICIENT_MAX
-        alpha = OrdinalCNF(((2, limit), (1, limit), (0, 100)))
-        assert cb_derivative_ord(alpha) == cb_derivative_ord_oracle(alpha)
-        for terms in (((2, limit + 1),), ((2, 1), (1, limit + 1))):
-            with pytest.raises(SizeLimit) as info:
-                cb_derivative_ord_oracle(OrdinalCNF(terms))
-            assert (info.value.value, info.value.limit) == (limit + 1, limit)
 
     @pytest.mark.parametrize("value", [0, 1, 4, 7])
     def test_finite_ordinals_match_explicit_spaces(self, value):
