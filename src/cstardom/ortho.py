@@ -296,10 +296,7 @@ def verify_caf_iso(algebra):
     assignment = []
     for i in range(sub_poset.n):
         node = sub_poset.payloads[i]
-        proj_mask = 0
-        for mask, candidate in enumerate(sums):
-            if node.contains(candidate):
-                proj_mask |= 1 << mask
+        proj_mask = sum(1 << mask for mask, p in enumerate(sums) if node.contains(p))
         j = bool_index.get(proj_mask)
         if j is None:
             raise IsoFailure(

@@ -51,11 +51,11 @@ class EqRel:
 
     Stored as the sorted ``ground`` tuple and a label vector: ``_labels[i]``
     is the class index of ground position ``i``, classes numbered in order
-    of first occurrence.  ``classes`` is read off the labels: each class
-    sorted, classes sorted by least member.  The constructor checks outside
-    input; :meth:`_from_labels` is the unchecked path for labels built
-    inside the package.  The member-to-class map behind :meth:`relates` and
-    the label gather behind :meth:`refines` are built on first use.
+    of first occurrence.  The constructor checks outside input;
+    :meth:`_from_labels` is the unchecked path for labels built inside the
+    package.  Read off the labels on first use: ``classes`` (each sorted,
+    classes sorted by least member), the member-to-class map behind
+    :meth:`relates` and the label gather behind :meth:`refines`.
     Instances are immutable and compare and hash by ground and labels, the
     hash computed once, so structural equality is relation equality.
     """
@@ -94,18 +94,18 @@ class EqRel:
         return rel
 
     def _set(self, ground, labels):
-        members = []
-        for x, k in zip(ground, labels):
-            if k == len(members):
-                members.append([x])
-            else:
-                members[k].append(x)
         self.ground = ground
-        self.classes = tuple(map(tuple, members))
         self._labels = tuple(labels)
-        self._class_of = None
-        self._gather = None
-        self._hash = None
+        self._classes = self._class_of = self._gather = self._hash = None
+
+    @property
+    def classes(self):
+        if self._classes is None:
+            members = {}  # labels number classes by first occurrence
+            for x, k in zip(self.ground, self._labels):
+                members.setdefault(k, []).append(x)
+            self._classes = tuple(map(tuple, members.values()))
+        return self._classes
 
     # -- constructors ---------------------------------------------------
 
@@ -137,13 +137,13 @@ class EqRel:
 
     # -- queries ----------------------------------------------------------
 
-    def _class_index(self, a):
+    def _class_map(self):
         if self._class_of is None:
             self._class_of = dict(zip(self.ground, self._labels))
-        return self._class_of[a]
+        return self._class_of
 
     def relates(self, a, b):
-        return self._class_index(a) == self._class_index(b)
+        return self._class_map()[a] == self._class_map()[b]
 
     def refines(self, other):
         """True when every class of self sits inside a class of other."""

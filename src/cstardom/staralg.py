@@ -5,20 +5,23 @@ Python ints in lowest terms (d > 0, gcd(a, b, d) = 1), so the kernels
 below (products, elimination, containment) do integer arithmetic only and
 equal entries have equal fields.  Algebras are spans of square matrices,
 closed under product and conjugate transpose and containing the identity.
-Bases are kept in reduced echelon form over the rational complex field, so
-two algebras are equal exactly when their basis tuples are.  Outside input
-is checked once: ``StarAlgebra(dim, basis, generators)`` requires the span
-to be closed and to hold the generators, and the package's own builds are
+Linear algebra runs on sparse rows: a matrix of size n is read once, and
+keeps, its row of (i*n + j, entry) pairs over its nonzero entries.  An
+algebra stores the reduced echelon rows of its span, so equal algebras have
+equal row tuples, and builds its dense ``basis`` on first read.  Outside
+input is checked once: ``StarAlgebra(dim, basis, generators)`` requires the
+span to be closed and to hold the generators; the package's own builds are
 unchecked.  Spectral operations (minimal projections, characters, the
 subalgebra lattice) require the generators to be projections, which keeps
 every computation inside the rationals.  An algebra forms its projection
 table, all of Proj(A), and its subalgebra lattice C(A) at most once and
 keeps them: the lattice, the atoms and ``ortho.verify_caf_iso`` read the
-one table.
+one table, each sum as one row.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,16 +243,6 @@ def gr(value):
     raise ParseError(f"cannot coerce {value!r} to a Gaussian rational")
 
 
-def _sub_mul(r, f, p):
-    """r - f*p in one normalisation, on the integer fields."""
-    fa, fb, pa, pb = f.a, f.b, p.a, p.b
-    ta, tb, td = fa * pa - fb * pb, fa * pb + fb * pa, f.d * p.d
-    rd = r.d
-    if rd == td:
-        return _make(r.a - ta, r.b - tb, td)
-    return _make(r.a * td - ta * rd, r.b * td - tb * rd, rd * td)
-
-
 def _check_size(dim):
     if dim < 1:
         raise DimMismatch("matrix must be square and nonempty")
@@ -262,7 +255,7 @@ class Matrix:
     built by the unchecked ``Matrix._from_rows``.
     """
 
-    __slots__ = ("rows", "dim")
+    __slots__ = ("rows", "dim", "_row")
 
     def __init__(self, rows):
         rows = tuple(tuple(gr(x) for x in row) for row in rows)
@@ -271,6 +264,7 @@ class Matrix:
             raise DimMismatch("matrix must be square and nonempty")
         self.rows = rows
         self.dim = dim
+        self._row = None
 
     @classmethod
     def _from_rows(cls, rows):
@@ -279,6 +273,7 @@ class Matrix:
         matrix = _new(cls)
         matrix.rows = rows
         matrix.dim = len(rows)
+        matrix._row = None
         return matrix
 
     @classmethod
@@ -394,68 +389,89 @@ class Matrix:
 
 
 def _vec(matrix):
-    return tuple(itertools.chain.from_iterable(matrix.rows))
+    """The matrix's row, formed on first read and kept on the matrix."""
+    row = matrix._row
+    if row is None:
+        entries = enumerate(itertools.chain.from_iterable(matrix.rows))
+        row = matrix._row = tuple((k, x) for k, x in entries if x.a or x.b)
+    return row
 
 
-def _unvec(vector, dim):
-    return Matrix._from_rows(tuple(tuple(vector[i : i + dim]) for i in range(0, dim * dim, dim)))
+def _unvec(row, dim):
+    flat = [GR_ZERO] * (dim * dim)
+    for k, x in row:
+        flat[k] = x
+    return Matrix._from_rows(tuple(tuple(flat[i : i + dim]) for i in range(0, dim * dim, dim)))
 
 
-def rref(vectors):
-    """Reduced echelon form of the span of the given coordinate vectors.
+def rref(rows):
+    """Reduced echelon form of the span of rows, each an iterable of
+    (index, nonzero value) pairs as :func:`_vec` forms them.
 
-    Rows are fully reduced with unit pivots and sorted by pivot column, so
-    the result is a canonical basis of the span.  Each vector is reduced
-    against the rows so far, scaled to a unit pivot, and then clears its
-    pivot column from those rows; both eliminations are
-    :func:`_reduce_against`, which walks only the support of the row it
-    subtracts.
+    The result is a canonical basis of the span: unit pivots, sorted by
+    pivot, each row a tuple of pairs in index order.  Each row is reduced
+    against the echelon rows so far and joins them; then each, from the
+    last, is reduced against the rows after it.  Both eliminations are
+    :func:`_reduce_against`.
     """
-    basis = []  # (pivot column, row, support), sorted by pivot column
-    for vector in vectors:
-        row = _reduce_against(vector, basis)
-        support = _support(row)
-        if not support:
-            continue
-        lead = support[0]
-        inv = row[lead]
-        for k in support:
-            row[k] = row[k] / inv
-        new = (lead, row, support)
-        for i, (pivot_col, other, _) in enumerate(basis):
-            factor = other[lead]
-            if factor.a or factor.b:
-                other = _reduce_against(other, (new,))
-                basis[i] = (pivot_col, other, _support(other))
-        basis.append(new)
-        basis.sort(key=lambda item: item[0])
-    return tuple(tuple(row) for _, row, _ in basis)
+    echelon = []
+    for vector in rows:
+        residue = _reduce_against(vector, echelon)
+        if residue:
+            inv = residue[min(residue)]
+            if inv.b or inv.a != inv.d:
+                residue = {k: x / inv for k, x in residue.items()}
+            # pivots differ, so rows compare by pivot alone
+            bisect.insort(echelon, tuple(sorted(residue.items())))
+    reduced = []
+    for row in reversed(echelon):
+        reduced.insert(0, tuple(sorted(_reduce_against(row, reduced).items())))
+    return tuple(reduced)
 
 
 def _reduce_against(vector, basis):
-    """Residue of a vector after elimination against (pivot column, row,
-    support) triples, each row zero off its support."""
-    vector = list(vector)
-    for pivot_col, row, support in basis:
-        factor = vector[pivot_col]
-        if factor.a or factor.b:
-            for k in support:
-                vector[k] = _sub_mul(vector[k], factor, row[k])
+    """Residue of a row after elimination against echelon rows sorted by
+    pivot: a dict of its nonzero entries, empty when the row is in the span."""
+    vector = dict(vector)
+    get = vector.get
+    for row in basis:
+        factor = get(row[0][0])
+        if factor is None:
+            continue
+        fa, fb, fd = factor.a, factor.b, factor.d
+        for k, p in row:
+            # r - factor * p in one normalisation, on the integer fields
+            pa, pb = p.a, p.b
+            ta, tb, td = fa * pa - fb * pb, fa * pb + fb * pa, fd * p.d
+            r = get(k, GR_ZERO)
+            rd = r.d
+            if rd == td:
+                x = _make(r.a - ta, r.b - tb, td)
+            else:
+                x = _make(r.a * td - ta * rd, r.b * td - tb * rd, rd * td)
+            if x.a or x.b:
+                vector[k] = x
+            else:
+                del vector[k]
     return vector
 
 
-def _support(row):
-    """Indices of the nonzero entries of a row."""
-    return tuple(k for k, x in enumerate(row) if x.a or x.b)
-
-
 def _close_once(dim, rows):
-    """One closure step: the echelon basis of ``rows`` (flattened matrices),
-    the identity, their adjoints and their pairwise products."""
+    """One closure step: the echelon basis of ``rows``, the identity, their
+    adjoints and their pairwise products."""
     mats = [_unvec(v, dim) for v in rows]
     candidates = [Matrix.identity(dim)] + [m.adjoint() for m in mats]
     candidates.extend(a * b for a, b in itertools.product(mats, repeat=2))
     return rref(list(rows) + [_vec(c) for c in candidates])
+
+
+def _check_limits(dim, rows=()):
+    """The size guards of both input routes; returns the echelon ``rows``."""
+    if dim > AMBIENT_MAX:
+        raise SizeLimit("ambient matrix size", dim, AMBIENT_MAX)
+    if len(rows) > ALGEBRA_DIM_MAX:
+        raise SizeLimit("algebra dimension", len(rows), ALGEBRA_DIM_MAX)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +481,22 @@ def _close_once(dim, rows):
 class StarAlgebra:
     """Unital *-closed span of matrices, with a canonical echelon basis.
 
-    The stored basis is always re-canonicalized to reduced echelon form,
-    so two algebras are equal exactly when they have the same span.  An
-    instance keeps its projection table and its subalgebra lattice once
-    formed, as :class:`FinPoset` keeps its bound tables.
+    ``rows``, the reduced echelon rows of the span, are equal exactly when
+    the spans are; ``basis`` is built from them on first read.  An instance
+    keeps its projection table and its subalgebra lattice once formed, as
+    :class:`FinPoset` keeps its bound tables.
     """
 
-    __slots__ = ("dim", "basis", "generators", "_pivots", "_sums", "_lattice")
+    __slots__ = ("dim", "rows", "generators", "_basis", "_sums", "_lattice")
 
     def __init__(self, dim, basis_matrices, generators=()):
-        if dim > AMBIENT_MAX:
-            raise SizeLimit("ambient matrix size", dim, AMBIENT_MAX)
+        _check_limits(dim)
         basis_matrices = list(basis_matrices)
         generators = tuple(generators)
         for m in basis_matrices + list(generators):
             if m.dim != dim:
                 raise DimMismatch(f"matrix of size {m.dim} in ambient size {dim}")
-        rows = rref([_vec(m) for m in basis_matrices])
-        if len(rows) > ALGEBRA_DIM_MAX:
-            raise SizeLimit("algebra dimension", len(rows), ALGEBRA_DIM_MAX)
+        rows = _check_limits(dim, rref([_vec(m) for m in basis_matrices]))
         if len(_close_once(dim, rows)) != len(rows):
             raise BadParameters("basis span lacks the identity, an adjoint or a product")
         self._set(dim, rows, generators)
@@ -500,32 +513,33 @@ class StarAlgebra:
 
     def _set(self, dim, rows, generators):
         self.dim = dim
-        self.basis = tuple(_unvec(v, dim) for v in rows)
+        self.rows = rows
         self.generators = generators
-        self._pivots = [(s[0], row, s) for row, s in zip(rows, map(_support, rows))]
-        self._sums = self._lattice = None
+        self._basis = self._sums = self._lattice = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = tuple(_unvec(row, self.dim) for row in self.rows)
+        return self._basis
 
     @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, matrix):
         if matrix.dim != self.dim:
             raise DimMismatch(f"ambient dimension mismatch: {matrix.dim} vs {self.dim}")
-        return not any(x.a or x.b for x in _reduce_against(_vec(matrix), self._pivots))
+        return not _reduce_against(_vec(matrix), self.rows)
 
     def contains_algebra(self, other):
-        return self.dim == other.dim and all(self.contains(m) for m in other.basis)
+        return self.dim == other.dim and not any(_reduce_against(r, self.rows) for r in other.rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StarAlgebra)
-            and self.dim == other.dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, StarAlgebra) and (self.dim, self.rows) == (other.dim, other.rows)
 
     def __hash__(self):
-        return hash((self.dim, self.basis))
+        return hash((self.dim, self.rows))
 
     def __repr__(self):
         return f"StarAlgebra(dim={self.dim}, dimension={self.dimension})"
@@ -550,16 +564,13 @@ def generated_algebra(generators, dim=None):
         if not generators:
             raise BadParameters("need generators or an explicit ambient dimension")
         dim = generators[0].dim
-    if dim > AMBIENT_MAX:
-        raise SizeLimit("ambient matrix size", dim, AMBIENT_MAX)
+    _check_limits(dim)
     for g in generators:
         if g.dim != dim:
             raise DimMismatch(f"generator of size {g.dim} in ambient size {dim}")
     current = rref([_vec(m) for m in [Matrix.identity(dim)] + generators])
     while True:
-        if len(current) > ALGEBRA_DIM_MAX:
-            raise SizeLimit("algebra dimension", len(current), ALGEBRA_DIM_MAX)
-        grown = _close_once(dim, current)
+        grown = _close_once(dim, _check_limits(dim, current))
         if len(grown) == len(current):
             return StarAlgebra._from_rref(dim, current, tuple(generators))
         current = grown
@@ -639,23 +650,12 @@ def spectrum(algebra):
     projections = minimal_projections(algebra)
     table = []
     for q in projections:
-        coords = _nonzero_coordinate(q)
-        row = []
-        for b in algebra.basis:
-            product = b * q
-            value = product.rows[coords[0]][coords[1]] / q.rows[coords[0]][coords[1]]
-            row.append(value)
-        table.append(tuple(row))
+        # b*q is a multiple of q: read the factor at q's first nonzero entry
+        k, x = _vec(q)[0]
+        i, j = divmod(k, algebra.dim)
+        table.append(tuple((b * q).rows[i][j] / x for b in algebra.basis))
     points = tuple(f"x{i}" for i in range(len(projections)))
     return Spectrum(points=points, projections=tuple(projections), table=tuple(table))
-
-
-def _nonzero_coordinate(matrix):
-    for i, row in enumerate(matrix.rows):
-        for j, x in enumerate(row):
-            if x.a or x.b:
-                return (i, j)
-    raise BadParameters("zero matrix has no nonzero coordinate")
 
 
 def _projection_sums(projections, dim):
@@ -764,9 +764,10 @@ def pushforward_hom(mapping, partition):
     when their images are.  The lower adjoint of :func:`pullback_adjoint`.
     """
     target_ground = tuple(sorted(mapping))
+    class_of = partition._class_map()
     # y is labelled by the class of its image, renumbered by first occurrence
     try:
-        labels = _first_occurrence(partition._class_index(mapping[y]) for y in target_ground)
+        labels = _first_occurrence([class_of[mapping[y]] for y in target_ground])
     except KeyError as exc:
         raise NotTotal(f"map sends a point outside the source spectrum, to {exc}") from None
     return EqRel._from_labels(target_ground, labels)
@@ -783,21 +784,19 @@ def pullback_adjoint(mapping, partition, source_ground):
     at their positions by :func:`partitions._linked_labels`.
     """
     keys = partition.ground
-    if len(mapping) != len(keys) or not all(y in mapping for y in keys):
+    if mapping.keys() != set(keys):
         raise GroundMismatch("the partition does not live on the map's domain")
     source_ground = tuple(sorted(source_ground))
     position = {x: i for i, x in enumerate(source_ground)}
     # link each point's image with the image of its class's first point
-    first = [None] * len(partition.classes)
+    first = {}
     links = []
     for y, k in zip(keys, partition._labels):
         i = position.get(mapping[y])
         if i is None:
             raise NotTotal(f"map sends {y!r} outside the source spectrum")
-        j = first[k]
-        if j is None:
-            first[k] = i
-        elif j != i:
+        j = first.setdefault(k, i)
+        if j != i:
             links.append((i, j))
     if len(position) != len(source_ground):
         raise BadParameters("ground set has duplicate members")

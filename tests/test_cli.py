@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from cstardom.errors import ParseError
 from cstardom.partitions import LATTICE_MAX
 from cstardom.scatter import FinTop, is_stonean_fin
 from test_scatter import scattered_by_closed_sets
+from test_staralg import rotated_algebra
 
 
 @pytest.fixture
@@ -541,6 +543,77 @@ class TestCalg:
         code, report = run_json(["calg", "lattice", "--input", path], capsys)
         assert code == 1
         assert report["results"]["error"]["type"] == "AssertionFailed"
+
+
+def calg_inputs():
+    """Algebra JSON by name: the k-point diagonal algebra for k = 1..5, from
+    its projection generators (``proj<k>``) and from the one generator
+    diag(1, ..., k) (``diag<k>``), which is not a projection for k > 1; and
+    the 4-point diagonal algebra conjugated by two 3-4-5 Givens rotations."""
+    inputs = {}
+    for k in range(1, 6):
+        projections = [[[str(int(i == j <= m)) for j in range(k)] for i in range(k)]
+                       for m in range(k - 1)]
+        inputs[f"proj{k}"] = {"dim": k, "generators": projections}
+        inputs[f"diag{k}"] = {
+            "dim": k,
+            "generators": [[[str(i + 1 if i == j else 0) for j in range(k)] for i in range(k)]],
+        }
+    rotated = rotated_algebra(4)
+    inputs["givens4"] = {"dim": 4, "generators": [g.to_json_list() for g in rotated.generators]}
+    return inputs
+
+
+CALG_COMMANDS = ("generate", "lattice", "atoms", "spectrum", "caf-iso")
+
+#: per input, the :func:`calg_report_digest` of its five reports in
+#: ``CALG_COMMANDS`` order, recorded before ``staralg`` moved from dense to
+#: sparse rows
+CALG_REPORT_DIGESTS = {
+    "diag1": ('8d31ca20fa1d13a4', 'dc0a4563534941ef', '0bfd697582be3cfc', 'a6e69adbbb925e57', '0ed5d43aaf1e0e38'),
+    "diag2": ('92cfe8092b9a4f06', 'ff7fb05b1cd2a152', '7550daa14f9f4910', '0b48bc11909189f6', '3a0ca65b68e64069'),
+    "diag3": ('894f24c8ae14ecbb', 'a25b36accc217b54', '33930b3e05a39e54', '97c8c500ca553bd7', '212f6146993cbef7'),
+    "diag4": ('0f4d222bb2190a69', '05a216000ef63ee2', '0c43dec20ca6310c', '01cbf21d95bf188c', 'd04beab40973d488'),
+    "diag5": ('49b89d292be40161', '47a5955e3c242148', '1e96f8c8e4fb34b7', '15f222db8b2860d7', '661c394cc93e7c3f'),
+    "givens4": ('f1edf4d7adc65c6f', '86d0d1099adc15f6', '802660d16c6ceec7', 'e57e77815c1a7d37', '67c4ee895da114ce'),
+    "proj1": ('3ed993379103a8be', '98d79bb0a51638f6', 'a3afb9084550301a', 'c65c0af5327c0fdf', '488b0e314595a947'),
+    "proj2": ('f2855685ba31bd1b', 'a113398a9169a6ed', '0d5311a29ca09781', 'fb5424f4de213987', 'd44f0f40fc1febbb'),
+    "proj3": ('5d6da80e4f325c09', 'b657cd9a49deed3d', 'c6ad5cdf342543c4', 'd03b486fc98ae1c6', '36221656f4535d14'),
+    "proj4": ('a8dcb766cbc3a5ab', 'a33cd2d16e7a2eb0', 'f78383e71aab4ec9', '0d663a67ceb7fa60', '165460858d5082f2'),
+    "proj5": ('4c33b6b6141d94bc', '34596f0abf14c500', '5f0aeb0cbc5f1871', '21f8e22fe12e7e31', 'd84c5e9d9f4bb89a'),
+}
+
+
+def calg_report_digest(argv):
+    """sha256 prefix of a ``--json`` report up to its ``versions`` field.
+    Keys are sorted, so only the Python version and the wall time follow,
+    and those vary between runs of one program."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv + ["--json"])
+    head, sep, _ = out.getvalue().partition(', "versions": ')
+    assert sep, out.getvalue()
+    return hashlib.sha256(head.encode()).hexdigest()[:16]
+
+
+class TestCalgReportsAreFixed:
+    @pytest.mark.parametrize("name", sorted(CALG_REPORT_DIGESTS))
+    def test_reports_are_byte_identical(self, name, tmp_path):
+        path = write_payload(tmp_path, calg_inputs()[name])
+        got = tuple(
+            calg_report_digest(["calg", command, "--input", path]) for command in CALG_COMMANDS
+        )
+        assert got == CALG_REPORT_DIGESTS[name]
+
+    def test_every_input_is_pinned(self):
+        assert set(CALG_REPORT_DIGESTS) == set(calg_inputs())
+
+    def test_conjugated_five_point_caf_iso(self, capsys):
+        # the fixture the console-script check in CI reads
+        path = Path(__file__).parent / "fixtures" / "givens5.json"
+        code, report = run_json(["calg", "caf-iso", "--input", str(path)], capsys)
+        assert code == 0
+        assert report["results"]["iso"]["size"] == 52
 
 
 TWO_CHAIN = {"elements": ["0", "1"], "leq": [[True, True], [False, True]]}

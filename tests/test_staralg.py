@@ -53,11 +53,12 @@ def diag(*values):
 
 def assert_equals_checked_build(algebra):
     """An unchecked build equals the checked constructor's on its own basis
-    and generators: same span, pivots and generators, and the check passes."""
+    and generators: same span, echelon rows and generators, and the check
+    passes."""
     checked = StarAlgebra(algebra.dim, algebra.basis, algebra.generators)
     assert checked == algebra and hash(checked) == hash(algebra)
     assert checked.basis == algebra.basis and checked.generators == algebra.generators
-    assert checked._pivots == algebra._pivots
+    assert checked.rows == algebra.rows
 
 
 def diagonal_algebra(k):
@@ -318,17 +319,21 @@ ROW_ENTRIES = [GaussianRational(Fraction(a, b), Fraction(c, 2))
 
 @st.composite
 def row_sets(draw):
-    """Rows for ``rref``: width 3, or 16 or 36 with at most four nonzero
-    entries a row, where walking a row's support differs from walking its
-    full width; with zero, duplicate and dependent rows, and up to three
-    more rows than the width."""
+    """Dense rows of width 3, 16 or 36: sparse ones with at most four
+    nonzero entries, where walking a row's entries differs from walking its
+    full width, dense ones with every entry drawn, and zero, duplicate and
+    dependent rows; up to three more rows than the width."""
     width = draw(st.sampled_from([3, 16, 36]))
     entries = st.tuples(st.integers(0, width - 1), st.sampled_from(ROW_ENTRIES))
     rows = []
     for _ in range(draw(st.integers(0, width + 3))):
-        kind = draw(st.sampled_from(["sparse", "sparse", "sparse", "zero", "copy", "combination"]))
+        kind = draw(st.sampled_from(
+            ["sparse", "sparse", "sparse", "dense", "zero", "copy", "combination"]))
         if kind == "zero":
             rows.append((GR_ZERO,) * width)
+        elif kind == "dense":
+            values = st.sampled_from(ROW_ENTRIES + [GR_ZERO])
+            rows.append(tuple(draw(st.lists(values, min_size=width, max_size=width))))
         elif kind == "copy" and rows:
             rows.append(draw(st.sampled_from(rows)))
         elif kind == "combination" and rows:
@@ -360,6 +365,19 @@ def _sparse_tall(width, count, rng):
 
 
 SPARSE_TALL = _sparse_tall(36, 39, random.Random(7))
+
+
+def sparse_row(dense):
+    """A dense tuple as ``rref`` reads it: the (index, entry) pairs of its
+    nonzero entries."""
+    return tuple((k, x) for k, x in enumerate(dense) if not x.is_zero())
+
+
+def dense_row(row, width):
+    out = [GR_ZERO] * width
+    for k, x in row:
+        out[k] = x
+    return out
 
 
 class TestIntegerKernels:
@@ -400,10 +418,16 @@ class TestIntegerKernels:
     @given(row_sets())
     @example(SPARSE_TALL)
     def test_rref_matches_the_reference_elimination(self, vectors):
-        got = staralg.rref(vectors)
-        assert [[ref(x) for x in row] for row in got] == ref_rref(vectors)
-        for x in itertools.chain.from_iterable(got):
-            assert_normal(x)
+        # rref reads and writes sparse rows; compared as dense rows
+        width = len(vectors[0]) if vectors else 0
+        got = staralg.rref([sparse_row(v) for v in vectors])
+        assert [[ref(x) for x in dense_row(row, width)] for row in got] == ref_rref(vectors)
+        for row in got:
+            assert [k for k, _ in row] == sorted({k for k, _ in row})
+            assert row[0][1] == GaussianRational(1)
+            for _, x in row:
+                assert not x.is_zero()
+                assert_normal(x)
 
     def test_c_lattice_builds_no_checked_matrix(self, monkeypatch):
         # every matrix c_lattice makes is a kernel output: no entry is coerced
@@ -802,6 +826,31 @@ class TestBoundaryCheck:
         assert calls == []
         StarAlgebra(algebra.dim, algebra.basis, algebra.generators)
         assert len(calls) == 1
+
+
+class TestOneSpanOneAlgebra:
+    """The checked constructor and the closure build store one canonical
+    row tuple per span, however the span is spelled."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: diagonal_algebra(1),
+        lambda: diagonal_algebra(4),
+        lambda: rotated_algebra(4),
+        lambda: rotated_algebra(5),
+        lambda: generated_algebra([Matrix.unit(2, 0, 1)]),
+        lambda: generated_algebra([Matrix.unit(3, 0, 1), diag(0, 0, 1)]),
+    ])
+    def test_checked_and_generated_builds_are_equal(self, build):
+        algebra = build()
+        generated = generated_algebra(algebra.generators, algebra.dim)
+        # the same span by another basis: reversed, each element plus the
+        # next, the last tripled, which is an invertible triangular change
+        basis = list(reversed(algebra.basis))
+        spelled = [a + b for a, b in zip(basis, basis[1:])] + [basis[-1] * 3]
+        checked = StarAlgebra(generated.dim, spelled, generated.generators)
+        assert checked == generated and hash(checked) == hash(generated)
+        assert checked.rows == generated.rows and checked.basis == generated.basis
+        assert all(checked.contains(m) for m in spelled)
 
 
 class TestProjectionSums:
