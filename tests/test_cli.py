@@ -19,6 +19,7 @@ from cstardom.cli import main
 from cstardom.errors import ParseError
 from cstardom.partitions import LATTICE_MAX
 from cstardom.scatter import FinTop, is_stonean_fin
+from test_ortho import greechie_square
 from test_scatter import scattered_by_closed_sets
 from test_staralg import rotated_algebra
 
@@ -614,6 +615,43 @@ class TestCalgReportsAreFixed:
         code, report = run_json(["calg", "caf-iso", "--input", str(path)], capsys)
         assert code == 0
         assert report["results"]["iso"]["size"] == 52
+
+
+def omp_inputs():
+    """Orthomodular poset JSON by name: the power sets P1..P5, the
+    horizontal sums MO1..MO4 and the Greechie square, which is not a
+    lattice."""
+    omps = {f"P{k}": ortho.power_set_omp(k) for k in range(1, 6)}
+    omps.update({f"MO{n}": ortho.mo_omp(n) for n in range(1, 5)})
+    omps["square"] = greechie_square()
+    return {name: dict(omp.poset.to_json_dict(), ortho=list(omp.ortho))
+            for name, omp in omps.items()}
+
+
+#: per input, the :func:`calg_report_digest` of its ``omp boolsub`` report,
+#: recorded before the Boolean-subalgebra search moved to close-by-one
+OMP_BOOLSUB_DIGESTS = {
+    "MO1": "4904c3c8364be3f6",
+    "MO2": "f00ec3f594b13e94",
+    "MO3": "99889ca90d160efc",
+    "MO4": "be1d8dda51cfdfe4",
+    "P1": "f828858e53423085",
+    "P2": "176b5c60f2837bbd",
+    "P3": "2f1b4bf956660fa3",
+    "P4": "78114f429bbcd1f5",
+    "P5": "0548d135618562c6",
+    "square": "064a73da1e09425d",
+}
+
+
+class TestBoolsubReportsAreFixed:
+    @pytest.mark.parametrize("name", sorted(OMP_BOOLSUB_DIGESTS))
+    def test_reports_are_byte_identical(self, name, tmp_path):
+        path = write_payload(tmp_path, omp_inputs()[name])
+        assert calg_report_digest(["omp", "boolsub", "--input", path]) == OMP_BOOLSUB_DIGESTS[name]
+
+    def test_every_input_is_pinned(self):
+        assert set(OMP_BOOLSUB_DIGESTS) == set(omp_inputs())
 
 
 TWO_CHAIN = {"elements": ["0", "1"], "leq": [[True, True], [False, True]]}

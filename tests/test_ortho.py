@@ -55,6 +55,21 @@ def atoms(sub):
     return tuple(p for p in iter_bits(nonzero) if sub.omp.poset.dn[p] & nonzero == 1 << p)
 
 
+def distributive_boolean_mask(omp, mask):
+    """Complement and distributive laws over every member and triple of a
+    closed subset: the reference for the atom count of
+    ``ortho._is_boolean_mask``."""
+    meets, joins = omp.poset.meets(), omp.poset.joins()
+    members = list(iter_bits(mask))
+    for p in members:
+        if meets[p][omp.ortho[p]] != omp.zero:
+            return False
+    for p, q, r in itertools.product(members, repeat=3):
+        if meets[p][joins[q][r]] != joins[meets[p][q]][meets[p][r]]:
+            return False
+    return True
+
+
 def blocks(omp):
     """Maximal Boolean subalgebras: nothing lies strictly above them."""
     poset = boolean_subalgebras(omp)
@@ -469,22 +484,60 @@ class TestClosure:
         assert ortho._close_boolean(omp, 1 << c2, closed) is None
 
 
+class TestBooleanTest:
+    """The atom count of ``ortho._is_boolean_mask`` against the complement
+    and distributive laws, on closed masks only, the masks it is given."""
+
+    @pytest.mark.parametrize("name,outcomes", [
+        ("P3", {True}), ("MO2", {True, False}), ("MO3", {True, False}),
+    ])
+    def test_every_closure_of_a_fixture(self, name, outcomes):
+        omp = closure_fixture(name)
+        seen = set()
+        for seed in range(1 << omp.n):
+            closed = all_pairs_closure(omp, seed)
+            expected = distributive_boolean_mask(omp, closed)
+            assert ortho._is_boolean_mask(omp, closed) == expected, (name, seed)
+            seen.add(expected)
+        assert seen == outcomes
+
+    @settings(max_examples=150, deadline=None)
+    @given(omps_and_seeds())
+    # the whole of MO(n) is closed and not Boolean for n >= 2
+    @example((closure_fixture("MO2"), 0b111111, 0))
+    @example((closure_fixture("MO3"), 0b11111111, 0))
+    @example((closure_fixture("MO4"), 0b1111111111, 0))
+    def test_closures_drawn_over_every_fixture(self, case):
+        omp, seed, other = case
+        closed = all_pairs_closure(omp, seed | other)
+        if closed is not None:
+            expected = distributive_boolean_mask(omp, closed)
+            assert ortho._is_boolean_mask(omp, closed) == expected
+
+
 class TestWorkCounters:
-    """Deterministic counts of the closure search, pinned as regression
-    checks: each Boolean subalgebra of P(5) tries each complement pair
-    outside it once."""
+    """Deterministic counts of the close-by-one search, pinned as regression
+    checks: on P(5) each of the 51 Boolean subalgebras above the base is
+    reached by exactly one closure that passes the canonical test, and the
+    other closures fail it."""
 
     def test_closures_in_the_power_set_of_five(self, monkeypatch):
-        calls = [0]
-        close = ortho._close_boolean
+        closures, tested = [0], []
+        close, is_boolean = ortho._close_boolean, ortho._is_boolean_mask
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
+        def counted_close(*args, **kwargs):
+            closures[0] += 1
             return close(*args, **kwargs)
 
-        monkeypatch.setattr(ortho, "_close_boolean", counted)
+        def counted_test(*args, **kwargs):
+            tested.append(is_boolean(*args, **kwargs))
+            return tested[-1]
+
+        monkeypatch.setattr(ortho, "_close_boolean", counted_close)
+        monkeypatch.setattr(ortho, "_is_boolean_mask", counted_test)
         assert boolean_subalgebras(power_set_omp(5)).n == bell_number(5)
-        assert calls[0] == 606
+        assert closures[0] == 296
+        assert tested == [True] * 51
 
 
 class TestBlocks:
