@@ -12,8 +12,10 @@ fast algorithm for computing all intersections of objects in a finite
 semi-lattice, Automatic Documentation and Mathematical Linguistics 27(5),
 1993), from the base {0, 1}: ``validate_omp`` makes 0 = 1' the bottom,
 since the complement is antitone and onto, so the base is closed and
-Boolean.  A closure is evaluated semi-naively, as a worklist in which each
-new member is combined only with the members processed before it
+Boolean.  Canonicity is tested while a closure grows, as in In-Close
+(Andrews, ICCS 2009) and FCbO (Outrata & Vychodil, Information Sciences
+185, 2012).  A closure is evaluated semi-naively, as a worklist in which
+each new member is combined only with the members processed before it
 (Bancilhon & Ramakrishnan, An amateur's introduction to recursive query
 processing strategies, SIGMOD 1986), and it grows an already closed
 subalgebra without combining its pairs again.
@@ -21,12 +23,11 @@ subalgebra without combining its pairs again.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import AxiomViolated, BadParameters, IsoFailure, SizeLimit
 from .order import FinPoset, iter_bits
-from .staralg import c_lattice, projection_table
+from .staralg import c_lattice, projection_mask, projection_table
 
 #: enumeration guard for Boolean subalgebras
 OMP_MAX = 32
@@ -161,7 +162,7 @@ class BoolSub:
         return tuple(self.omp.elements[i] for i in self.members())
 
 
-def _close_boolean(omp, seed_mask, closed=0):
+def _close_boolean(omp, seed_mask, closed=0, avoid=0):
     """Close a subset under complement, meet and join.
 
     ``closed`` is a mask this function returned before, or 0; the result is
@@ -170,7 +171,8 @@ def _close_boolean(omp, seed_mask, closed=0):
     every member processed before it, so each pair is combined once, and
     the pairs inside ``closed`` are not combined again.  Returns the closed
     mask, or None when some pair of members has no meet or join in the
-    ambient poset (no Boolean subalgebra can contain the seed in that case).
+    ambient poset (no Boolean subalgebra can contain the seed in that case)
+    or as soon as a bound it adds lands in ``avoid``.
     """
     meets, joins, ortho = omp.poset.meets(), omp.poset.joins(), omp.ortho
     pending = (seed_mask | (1 << omp.zero) | (1 << omp.one)) & ~closed
@@ -191,6 +193,8 @@ def _close_boolean(omp, seed_mask, closed=0):
                     return None
                 if not known >> bound & 1:
                     fresh = (1 << bound) | (1 << ortho[bound])
+                    if fresh & avoid:
+                        return None
                     known |= fresh
                     pending |= fresh
         done.append(a)
@@ -217,11 +221,11 @@ def boolean_subalgebras(omp):
     """All Boolean subalgebras, as a poset ordered by inclusion.
 
     Close-by-one: from a closed Boolean ``current``, adjoin each p >= start
-    outside it with ortho[p] >= p, and keep the closure only when p is its
-    least new member.  Both are closed under complement, so each closed set
-    is reached once, along the least members it lacks; a closed subset of a
-    Boolean subalgebra is Boolean, so stopping at None or at a non-Boolean
-    closure loses none.
+    outside it with ortho[p] >= p, and stop the closure (None) at any new
+    member below p: p must be its least.  Both are closed under complement,
+    so each closed set is reached once, along the least members it lacks;
+    a closed subset of a Boolean subalgebra is Boolean, so stopping at None
+    or at a non-Boolean closure loses none.
     """
     if omp.n > OMP_MAX:
         raise SizeLimit("orthomodular poset size", omp.n, OMP_MAX)
@@ -234,11 +238,8 @@ def boolean_subalgebras(omp):
         for p in range(start, omp.n):
             if current >> p & 1 or omp.ortho[p] < p:
                 continue
-            closed = _close_boolean(omp, 1 << p, current)
-            below = (1 << p) - 1
-            if closed is None or closed & below != current & below:
-                continue
-            if _is_boolean_mask(omp, closed):
+            closed = _close_boolean(omp, 1 << p, current, ((1 << p) - 1) & ~current)
+            if closed is not None and _is_boolean_mask(omp, closed):
                 found.append(closed)
                 stack.append((closed, p + 1))
     masks = sorted(found, key=lambda m: (m.bit_count(), m))
@@ -281,10 +282,10 @@ def verify_caf_iso(algebra):
     inside the projection orthomodular poset.  The map sends a subalgebra
     to the set of its projections, found among the 2^k sums of minimal
     projections in the algebra's ``staralg.projection_table`` (all of
-    Proj(A), at most ``CAF_MAX`` minimal projections), from which the
-    subalgebra lattice is built too; the check requires the map to be a
-    bijection that preserves and reflects order, and raises IsoFailure
-    otherwise.
+    Proj(A), at most ``CAF_MAX`` minimal projections) by
+    ``staralg.projection_mask``; the subalgebra lattice is built from the
+    same table.  The map must be a bijection whose principal filters match
+    as masks, else IsoFailure, at the first pair in product order.
     """
     sums = projection_table(algebra, CAF_MAX)  # also rejects noncommutative input
     sub_poset = c_lattice(algebra)
@@ -293,9 +294,7 @@ def verify_caf_iso(algebra):
     bool_index = {sub.mask: i for i, sub in enumerate(bool_poset.payloads)}
     assignment = []
     for i in range(sub_poset.n):
-        node = sub_poset.payloads[i]
-        proj_mask = sum(1 << mask for mask, p in enumerate(sums) if node.contains(p))
-        j = bool_index.get(proj_mask)
+        j = bool_index.get(projection_mask(sub_poset.payloads[i], sums))
         if j is None:
             raise IsoFailure(
                 {"subalgebra": sub_poset.elements[i], "projections": "not a Boolean subalgebra"}
@@ -303,20 +302,14 @@ def verify_caf_iso(algebra):
         assignment.append(j)
     if len(set(assignment)) != bool_poset.n or sub_poset.n != bool_poset.n:
         raise IsoFailure({"reason": "not a bijection"})
-    for i, j in itertools.product(range(sub_poset.n), repeat=2):
-        if sub_poset.leq(i, j) != bool_poset.leq(assignment[i], assignment[j]):
-            raise IsoFailure(
-                {
-                    "pair": [sub_poset.elements[i], sub_poset.elements[j]],
-                    "reason": "order not preserved and reflected",
-                }
-            )
-    correspondence = [
-        (sub_poset.elements[i], bool_poset.elements[assignment[i]])
-        for i in range(sub_poset.n)
-    ]
-    return CafIsoReport(
-        subalgebra_poset=sub_poset,
-        boolean_poset=bool_poset,
-        correspondence=correspondence,
-    )
+    node_of = {j: i for i, j in enumerate(assignment)}
+    for i, up in enumerate(sub_poset.up):
+        # i's principal filter against its image's, read back as nodes
+        differ = up ^ sum(1 << node_of[b] for b in iter_bits(bool_poset.up[assignment[i]]))
+        if differ:
+            j = (differ & -differ).bit_length() - 1
+            raise IsoFailure({"pair": [sub_poset.elements[i], sub_poset.elements[j]],
+                              "reason": "order not preserved and reflected"})
+    labels = bool_poset.elements
+    correspondence = [(label, labels[j]) for label, j in zip(sub_poset.elements, assignment)]
+    return CafIsoReport(sub_poset, bool_poset, correspondence)

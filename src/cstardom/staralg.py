@@ -15,8 +15,8 @@ unchecked.  Spectral operations (minimal projections, characters, the
 subalgebra lattice) require the generators to be projections, which keeps
 every computation inside the rationals.  An algebra forms its projection
 table, all of Proj(A), and its subalgebra lattice C(A) at most once and
-keeps them: the lattice, the atoms and ``ortho.verify_caf_iso`` read the
-one table, each sum as one row.
+keeps them: the lattice and the atoms read the one table, each sum as one
+row, and ``ortho.verify_caf_iso`` reads its k minimal projections' rows.
 """
 
 from __future__ import annotations
@@ -683,6 +683,27 @@ def projection_table(algebra, limit):
     if sums is None:
         sums = algebra._sums = _projection_sums(projections, algebra.dim)
     return sums
+
+
+def _add_rows(left, right):
+    """Sum of two rows in the dict form :func:`_reduce_against` returns."""
+    total = dict(left)
+    for k, x in right.items():
+        x = total.pop(k, GR_ZERO) + x
+        if x.a or x.b:
+            total[k] = x
+    return total
+
+
+def projection_mask(algebra, sums):
+    """The mask of the :func:`projection_table` entries that lie in
+    ``algebra``: reduction is linear, so entry m is in when the sum of its
+    minimal projections' residues, entry m of their :func:`order.subset_table`
+    under row addition, is empty."""
+    k = len(sums).bit_length() - 1
+    residues = [_reduce_against(_vec(sums[1 << t]), algebra.rows) for t in range(k)]
+    table = subset_table(residues, _add_rows, {})
+    return sum(1 << m for m, residue in enumerate(table) if not residue)
 
 
 def block_sum_algebra(sums, partition, dim):

@@ -484,6 +484,45 @@ class TestClosure:
         assert ortho._close_boolean(omp, 1 << c2, closed) is None
 
 
+SEARCH_FIXTURES = {
+    **{f"P{k}": functools.partial(power_set_omp, k) for k in range(1, 6)},
+    **{f"MO{n}": functools.partial(mo_omp, n) for n in range(1, 5)},
+    "square": greechie_square,
+}
+
+
+class TestEarlyStop:
+    """Every closure the search asks for, against the full closure: the
+    early stop answers None exactly when the full closure is None or meets
+    the members to avoid, and the full closure otherwise."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_FIXTURES))
+    def test_every_closure_of_the_search(self, name, monkeypatch):
+        omp = SEARCH_FIXTURES[name]()
+        close, calls = ortho._close_boolean, []
+
+        def recorded(omp, seed, closed=0, avoid=0):
+            calls.append((seed, closed, avoid))
+            return close(omp, seed, closed, avoid)
+
+        monkeypatch.setattr(ortho, "_close_boolean", recorded)
+        boolean_subalgebras(omp)
+        stopped = 0
+        for seed, closed, avoid in calls[1:]:
+            # adjoining p to current avoids what current lacks below p
+            assert seed & (seed - 1) == 0 and avoid == (seed - 1) & ~closed
+            full = all_pairs_closure(omp, seed | closed)
+            early = close(omp, seed, closed, avoid)
+            if full is None or full & avoid:
+                assert early is None, (seed, closed)
+                stopped += full is not None
+            else:
+                assert early == full, (seed, closed)
+        if name == "P5":
+            # the base and 295 adjunctions, of which 51 are canonical
+            assert (len(calls), stopped) == (296, 244)
+
+
 class TestBooleanTest:
     """The atom count of ``ortho._is_boolean_mask`` against the complement
     and distributive laws, on closed masks only, the masks it is given."""
@@ -592,21 +631,11 @@ class TestCafIso:
         assert (info.value.value, info.value.limit) == (6, 5)
 
 
-class HeldProjections:
-    """A stand-in subalgebra holding exactly the given projection matrices."""
-
-    def __init__(self, members):
-        self.members = members
-
-    def contains(self, candidate):
-        return any(candidate is member for member in self.members)
-
-
 class TestCafIsoFailures:
-    """``verify_caf_iso`` against a subalgebra lattice broken three ways."""
+    """``verify_caf_iso`` against a subalgebra lattice broken four ways."""
 
-    def broken(self, monkeypatch, change):
-        algebra = TestCafIso().diagonal(3)
+    def broken(self, monkeypatch, change, k=3):
+        algebra = TestCafIso().diagonal(k)
         real = c_lattice(algebra)
         monkeypatch.setattr(ortho, "c_lattice", lambda alg: change(alg, real))
         return algebra, real
@@ -639,17 +668,48 @@ class TestCafIsoFailures:
             verify_caf_iso(algebra)
         assert info.value.witness == {"reason": "not a bijection"}
 
-    def test_projections_not_closed_under_complement(self, monkeypatch):
-        def stub_last(alg, lattice):
-            sums = projection_table(alg, CAF_MAX)
-            # 0, the first minimal projection and 1, without its complement
-            payloads = list(lattice.payloads)
-            payloads[-1] = HeldProjections([sums[0], sums[1], sums[-1]])
+    def test_filter_mismatch_past_the_first_row(self, monkeypatch):
+        real = c_lattice(TestCafIso().diagonal(4))
+        # an atom and the top trade payloads: the bottom's row still matches
+        i0 = next(j for i, j in real.covers() if i == real.bottom())
+        j0 = real.top()
+        swap = {i0: j0, j0: i0}
+
+        def swapped(alg, lattice):
+            payloads = [lattice.payloads[swap.get(i, i)] for i in range(lattice.n)]
             return FinPoset._from_masks(
                 lattice.elements, lattice.up, lattice.dn, lattice.orientation, payloads
             )
 
-        algebra, real = self.broken(monkeypatch, stub_last)
+        algebra, _ = self.broken(monkeypatch, swapped, k=4)
+        with pytest.raises(IsoFailure) as info:
+            verify_caf_iso(algebra)
+        # node i now goes where node swap(i) went before: the n^2 scan of
+        # the product order, read off the real lattice
+        i, j = next(
+            (i, j)
+            for i, j in itertools.product(range(real.n), repeat=2)
+            if real.leq(i, j) != real.leq(swap.get(i, i), swap.get(j, j))
+        )
+        assert i > 0
+        assert info.value.witness == {
+            "pair": [real.elements[i], real.elements[j]],
+            "reason": "order not preserved and reflected",
+        }
+
+    def test_projections_not_closed_under_meet(self, monkeypatch):
+        # imported late: test_staralg imports test_order, which imports this module
+        from test_staralg import not_a_star_algebra
+
+        def span_last(alg, lattice):
+            # projections closed under complement, but q0 is missing
+            payloads = list(lattice.payloads)
+            payloads[-1] = not_a_star_algebra(projection_table(alg, CAF_MAX), alg.dim)
+            return FinPoset._from_masks(
+                lattice.elements, lattice.up, lattice.dn, lattice.orientation, payloads
+            )
+
+        algebra, real = self.broken(monkeypatch, span_last, k=4)
         with pytest.raises(IsoFailure) as info:
             verify_caf_iso(algebra)
         assert info.value.witness == {

@@ -1,8 +1,10 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -906,6 +908,59 @@ class TestProjectionSums:
         for rel in partition_lattice(4, ORIENT_SUBALGEBRA).payloads:
             staralg.block_sum_algebra(sums, rel, 4)
         assert calls == []
+
+
+def contained_sums(algebra, sums):
+    """The mask of the projection-table entries that ``algebra.contains``:
+    the reference for the residue route of ``staralg.projection_mask``."""
+    return sum(1 << m for m, p in enumerate(sums) if algebra.contains(p))
+
+
+def not_a_star_algebra(sums, dim):
+    """span{1, q0+q1, q0+q2} over four minimal projections q0..q3: its
+    projections 0, 1, q0+q1, q2+q3, q0+q2 and q1+q3 are closed under
+    complement but not under meet, since q0 is not among them."""
+    rows = staralg.rref([staralg._vec(sums[m]) for m in (0b1111, 0b0011, 0b0101)])
+    return StarAlgebra._from_rref(dim, rows, ())
+
+
+def givens5_algebra():
+    """The five-point diagonal algebra conjugated by four 3-4-5 Givens
+    rotations, read from the fixture the CLI tests and CI use."""
+    data = json.loads((Path(__file__).parent / "fixtures" / "givens5.json").read_text())
+    return generated_algebra([Matrix(g) for g in data["generators"]], dim=data["dim"])
+
+
+class TestProjectionMask:
+    """The projection-table entries in an algebra, from the residues of the
+    k minimal projections alone, against a containment test on all 2^k
+    entries."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_every_node_of_the_diagonal_lattice(self, k):
+        algebra = diagonal_algebra(k)
+        sums = staralg.projection_table(algebra, k)
+        for node in c_lattice(algebra).payloads:
+            assert staralg.projection_mask(node, sums) == contained_sums(node, sums)
+
+    def test_every_node_of_the_conjugated_lattice(self):
+        algebra = givens5_algebra()
+        sums = staralg.projection_table(algebra, 5)
+        masks = set()
+        for node in c_lattice(algebra).payloads:
+            mask = staralg.projection_mask(node, sums)
+            assert mask == contained_sums(node, sums)
+            masks.add(mask)
+        # the 52 nodes hold 52 different sets of projections
+        assert len(masks) == 52
+
+    def test_span_that_is_not_an_algebra(self):
+        algebra = diagonal_algebra(4)
+        sums = staralg.projection_table(algebra, 4)
+        span = not_a_star_algebra(sums, 4)
+        members = {0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010}
+        assert staralg.projection_mask(span, sums) == sum(1 << m for m in members)
+        assert contained_sums(span, sums) == sum(1 << m for m in members)
 
 
 def reference_atoms(algebra):
