@@ -5,18 +5,20 @@ Python ints in lowest terms (d > 0, gcd(a, b, d) = 1), so the kernels
 below (products, elimination, containment) do integer arithmetic only and
 equal entries have equal fields.  Algebras are spans of square matrices,
 closed under product and conjugate transpose and containing the identity.
-Linear algebra runs on sparse rows: a matrix of size n is read once, and
-keeps, its row of (i*n + j, entry) pairs over its nonzero entries.  An
-algebra stores the reduced echelon rows of its span, so equal algebras have
-equal row tuples, and builds its dense ``basis`` on first read.  Outside
-input is checked once: ``StarAlgebra(dim, basis, generators)`` requires the
-span to be closed and to hold the generators; the package's own builds are
-unchecked.  Spectral operations (minimal projections, characters, the
-subalgebra lattice) require the generators to be projections, which keeps
-every computation inside the rationals.  An algebra forms its projection
-table, all of Proj(A), and its subalgebra lattice C(A) at most once and
-keeps them: the lattice and the atoms read the one table, each sum as one
-row, and ``ortho.verify_caf_iso`` reads its k minimal projections' rows.
+A matrix of size n is its sparse row, the (i*n + j, entry) pairs over its
+nonzero entries in index order: sums, products, adjoints and elimination
+all read and write that row, and a dense table is built only from outside
+input and for output.  An algebra stores the reduced echelon rows of its
+span, so equal algebras have equal row tuples, and its ``basis`` matrices
+are those rows.  Outside input is checked once: ``StarAlgebra(dim, basis,
+generators)`` requires the span to be closed and to hold the generators;
+the package's own builds are unchecked.  Spectral operations (minimal
+projections, characters, the subalgebra lattice) require the generators to
+be projections, which keeps every computation inside the rationals.  An
+algebra forms its projection table, all of Proj(A), and its subalgebra
+lattice C(A) at most once and keeps them: the lattice and the atoms read
+the one table, each sum as one row, and ``ortho.verify_caf_iso`` reads its
+k minimal projections' rows.
 """
 
 from __future__ import annotations
@@ -248,45 +250,59 @@ def _check_size(dim):
         raise DimMismatch("matrix must be square and nonempty")
 
 
-class Matrix:
-    """Square matrix of Gaussian rationals.
+def _merge(left, right, negate=False):
+    """Sum of two sparse rows, or difference with ``negate``: each an
+    iterable of (index, nonzero entry) pairs, the result a tuple of them
+    sorted by index, without zeros."""
+    total = dict(left)
+    pop = total.pop
+    for k, x in right:
+        x = pop(k, GR_ZERO) - x if negate else pop(k, GR_ZERO) + x
+        if x.a or x.b:
+            total[k] = x
+    return tuple(sorted(total.items()))
 
-    ``Matrix(rows)`` coerces and checks outside input; kernel outputs are
-    built by the unchecked ``Matrix._from_rows``.
+
+class Matrix:
+    """Square matrix of Gaussian rationals, held as its sparse row.
+
+    ``row`` is the tuple of (i*dim + j, entry) pairs over the nonzero
+    entries, sorted by index, each entry in normal form; so equal matrices
+    have equal rows, and the kernels below walk nonzero entries only.
+    ``Matrix(rows)`` coerces and checks a dense outside table; kernel
+    outputs are built by the unchecked ``Matrix._from_row``.  The dense
+    table (``rows``) is built for output only.
     """
 
-    __slots__ = ("rows", "dim", "_row")
+    __slots__ = ("dim", "row")
 
     def __init__(self, rows):
-        rows = tuple(tuple(gr(x) for x in row) for row in rows)
+        rows = [[gr(x) for x in row] for row in rows]
         dim = len(rows)
         if dim == 0 or any(len(row) != dim for row in rows):
             raise DimMismatch("matrix must be square and nonempty")
-        self.rows = rows
         self.dim = dim
-        self._row = None
+        entries = enumerate(itertools.chain.from_iterable(rows))
+        self.row = tuple((k, x) for k, x in entries if x.a or x.b)
 
     @classmethod
-    def _from_rows(cls, rows):
-        """Unchecked constructor: a nonempty square tuple of tuples of
-        GaussianRational, as the kernels below produce."""
+    def _from_row(cls, dim, row):
+        """Unchecked constructor: ``dim`` >= 1 and a row of the form above,
+        as the kernels and ``rref`` produce."""
         matrix = _new(cls)
-        matrix.rows = rows
-        matrix.dim = len(rows)
-        matrix._row = None
+        matrix.dim = dim
+        matrix.row = row
         return matrix
 
     @classmethod
     def identity(cls, dim):
         _check_size(dim)
-        return cls._from_rows(
-            tuple(tuple(GR_ONE if i == j else GR_ZERO for j in range(dim)) for i in range(dim))
-        )
+        return cls._from_row(dim, tuple((i * (dim + 1), GR_ONE) for i in range(dim)))
 
     @classmethod
     def zero(cls, dim):
         _check_size(dim)
-        return cls._from_rows(((GR_ZERO,) * dim,) * dim)
+        return cls._from_row(dim, ())
 
     @classmethod
     def diag(cls, values):
@@ -299,63 +315,70 @@ class Matrix:
         """Matrix unit with a single 1 in row i, column j."""
         return cls([[1 if (r, c) == (i, j) else 0 for c in range(dim)] for r in range(dim)])
 
+    @property
+    def rows(self):
+        """The dense table of entries, for output."""
+        dim = self.dim
+        flat = [GR_ZERO] * (dim * dim)
+        for k, x in self.row:
+            flat[k] = x
+        return tuple(tuple(flat[i : i + dim]) for i in range(0, dim * dim, dim))
+
     def __add__(self, other):
         self._match(other)
-        return Matrix._from_rows(
-            tuple(tuple(x + y for x, y in zip(left, right))
-                  for left, right in zip(self.rows, other.rows))
-        )
+        return Matrix._from_row(self.dim, _merge(self.row, other.row))
 
     def __sub__(self, other):
         self._match(other)
-        return Matrix._from_rows(
-            tuple(tuple(x - y for x, y in zip(left, right))
-                  for left, right in zip(self.rows, other.rows))
-        )
+        return Matrix._from_row(self.dim, _merge(self.row, other.row, negate=True))
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            self._match(other)
-            columns = [
-                [(k, y.a, y.b, y.d) for k, y in enumerate(column) if y.a or y.b]
-                for column in zip(*other.rows)
-            ]
-            out = []
-            for left in self.rows:
-                row = []
-                for column in columns:
-                    # accumulate over a running denominator; reduce once
-                    num_a = num_b = 0
-                    den = 1
-                    for k, c, e, f in column:
-                        x = left[k]
-                        a, b = x.a, x.b
-                        if not (a or b):
-                            continue
-                        ta, tb, td = a * c - b * e, a * e + b * c, x.d * f
-                        if td == den:
-                            num_a += ta
-                            num_b += tb
-                        else:
-                            num_a = num_a * td + ta * den
-                            num_b = num_b * td + tb * den
-                            den *= td
-                    row.append(_make(num_a, num_b, den))
-                out.append(tuple(row))
-            return Matrix._from_rows(tuple(out))
-        scalar = gr(other)
-        return Matrix._from_rows(tuple(tuple(x * scalar for x in row) for row in self.rows))
+        if not isinstance(other, Matrix):
+            scalar = gr(other)
+            row = tuple((k, x * scalar) for k, x in self.row) if scalar.a or scalar.b else ()
+            return Matrix._from_row(self.dim, row)
+        self._match(other)
+        n = self.dim
+        # other's entries by row, as (column, a, b, d)
+        by_row = [[] for _ in range(n)]
+        for k, y in other.row:
+            i, j = divmod(k, n)
+            by_row[i].append((j, y.a, y.b, y.d))
+        # entry k of the product as [a, b, d] over a running denominator;
+        # reduced once, at the end
+        sums = {}
+        get = sums.get
+        for k, x in self.row:
+            m = k % n
+            start = k - m
+            a, b, d = x.a, x.b, x.d
+            for j, c, e, f in by_row[m]:
+                ta, tb, td = a * c - b * e, a * e + b * c, d * f
+                total = get(start + j)
+                if total is None:
+                    sums[start + j] = [ta, tb, td]
+                elif total[2] == td:
+                    total[0] += ta
+                    total[1] += tb
+                else:
+                    den = total[2]
+                    total[0] = total[0] * td + ta * den
+                    total[1] = total[1] * td + tb * den
+                    total[2] = den * td
+        row = ((k, _make(*sums[k])) for k in sorted(sums))
+        return Matrix._from_row(n, tuple((k, x) for k, x in row if x.a or x.b))
 
     __rmul__ = __mul__
 
     def adjoint(self):
         """Conjugate transpose."""
-        return Matrix._from_rows(
-            tuple(tuple(x.conjugate() for x in column) for column in zip(*self.rows))
+        n = self.dim
+        return Matrix._from_row(
+            n, tuple(sorted((k % n * n + k // n, x.conjugate()) for k, x in self.row))
         )
 
     def is_zero(self):
-        return not any(x.a or x.b for row in self.rows for x in row)
+        return not self.row
 
     def is_projection(self):
         return self == self.adjoint() and self * self == self
@@ -368,13 +391,13 @@ class Matrix:
             raise DimMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.dim == other.dim and self.row == other.row
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.dim, self.row))
 
     def __repr__(self):
-        return f"Matrix({[[str(x) for x in row] for row in self.rows]})"
+        return f"Matrix({self.to_json_list()})"
 
     def to_json_list(self):
         return [[str(x) for x in row] for row in self.rows]
@@ -388,25 +411,9 @@ class Matrix:
 # linear algebra over the Gaussian rationals
 
 
-def _vec(matrix):
-    """The matrix's row, formed on first read and kept on the matrix."""
-    row = matrix._row
-    if row is None:
-        entries = enumerate(itertools.chain.from_iterable(matrix.rows))
-        row = matrix._row = tuple((k, x) for k, x in entries if x.a or x.b)
-    return row
-
-
-def _unvec(row, dim):
-    flat = [GR_ZERO] * (dim * dim)
-    for k, x in row:
-        flat[k] = x
-    return Matrix._from_rows(tuple(tuple(flat[i : i + dim]) for i in range(0, dim * dim, dim)))
-
-
 def rref(rows):
     """Reduced echelon form of the span of rows, each an iterable of
-    (index, nonzero value) pairs as :func:`_vec` forms them.
+    (index, nonzero value) pairs as :attr:`Matrix.row` holds them.
 
     The result is a canonical basis of the span: unit pivots, sorted by
     pivot, each row a tuple of pairs in index order.  Each row is reduced
@@ -459,10 +466,10 @@ def _reduce_against(vector, basis):
 def _close_once(dim, rows):
     """One closure step: the echelon basis of ``rows``, the identity, their
     adjoints and their pairwise products."""
-    mats = [_unvec(v, dim) for v in rows]
+    mats = [Matrix._from_row(dim, v) for v in rows]
     candidates = [Matrix.identity(dim)] + [m.adjoint() for m in mats]
     candidates.extend(a * b for a, b in itertools.product(mats, repeat=2))
-    return rref(list(rows) + [_vec(c) for c in candidates])
+    return rref(list(rows) + [c.row for c in candidates])
 
 
 def _check_limits(dim, rows=()):
@@ -482,12 +489,12 @@ class StarAlgebra:
     """Unital *-closed span of matrices, with a canonical echelon basis.
 
     ``rows``, the reduced echelon rows of the span, are equal exactly when
-    the spans are; ``basis`` is built from them on first read.  An instance
+    the spans are; ``basis`` reads each as a matrix.  An instance
     keeps its projection table and its subalgebra lattice once formed, as
     :class:`FinPoset` keeps its bound tables.
     """
 
-    __slots__ = ("dim", "rows", "generators", "_basis", "_sums", "_lattice")
+    __slots__ = ("dim", "rows", "generators", "_sums", "_lattice")
 
     def __init__(self, dim, basis_matrices, generators=()):
         _check_limits(dim)
@@ -496,7 +503,7 @@ class StarAlgebra:
         for m in basis_matrices + list(generators):
             if m.dim != dim:
                 raise DimMismatch(f"matrix of size {m.dim} in ambient size {dim}")
-        rows = _check_limits(dim, rref([_vec(m) for m in basis_matrices]))
+        rows = _check_limits(dim, rref([m.row for m in basis_matrices]))
         if len(_close_once(dim, rows)) != len(rows):
             raise BadParameters("basis span lacks the identity, an adjoint or a product")
         self._set(dim, rows, generators)
@@ -515,13 +522,11 @@ class StarAlgebra:
         self.dim = dim
         self.rows = rows
         self.generators = generators
-        self._basis = self._sums = self._lattice = None
+        self._sums = self._lattice = None
 
     @property
     def basis(self):
-        if self._basis is None:
-            self._basis = tuple(_unvec(row, self.dim) for row in self.rows)
-        return self._basis
+        return tuple(Matrix._from_row(self.dim, row) for row in self.rows)
 
     @property
     def dimension(self):
@@ -530,7 +535,7 @@ class StarAlgebra:
     def contains(self, matrix):
         if matrix.dim != self.dim:
             raise DimMismatch(f"ambient dimension mismatch: {matrix.dim} vs {self.dim}")
-        return not _reduce_against(_vec(matrix), self.rows)
+        return not _reduce_against(matrix.row, self.rows)
 
     def contains_algebra(self, other):
         return self.dim == other.dim and not any(_reduce_against(r, self.rows) for r in other.rows)
@@ -568,7 +573,7 @@ def generated_algebra(generators, dim=None):
     for g in generators:
         if g.dim != dim:
             raise DimMismatch(f"generator of size {g.dim} in ambient size {dim}")
-    current = rref([_vec(m) for m in [Matrix.identity(dim)] + generators])
+    current = rref([m.row for m in [Matrix.identity(dim)] + generators])
     while True:
         grown = _close_once(dim, _check_limits(dim, current))
         if len(grown) == len(current):
@@ -651,9 +656,8 @@ def spectrum(algebra):
     table = []
     for q in projections:
         # b*q is a multiple of q: read the factor at q's first nonzero entry
-        k, x = _vec(q)[0]
-        i, j = divmod(k, algebra.dim)
-        table.append(tuple((b * q).rows[i][j] / x for b in algebra.basis))
+        k, x = q.row[0]
+        table.append(tuple(dict((b * q).row).get(k, GR_ZERO) / x for b in algebra.basis))
     points = tuple(f"x{i}" for i in range(len(projections)))
     return Spectrum(points=points, projections=tuple(projections), table=tuple(table))
 
@@ -685,24 +689,14 @@ def projection_table(algebra, limit):
     return sums
 
 
-def _add_rows(left, right):
-    """Sum of two rows in the dict form :func:`_reduce_against` returns."""
-    total = dict(left)
-    for k, x in right.items():
-        x = total.pop(k, GR_ZERO) + x
-        if x.a or x.b:
-            total[k] = x
-    return total
-
-
 def projection_mask(algebra, sums):
     """The mask of the :func:`projection_table` entries that lie in
     ``algebra``: reduction is linear, so entry m is in when the sum of its
     minimal projections' residues, entry m of their :func:`order.subset_table`
     under row addition, is empty."""
     k = len(sums).bit_length() - 1
-    residues = [_reduce_against(_vec(sums[1 << t]), algebra.rows) for t in range(k)]
-    table = subset_table(residues, _add_rows, {})
+    residues = [_reduce_against(sums[1 << t].row, algebra.rows).items() for t in range(k)]
+    table = subset_table(residues, _merge, ())
     return sum(1 << m for m, residue in enumerate(table) if not residue)
 
 
@@ -717,7 +711,7 @@ def block_sum_algebra(sums, partition, dim):
     *-algebra by construction, so it is built unchecked.
     """
     blocks = tuple(sums[sum(1 << (i - 1) for i in cls)] for cls in partition.classes)
-    return StarAlgebra._from_rref(dim, rref([_vec(m) for m in blocks]), blocks)
+    return StarAlgebra._from_rref(dim, rref([m.row for m in blocks]), blocks)
 
 
 def c_lattice(algebra):
@@ -767,12 +761,12 @@ def atoms(algebra):
     """
     sums = projection_table(algebra, LATTICE_MAX)
     k = len(sums).bit_length() - 1
-    one = _vec(Matrix.identity(algebra.dim))
+    one = Matrix.identity(algebra.dim).row
     out = []
     for size in range(1, k):
         for rest in itertools.combinations(range(1, k), size - 1):
             p = sums[sum(1 << i for i in (0,) + rest)]
-            out.append(StarAlgebra._from_rref(algebra.dim, rref([one, _vec(p)]), (p,)))
+            out.append(StarAlgebra._from_rref(algebra.dim, rref([one, p.row]), (p,)))
     return out
 
 

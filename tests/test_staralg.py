@@ -382,12 +382,48 @@ def dense_row(row, width):
     return out
 
 
+def assert_row_form(m):
+    """The form ``==`` and ``hash`` rest on: indices strictly increasing
+    inside the table, no zero entry, every entry normal; and the checked
+    constructor on the dense table gives the same matrix."""
+    indices = [k for k, _ in m.row]
+    assert all(i < j for i, j in zip(indices, indices[1:]))
+    assert all(0 <= k < m.dim * m.dim for k in indices)
+    for _, x in m.row:
+        assert not x.is_zero()
+        assert_normal(x)
+    checked = Matrix(m.rows)
+    assert checked == m and hash(checked) == hash(m)
+
+
+def kernel_pairs():
+    """Random pairs of sizes 1, 3 and 4; the zero matrix, the identity and
+    a matrix unit on either side of a random matrix; a matrix with a zero
+    row and a zero column; and a pair whose product cancels to zero."""
+    rng = random.Random(11)
+    pairs = []
+    for dim, count in ((1, 5), (3, 20), (4, 5)):
+        pairs += [(Matrix(rational_rows(rng, dim, dim)), Matrix(rational_rows(rng, dim, dim)))
+                  for _ in range(count)]
+        other = Matrix(rational_rows(rng, dim, dim))
+        for special in (Matrix.zero(dim), Matrix.identity(dim), Matrix.unit(dim, dim - 1, 0)):
+            pairs += [(special, other), (other, special)]
+    holed = [list(row) for row in rational_rows(rng, 4, 4, spread=3)]
+    for i in range(4):
+        holed[1][i] = holed[i][2] = 0
+    holed = Matrix(holed)
+    other = Matrix(rational_rows(rng, 4, 4))
+    pairs += [(holed, other), (other, holed), (holed, holed)]
+    pairs.append((Matrix([["1", "1 i"], ["2", "2 i"]]), Matrix([["1 i", "1"], ["-1", "1 i"]])))
+    return pairs
+
+
 class TestIntegerKernels:
-    def test_from_rows_equals_the_checked_constructor(self):
+    def test_from_row_equals_the_checked_constructor(self):
         rng = random.Random(3)
         for dim in (1, 2, 3, 4):
             checked = Matrix(rational_rows(rng, dim, dim))
-            unchecked = Matrix._from_rows(checked.rows)
+            unchecked = Matrix._from_row(dim, checked.row)
             assert unchecked == checked and hash(unchecked) == hash(checked)
             assert unchecked.dim == checked.dim == dim
         for dim in (1, 3):
@@ -395,15 +431,18 @@ class TestIntegerKernels:
             assert Matrix.zero(dim) == Matrix([[0] * dim for _ in range(dim)])
 
     def test_kernel_outputs_match_entrywise_reference(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            a, b = Matrix(rational_rows(rng, 3, 3)), Matrix(rational_rows(rng, 3, 3))
+        pairs = kernel_pairs()
+        a, b = pairs[-1]
+        assert not a.is_zero() and not b.is_zero() and (a * b).is_zero()
+        scalar = gr("2/3-1/2 i")
+        for a, b in pairs:
+            n = a.dim
             ra = [[ref(x) for x in row] for row in a.rows]
             rb = [[ref(x) for x in row] for row in b.rows]
             product = [
-                [sum((ra[i][k] * rb[k][j] for k in range(3)), RefGaussian(Fraction(0), Fraction(0)))
-                 for j in range(3)]
-                for i in range(3)
+                [sum((ra[i][k] * rb[k][j] for k in range(n)), RefGaussian(Fraction(0), Fraction(0)))
+                 for j in range(n)]
+                for i in range(n)
             ]
             assert [[ref(x) for x in row] for row in (a * b).rows] == product
             assert [[ref(x) for x in row] for row in (a + b).rows] == [
@@ -411,10 +450,12 @@ class TestIntegerKernels:
             assert [[ref(x) for x in row] for row in (a - b).rows] == [
                 [x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
             assert [[ref(x) for x in row] for row in a.adjoint().rows] == [
-                [ra[j][i].conjugate() for j in range(3)] for i in range(3)]
-            for m in (a * b, a + b, a - b, a.adjoint()):
-                for x in itertools.chain.from_iterable(m.rows):
-                    assert_normal(x)
+                [ra[j][i].conjugate() for j in range(n)] for i in range(n)]
+            assert [[ref(x) for x in row] for row in (a * scalar).rows] == [
+                [x * ref(scalar) for x in row] for row in ra]
+            for m in (a, b, a * b, a + b, a - b, a - a, a.adjoint(), a * scalar, 0 * a):
+                assert_row_form(m)
+            assert (a - a).is_zero() and (0 * a).is_zero()
 
     @settings(max_examples=100, deadline=None)
     @given(row_sets())
@@ -920,7 +961,7 @@ def not_a_star_algebra(sums, dim):
     """span{1, q0+q1, q0+q2} over four minimal projections q0..q3: its
     projections 0, 1, q0+q1, q2+q3, q0+q2 and q1+q3 are closed under
     complement but not under meet, since q0 is not among them."""
-    rows = staralg.rref([staralg._vec(sums[m]) for m in (0b1111, 0b0011, 0b0101)])
+    rows = staralg.rref([sums[m].row for m in (0b1111, 0b0011, 0b0101)])
     return StarAlgebra._from_rref(dim, rows, ())
 
 
