@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cantor, order, ortho, partitions, scatter, staralg
-from .errors import AxiomViolated, CstardomError
+from .errors import AxiomViolated, BadParameters, CstardomError
 
 RNG_SEED = 20260810
 
@@ -341,7 +341,7 @@ def run_criterion(number):
 
 def run_acceptance(selector="all"):
     if selector not in SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}; use one of {SELECTORS}")
+        raise BadParameters(f"unknown selector {selector!r}; use one of {SELECTORS}")
     token = _STAGES.set({})
     try:
         return [

@@ -38,16 +38,8 @@ from functools import cache
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import AssertionFailed, BadParameters, GridTooCoarse, SizeLimit
+from .errors import AssertionFailed, BadParameters, GridTooCoarse, check_size
 from .partitions import EqRel
-
-#: cap on truncation depths (block counts grow as 2^depth)
-MAX_DEPTH = 10
-#: cap on grid resolutions m (the grid k/3^m has 3^m + 1 points)
-GRID_MAX = 8
-#: cap on dense-chain witness counts (build time and the ``cantor chain``
-#: report grow linearly in the count)
-CHAIN_MAX = 4096
 
 
 class TriRel:
@@ -172,8 +164,7 @@ def relation_R(depth):
     pairwise disjoint (a point in two middle thirds would pin down the same
     string twice), which the constructor re-checks.
     """
-    if not 0 <= depth <= MAX_DEPTH:
-        raise SizeLimit("depth", depth, MAX_DEPTH, minimum=0)
+    check_size("depth", depth)
     pairs = []
     for length in range(depth + 1):
         k = 3 ** (depth - length)
@@ -183,8 +174,7 @@ def relation_R(depth):
 
 def relation_S(n):
     """First-and-last-thirds relation: one block [a, d] per string of length n."""
-    if not 0 <= n <= MAX_DEPTH:
-        raise SizeLimit("depth", n, MAX_DEPTH, minimum=0)
+    check_size("depth", n)
     return TriRel(3 ** (n + 1), ((a, d) for a, _, _, d in _stage_level(n)))
 
 
@@ -346,8 +336,7 @@ def sample_to_grid(x, m):
     checked constructor.  At sufficient resolution the restriction turns
     joins of block relations into joins of finite relations.
     """
-    if not 0 <= m <= GRID_MAX:
-        raise SizeLimit("grid resolution", m, GRID_MAX, minimum=0)
+    check_size("grid", m)
     scale = 3**m
     factor, off_grid = divmod(scale, x.den)
     if off_grid:
@@ -386,8 +375,7 @@ def dense_chain_witness(n):
     constructor builds a further one, which is the finite stage of an
     order-dense chain.
     """
-    if not 2 <= n <= CHAIN_MAX:
-        raise SizeLimit("chain witness count", n, CHAIN_MAX, minimum=2)
+    check_size("chain", n)
     return [TriRel(n + 1, ((i, n + 1),)) for i in range(1, n + 1)]
 
 

@@ -120,6 +120,9 @@ def _write_dot(args, dot_text, results):
 def _poset_from_json(data):
     if not isinstance(data, dict) or "elements" not in data or "leq" not in data:
         raise ParseError("poset JSON needs 'elements' and 'leq'")
+    refinement, subalgebra = partitions.ORIENT_REFINEMENT, partitions.ORIENT_SUBALGEBRA
+    if "orientation" in data and data["orientation"] not in (refinement, subalgebra):
+        raise ParseError(f"poset 'orientation' must be {refinement!r} or {subalgebra!r}")
     return order.validate_poset(
         data["elements"], data["leq"], orientation=data.get("orientation")
     )
@@ -393,10 +396,7 @@ def _cmd_topo_check(args, digest):
 
 def _cmd_accept(args, digest):
     _digest_args(digest, args.selector)
-    try:
-        outcomes = acceptance.run_acceptance(args.selector)
-    except ValueError as exc:
-        raise BadParameters(str(exc)) from exc
+    outcomes = acceptance.run_acceptance(args.selector)
     results = {
         "criteria": [r.to_json_dict() for r in outcomes],
         "lines": [r.line() for r in outcomes],

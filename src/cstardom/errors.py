@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its table of size guards.
 
 Validation failures carry the offending indices/elements as attributes so
-callers (and tests) can re-check the reported witness.
+callers (and tests) can re-check the reported witness.  Every size guard is
+a row of :data:`LIMITS`, raised by :func:`check_size`.
 """
 
 
@@ -52,6 +53,36 @@ class SizeLimit(CstardomError):
             message = f"{what} = {value} exceeds the supported limit {limit}"
         super().__init__(message)
         self.what, self.value, self.limit, self.minimum = what, value, limit, minimum
+
+
+#: guard name -> (what, minimum, limit); a minimum of None guards the
+#: maximum alone
+LIMITS = {
+    # 2^n directed subsets: the traced peak at 15 is 1.6 MB on an antichain
+    # and 5.6 MB on a chain, whose subsets are all kept
+    "oracle": ("poset size for directed enumeration", None, 15),
+    "lattice": ("partition lattice ground size", 1, 8),  # Bell(8) = 4140 nodes
+    "omp": ("orthomodular poset size", None, 32),  # Boolean-subalgebra search
+    "ambient": ("ambient matrix size", None, 16),
+    "algebra": ("algebra dimension", None, 64),
+    "depth": ("depth", 0, 10),  # truncation depths: 2^depth blocks
+    "grid": ("grid resolution", 0, 8),  # the grid k/3^m has 3^m + 1 points
+    # build time and the ``cantor chain`` report grow linearly in the count
+    "chain": ("chain witness count", 2, 4096),
+    "exponent": ("ordinal exponent", 0, 9),  # desk scale
+}
+# the projections of a k-point spectrum form a 2^k-element power set, which
+# verify_caf_iso's Boolean-subalgebra search must admit
+LIMITS["caf"] = ("spectrum size", None, LIMITS["omp"][2].bit_length() - 1)
+# c_lattice and atoms build the spectrum's partition lattice
+LIMITS["spectrum"] = ("spectrum size", None, LIMITS["lattice"][2])
+
+
+def check_size(name, value):
+    """SizeLimit unless ``value`` lies within the :data:`LIMITS` row ``name``."""
+    what, minimum, limit = LIMITS[name]
+    if value > limit or (minimum is not None and value < minimum):
+        raise SizeLimit(what, value, limit, minimum)
 
 
 class OutOfRange(CstardomError):

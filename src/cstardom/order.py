@@ -32,12 +32,8 @@ from .errors import (
     NotAntisymmetric,
     NotReflexive,
     NotTransitive,
-    SizeLimit,
+    check_size,
 )
-
-# Cap for directed-subset enumeration, 2^n subsets: the traced peak at 15 is
-# 1.6 MB on an antichain and 5.6 MB on a chain, whose subsets are all kept.
-ORACLE_MAX = 15
 
 PROPERTY_KEYS = (
     "algebraic",
@@ -214,12 +210,11 @@ class FinPoset:
         member above a.  Two :func:`subset_table` folds give ``below[m]``,
         the union of the down-sets of the members of m, and ``above[m]``,
         their common upper bounds.  The sup of a directed m is the element
-        whose up-set is ``above[m]``.  Cached; SizeLimit above
-        ``ORACLE_MAX`` elements.
+        whose up-set is ``above[m]``.  Cached; SizeLimit past the
+        ``oracle`` guard of ``errors.LIMITS``.
         """
         if self._directed is None:
-            if self.n > ORACLE_MAX:
-                raise SizeLimit("poset size for directed enumeration", self.n, ORACLE_MAX)
+            check_size("oracle", self.n)
             up, by_up = self.up, self._by_up
             below = subset_table(self.dn, int.__or__, 0)
             above = subset_table(up, int.__and__, self.full_mask)
@@ -337,7 +332,7 @@ def directed_way_below(poset):
 
     ``b`` is way below ``c`` unless some directed set whose supremum lies
     above ``c`` misses the up-set of ``b``; on a finite poset the rows are
-    the principal filters ``up``.  SizeLimit above ``ORACLE_MAX`` elements.
+    the principal filters ``up``.  SizeLimit past the ``oracle`` guard.
     """
     not_wb = [0] * poset.n
     for mask, sup in poset.directed_masks():

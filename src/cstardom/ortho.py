@@ -25,16 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AxiomViolated, BadParameters, IsoFailure, SizeLimit
+from .errors import AxiomViolated, BadParameters, IsoFailure, check_size
 from .order import FinPoset, iter_bits
 from .staralg import c_lattice, projection_mask, projection_table
-
-#: enumeration guard for Boolean subalgebras
-OMP_MAX = 32
-#: spectrum guard for the subalgebra/Boolean-subalgebra comparison: the
-#: projections of a k-point spectrum form a 2^k-element power set, which
-#: must pass the enumeration guard
-CAF_MAX = OMP_MAX.bit_length() - 1
 
 
 class OMP:
@@ -227,8 +220,7 @@ def boolean_subalgebras(omp):
     a closed subset of a Boolean subalgebra is Boolean, so stopping at None
     or at a non-Boolean closure loses none.
     """
-    if omp.n > OMP_MAX:
-        raise SizeLimit("orthomodular poset size", omp.n, OMP_MAX)
+    check_size("omp", omp.n)
     # validate_omp makes zero the bottom, so the base closes to {zero, one}
     base = _close_boolean(omp, 0)
     found = [base]
@@ -282,12 +274,12 @@ def verify_caf_iso(algebra):
     inside the projection orthomodular poset.  The map sends a subalgebra
     to the set of its projections, found among the 2^k sums of minimal
     projections in the algebra's ``staralg.projection_table`` (all of
-    Proj(A), at most ``CAF_MAX`` minimal projections) by
+    Proj(A), within the ``caf`` guard of ``errors.LIMITS``) by
     ``staralg.projection_mask``; the subalgebra lattice is built from the
     same table.  The map must be a bijection whose principal filters match
     as masks, else IsoFailure, at the first pair in product order.
     """
-    sums = projection_table(algebra, CAF_MAX)  # also rejects noncommutative input
+    sums = projection_table(algebra, "caf")  # also rejects noncommutative input
     sub_poset = c_lattice(algebra)
     proj_omp = power_set_omp(len(sums).bit_length() - 1)
     bool_poset = boolean_subalgebras(proj_omp)

@@ -23,11 +23,8 @@ from __future__ import annotations
 from itertools import combinations
 from operator import itemgetter
 
-from .errors import BadParameters, GroundMismatch, OutOfRange, SizeLimit
+from .errors import BadParameters, GroundMismatch, OutOfRange, check_size
 from .order import FinPoset
-
-#: guard for partition-lattice construction (Bell(8) = 4140 nodes)
-LATTICE_MAX = 8
 
 ORIENT_REFINEMENT = "refinement"
 ORIENT_SUBALGEBRA = "subalgebra"
@@ -268,8 +265,7 @@ def partition_lattice(n, orientation):
         raise BadParameters(
             f"orientation must be {ORIENT_REFINEMENT!r} or {ORIENT_SUBALGEBRA!r}"
         )
-    if not 1 <= n <= LATTICE_MAX:
-        raise SizeLimit("partition lattice ground size", n, LATTICE_MAX, minimum=1)
+    check_size("lattice", n)
     rels = all_partitions(range(1, n + 1))
     index = {rel.classes: i for i, rel in enumerate(rels)}
     # rels come in block-count order, so every merge of two blocks (one

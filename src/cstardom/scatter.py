@@ -17,12 +17,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameters, ParseError, SizeLimit
+from .errors import BadParameters, ParseError, check_size
 from .order import iter_bits, transpose, upsets
 from .partitions import collapse
-
-#: ordinal exponents stay below this (desk scale)
-EXPONENT_MAX = 9
 
 
 class FinTop:
@@ -234,7 +231,8 @@ _TERM_RE = re.compile(r"^(?:w(?:\^(\d+))?(?:\*(\d+))?|(\d+))$")
 
 @dataclass(frozen=True)
 class OrdinalCNF:
-    """An ordinal below w^(EXPONENT_MAX+1) in normal form.
+    """An ordinal below w^(e+1) in normal form, e the ``exponent`` limit of
+    ``errors.LIMITS``.
 
     ``terms`` are (exponent, coefficient) pairs with strictly decreasing
     exponents and positive coefficients; the empty tuple is the ordinal 0.
@@ -247,8 +245,7 @@ class OrdinalCNF:
     def __post_init__(self):
         last = None
         for exponent, coefficient in self.terms:
-            if exponent < 0 or exponent > EXPONENT_MAX:
-                raise SizeLimit("ordinal exponent", exponent, EXPONENT_MAX, minimum=0)
+            check_size("exponent", exponent)
             if coefficient < 1:
                 raise BadParameters("coefficients must be positive")
             if last is not None and exponent >= last:

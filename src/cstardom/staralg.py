@@ -38,15 +38,12 @@ from .errors import (
     NotCommutative,
     NotTotal,
     ParseError,
-    SizeLimit,
+    check_size,
 )
 from .order import FinPoset, subset_table
-from .partitions import (LATTICE_MAX, ORIENT_SUBALGEBRA, EqRel, _first_occurrence,
-                         _linked_labels, partition_lattice)
+from .partitions import (ORIENT_SUBALGEBRA, EqRel, _first_occurrence, _linked_labels,
+                         partition_lattice)
 
-#: ambient matrix size / algebra dimension guards
-AMBIENT_MAX = 16
-ALGEBRA_DIM_MAX = 64
 #: digits above and below the bar of a parsed entry: Python's int-string limit
 ENTRY_DIGITS_MAX = 4300
 _ENTRY_BOUND = 10**ENTRY_DIGITS_MAX
@@ -245,7 +242,7 @@ def gr(value):
     raise ParseError(f"cannot coerce {value!r} to a Gaussian rational")
 
 
-def _check_size(dim):
+def _check_dim(dim):
     if dim < 1:
         raise DimMismatch("matrix must be square and nonempty")
 
@@ -296,12 +293,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, dim):
-        _check_size(dim)
+        _check_dim(dim)
         return cls._from_row(dim, tuple((i * (dim + 1), GR_ONE) for i in range(dim)))
 
     @classmethod
     def zero(cls, dim):
-        _check_size(dim)
+        _check_dim(dim)
         return cls._from_row(dim, ())
 
     @classmethod
@@ -472,15 +469,6 @@ def _close_once(dim, rows):
     return rref(list(rows) + [c.row for c in candidates])
 
 
-def _check_limits(dim, rows=()):
-    """The size guards of both input routes; returns the echelon ``rows``."""
-    if dim > AMBIENT_MAX:
-        raise SizeLimit("ambient matrix size", dim, AMBIENT_MAX)
-    if len(rows) > ALGEBRA_DIM_MAX:
-        raise SizeLimit("algebra dimension", len(rows), ALGEBRA_DIM_MAX)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # the algebra type
 
@@ -497,13 +485,14 @@ class StarAlgebra:
     __slots__ = ("dim", "rows", "generators", "_sums", "_lattice")
 
     def __init__(self, dim, basis_matrices, generators=()):
-        _check_limits(dim)
+        check_size("ambient", dim)
         basis_matrices = list(basis_matrices)
         generators = tuple(generators)
         for m in basis_matrices + list(generators):
             if m.dim != dim:
                 raise DimMismatch(f"matrix of size {m.dim} in ambient size {dim}")
-        rows = _check_limits(dim, rref([m.row for m in basis_matrices]))
+        rows = rref([m.row for m in basis_matrices])
+        check_size("algebra", len(rows))
         if len(_close_once(dim, rows)) != len(rows):
             raise BadParameters("basis span lacks the identity, an adjoint or a product")
         self._set(dim, rows, generators)
@@ -569,13 +558,14 @@ def generated_algebra(generators, dim=None):
         if not generators:
             raise BadParameters("need generators or an explicit ambient dimension")
         dim = generators[0].dim
-    _check_limits(dim)
+    check_size("ambient", dim)
     for g in generators:
         if g.dim != dim:
             raise DimMismatch(f"generator of size {g.dim} in ambient size {dim}")
     current = rref([m.row for m in [Matrix.identity(dim)] + generators])
     while True:
-        grown = _close_once(dim, _check_limits(dim, current))
+        check_size("algebra", len(current))
+        grown = _close_once(dim, current)
         if len(grown) == len(current):
             return StarAlgebra._from_rref(dim, current, tuple(generators))
         current = grown
@@ -669,12 +659,13 @@ def _projection_sums(projections, dim):
     return subset_table(projections, Matrix.__add__, Matrix.zero(dim))
 
 
-def projection_table(algebra, limit):
+def projection_table(algebra, guard):
     """Proj(A), the projections of a commutative projection-generated algebra.
 
     The :func:`_projection_sums` table of its k minimal projections
-    (projection i at entry 1 << i); SizeLimit when k exceeds the caller's
-    ``limit``.  Formed once per instance and kept on it.
+    (projection i at entry 1 << i); SizeLimit when k is past the caller's
+    ``guard``, a name in ``errors.LIMITS``, and then before the table is
+    formed.  Formed once per instance and kept on it.
     """
     sums = algebra._sums
     if sums is None:
@@ -682,8 +673,7 @@ def projection_table(algebra, limit):
         k = len(projections)
     else:
         k = len(sums).bit_length() - 1
-    if k > limit:
-        raise SizeLimit("spectrum size", k, limit)
+    check_size(guard, k)
     if sums is None:
         sums = algebra._sums = _projection_sums(projections, algebra.dim)
     return sums
@@ -719,8 +709,8 @@ def c_lattice(algebra):
 
     Nodes, labels and order are the spectrum's partition lattice in the
     subalgebra orientation; each node carries its block-sum subalgebra,
-    read from the :func:`projection_table` (at most ``LATTICE_MAX``
-    minimal projections).  The matrices certify the order (else
+    read from the :func:`projection_table` (within the ``spectrum`` guard
+    of ``errors.LIMITS``).  The matrices certify the order (else
     AssertionFailed): each Hasse cover is a containment, each algebra has
     one dimension per block, and no two are equal.  An injective
     order-preserving self-map of a finite poset is an automorphism, so
@@ -729,7 +719,7 @@ def c_lattice(algebra):
     """
     if algebra._lattice is not None:
         return algebra._lattice
-    sums, dim = projection_table(algebra, LATTICE_MAX), algebra.dim
+    sums, dim = projection_table(algebra, "spectrum"), algebra.dim
     lattice = partition_lattice(len(sums).bit_length() - 1, ORIENT_SUBALGEBRA)
     labels = lattice.elements
     algebras = [block_sum_algebra(sums, rel, dim) for rel in lattice.payloads]
@@ -753,13 +743,13 @@ def atoms(algebra):
     """Two-dimensional subalgebras spanned by a nontrivial projection.
 
     One per unordered split of the minimal projections into two nonempty
-    parts: 2^(k-1) - 1 of them for a k-point spectrum, at most
-    ``LATTICE_MAX`` points.  Each split is named once, by its side
+    parts: 2^(k-1) - 1 of them for a k-point spectrum, within the
+    ``spectrum`` guard.  Each split is named once, by its side
     containing piece 0, and its projection p is read from the
     :func:`projection_table`; span{1, p} is a *-algebra, so it is built
     unchecked, with generator p.
     """
-    sums = projection_table(algebra, LATTICE_MAX)
+    sums = projection_table(algebra, "spectrum")
     k = len(sums).bit_length() - 1
     one = Matrix.identity(algebra.dim).row
     out = []

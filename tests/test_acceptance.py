@@ -8,6 +8,7 @@ import pytest
 
 from cstardom import acceptance, scatter, staralg
 from cstardom.acceptance import CRITERIA, SELECTORS, run_acceptance, run_criterion
+from cstardom.errors import BadParameters
 from cstardom.order import FinPoset
 from cstardom.partitions import ORIENT_SUBALGEBRA, EqRel, partition_lattice
 
@@ -46,7 +47,7 @@ def test_fast_selector_is_a_subset():
 
 
 def test_unknown_selector_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters):
         run_acceptance("everything")
     assert SELECTORS == ("all", "fast")
 

@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstardom.cantor import (
-    CHAIN_MAX,
     DIAGONAL,
     FULL,
-    GRID_MAX,
-    MAX_DEPTH,
     TriRel,
     _chain_level,
     _stage_level,
@@ -26,8 +23,10 @@ from cstardom.cantor import (
     tri_join,
     verify_counterexample,
 )
-from cstardom.errors import AssertionFailed, BadParameters, GridTooCoarse, SizeLimit
+from cstardom.errors import LIMITS, AssertionFailed, BadParameters, GridTooCoarse, SizeLimit
 from cstardom.partitions import EqRel, join as eqrel_join
+
+MAX_DEPTH, GRID_MAX, CHAIN_MAX = (LIMITS[name][2] for name in ("depth", "grid", "chain"))
 
 
 def F(a, b=1):

@@ -14,14 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import cstardom
 from cstardom import acceptance, cantor, cli, order, ortho, partitions
-from cstardom.cantor import CHAIN_MAX
 from cstardom.cli import main
-from cstardom.errors import ParseError
-from cstardom.partitions import LATTICE_MAX
+from cstardom.errors import LIMITS, ParseError
 from cstardom.scatter import FinTop, is_stonean_fin
 from test_ortho import greechie_square
 from test_scatter import scattered_by_closed_sets
 from test_staralg import rotated_algebra
+
+CHAIN_MAX, LATTICE_MAX = LIMITS["chain"][2], LIMITS["lattice"][2]
 
 
 @pytest.fixture
@@ -225,6 +225,28 @@ class TestExitCodes:
 
 
 class TestPoset:
+    @pytest.mark.parametrize("orientation", [[1], None, "up", {"order": "subalgebra"}, 1],
+                             ids=["list", "null", "unknown-name", "object", "int"])
+    def test_unknown_orientation_is_a_parse_error(self, orientation, tmp_path, capsys):
+        payload = {"elements": ["a"], "leq": [[True]], "orientation": orientation}
+        code, report = run_json(
+            ["poset", "check", "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert code == report["exit_code"] == 2
+        assert report["results"]["error"] == {
+            "type": "ParseError",
+            "message": "poset 'orientation' must be 'refinement' or 'subalgebra'",
+        }
+
+    @pytest.mark.parametrize("orientation", ["refinement", "subalgebra"])
+    def test_known_orientation_is_echoed(self, orientation, tmp_path, capsys):
+        payload = {"elements": ["a"], "leq": [[True]], "orientation": orientation}
+        code, report = run_json(
+            ["poset", "check", "--input", write_payload(tmp_path, payload)], capsys
+        )
+        assert code == 0
+        assert report["results"]["poset"]["orientation"] == orientation
+
     def test_report_flags(self, files, capsys):
         code, report = run_json(["poset", "report", "--input", files["chain3"]], capsys)
         assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cstardom import order
 from cstardom.errors import (
+    LIMITS,
     BadParameters,
     ElementNotInPoset,
     NotAntisymmetric,
@@ -28,6 +29,8 @@ from cstardom.order import (
 from cstardom.partitions import ORIENT_REFINEMENT, ORIENT_SUBALGEBRA, partition_lattice
 from cstardom.scatter import FinTop, cb_rank_fin
 from cstardom.staralg import Matrix
+
+ORACLE_MAX = LIMITS["oracle"][2]
 
 
 def chain(n):
@@ -476,7 +479,7 @@ FIXED_POSETS = [
     pytest.param(partition_lattice(k, orientation), id=f"pi{k}-{orientation}")
     for k in range(1, 5)
     for orientation in (ORIENT_REFINEMENT, ORIENT_SUBALGEBRA)
-] + [pytest.param(antichain(order.ORACLE_MAX), id="antichain-oracle-max")]
+] + [pytest.param(antichain(ORACLE_MAX), id="antichain-oracle-max")]
 
 
 def assert_greatest_elements(poset, directed):
@@ -587,10 +590,10 @@ class TestWayBelow:
             assert directed_way_below(poset) == list(poset.up)
 
     def test_definitional_refuses_large_posets(self):
-        limit = antichain(order.ORACLE_MAX)
+        limit = antichain(ORACLE_MAX)
         assert len(limit.directed_masks()) == limit.n
         assert directed_way_below(limit) == list(limit.up)
-        big = antichain(order.ORACLE_MAX + 1)
+        big = antichain(ORACLE_MAX + 1)
         with pytest.raises(SizeLimit):
             big.directed_masks()
         with pytest.raises(SizeLimit):

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cstardom import ortho
-from cstardom.errors import AxiomViolated, BadParameters, IsoFailure, SizeLimit
+from cstardom.errors import LIMITS, AxiomViolated, BadParameters, IsoFailure, SizeLimit
 from cstardom.ortho import (
-    CAF_MAX,
-    OMP_MAX,
     boolean_subalgebras,
     mo_omp,
     power_set_omp,
@@ -18,6 +16,8 @@ from cstardom.ortho import (
 from cstardom.order import FinPoset, iter_bits, validate_poset
 from cstardom.partitions import ORIENT_SUBALGEBRA, bell_number, partition_lattice
 from cstardom.staralg import Matrix, c_lattice, generated_algebra, projection_table
+
+OMP_MAX, CAF_MAX = LIMITS["omp"][2], LIMITS["caf"][2]
 
 
 def brute_force_boolean_subalgebras(omp):
@@ -704,7 +704,7 @@ class TestCafIsoFailures:
         def span_last(alg, lattice):
             # projections closed under complement, but q0 is missing
             payloads = list(lattice.payloads)
-            payloads[-1] = not_a_star_algebra(projection_table(alg, CAF_MAX), alg.dim)
+            payloads[-1] = not_a_star_algebra(projection_table(alg, "caf"), alg.dim)
             return FinPoset._from_masks(
                 lattice.elements, lattice.up, lattice.dn, lattice.orientation, payloads
             )

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstardom import order, ortho, partitions, staralg
-from cstardom.errors import BadParameters, GroundMismatch, OutOfRange, SizeLimit
+from cstardom.errors import LIMITS, BadParameters, GroundMismatch, OutOfRange, SizeLimit
 from cstardom.partitions import (
-    LATTICE_MAX,
     ORIENT_REFINEMENT,
     ORIENT_SUBALGEBRA,
     EqRel,
@@ -22,6 +21,8 @@ from cstardom.partitions import (
     partition_lattice,
 )
 from test_order import glb, lub
+
+LATTICE_MAX = LIMITS["lattice"][2]
 
 
 def rel(n, *classes):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cstardom import partitions, staralg
 from cstardom.errors import (
+    LIMITS,
     AssertionFailed,
     BadParameters,
     DimMismatch,
@@ -24,7 +25,6 @@ from cstardom.errors import (
 from cstardom.order import FinPoset
 from cstardom.ortho import verify_caf_iso
 from cstardom.partitions import (
-    LATTICE_MAX,
     ORIENT_SUBALGEBRA,
     EqRel,
     collapse,
@@ -47,6 +47,8 @@ from cstardom.staralg import (
 )
 from test_order import lub
 from test_partitions import class_of, from_pairs_by_buckets
+
+LATTICE_MAX = LIMITS["lattice"][2]
 
 
 def diag(*values):
@@ -617,7 +619,7 @@ class TestGeneratedAlgebra:
 
     def test_ambient_size_guard(self):
         # both input routes, at the limit and one past it
-        limit = staralg.AMBIENT_MAX
+        limit = LIMITS["ambient"][2]
         assert StarAlgebra(limit, [Matrix.identity(limit)]).dimension == 1
         assert generated_algebra([], dim=limit).dimension == 1
         for build in (
@@ -639,7 +641,7 @@ class TestGeneratedAlgebra:
     def test_algebra_dimension_guard_on_both_routes(self):
         # M_8 has dimension 64, at the limit; M_8 + C inside the 9x9
         # matrices has 65, one past it
-        limit = staralg.ALGEBRA_DIM_MAX
+        limit = LIMITS["algebra"][2]
         assert limit == 64
         m8 = [Matrix.unit(8, i, j) for i in range(8) for j in range(8)]
         assert StarAlgebra(8, m8).dimension == limit
@@ -980,13 +982,13 @@ class TestProjectionMask:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_every_node_of_the_diagonal_lattice(self, k):
         algebra = diagonal_algebra(k)
-        sums = staralg.projection_table(algebra, k)
+        sums = staralg.projection_table(algebra, "spectrum")
         for node in c_lattice(algebra).payloads:
             assert staralg.projection_mask(node, sums) == contained_sums(node, sums)
 
     def test_every_node_of_the_conjugated_lattice(self):
         algebra = givens5_algebra()
-        sums = staralg.projection_table(algebra, 5)
+        sums = staralg.projection_table(algebra, "spectrum")
         masks = set()
         for node in c_lattice(algebra).payloads:
             mask = staralg.projection_mask(node, sums)
@@ -997,7 +999,7 @@ class TestProjectionMask:
 
     def test_span_that_is_not_an_algebra(self):
         algebra = diagonal_algebra(4)
-        sums = staralg.projection_table(algebra, 4)
+        sums = staralg.projection_table(algebra, "spectrum")
         span = not_a_star_algebra(sums, 4)
         members = {0b0000, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010}
         assert staralg.projection_mask(span, sums) == sum(1 << m for m in members)
